@@ -9,7 +9,6 @@ from .errors import (
     UnsupportedTopology,
 )
 from .gates import (
-    ControlledRotationForm,
     CouplingTerm,
     MultimodeDecomposition,
     SubsystemOperator,
@@ -18,7 +17,6 @@ from .gates import (
     decompose_cz_two_mode,
     expand_adjacency,
     grid_adjacency,
-    interaction_as_controlled_rotation,
     is_trivial_term,
 )
 from .graphs import (
@@ -45,7 +43,6 @@ from .measurement import (
     MeasurementRecord,
     MeasurementResult,
     WireRun,
-    factorize_p0_projector,
     measure_p0,
     run_wire,
 )
@@ -64,7 +61,6 @@ from .oracle import (
     apply_subsystem_coupling,
     apply_subsystem_phase,
     connected_correlator,
-    correlation_strength,
     coupling_strength,
     fidelity,
     load_state,

@@ -62,9 +62,12 @@ def parse_alpha(text: str) -> float:
 
 def _parse_complex(token: str) -> complex:
     try:
-        return complex(token.strip().replace(" ", ""))
+        value = complex(token.strip().replace(" ", ""))
     except ValueError as err:
         raise UsageError(f"invalid amplitude {token!r}") from err
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise UsageError(f"amplitude {token!r} is not finite")
+    return value
 
 
 def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
@@ -88,7 +91,10 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
             c0 = _parse_complex(token[4:])
             c1 = _parse_complex(tokens[i + 1])
             i += 1
-            norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+            try:
+                norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+            except OverflowError as err:
+                raise UsageError("gkp amplitudes are too large to normalize") from err
             if norm == 0.0:
                 raise UsageError("gkp amplitudes cannot both be zero")
             specs.append(gkp_labeled(c0 / norm, c1 / norm))
@@ -113,27 +119,31 @@ def parse_topology(text: str) -> np.ndarray:
         return grid_adjacency(
             _positive_int(dims[0], "grid rows"), _positive_int(dims[1], "grid cols")
         )
-    raw = Path(text).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
+        doc = json.loads(Path(text).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise UsageError(f"{text}: invalid edge-list JSON: {err}") from err
-    if isinstance(doc, dict):
-        edges = doc.get("edges", [])
-        n_modes = int(doc.get("n_modes", 0))
-    else:
-        edges = doc
-        n_modes = 0
-    pairs = []
-    for pair in edges:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise UsageError(f"{text}: edges must be [i, j] pairs")
-        i, j = int(pair[0]), int(pair[1])
-        if i == j or i < 0 or j < 0:
-            raise UsageError(f"{text}: invalid edge [{i}, {j}]")
-        pairs.append((i, j))
+    try:
+        if isinstance(doc, dict):
+            edges = doc.get("edges", [])
+            n_modes = int(doc.get("n_modes", 0))
+        else:
+            edges = doc
+            n_modes = 0
+        pairs = []
+        for pair in edges:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise UsageError(f"{text}: edges must be [i, j] pairs")
+            i, j = int(pair[0]), int(pair[1])
+            if i == j or i < 0 or j < 0:
+                raise UsageError(f"{text}: invalid edge [{i}, {j}]")
+            pairs.append((i, j))
+    except (TypeError, ValueError, OverflowError) as err:
+        raise UsageError(f"{text}: malformed edge list: {err}") from err
     if not n_modes:
         n_modes = 1 + max((max(p) for p in pairs), default=0)
+    if n_modes < 0:
+        raise UsageError(f"{text}: n_modes must be nonnegative, got {n_modes}")
     adjacency = np.zeros((n_modes, n_modes))
     for i, j in pairs:
         if max(i, j) >= n_modes:
@@ -160,7 +170,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_graph(path: str):
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: graph file is not UTF-8 text: {err}") from err
+    return from_json(text)
 
 
 def _term_dict(term) -> dict:
@@ -193,12 +207,14 @@ def _resolve_seed(value: int | None) -> int:
     env = os.environ.get("HIDDENCLUSTER_SEED")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as err:
             raise UsageError(f"HIDDENCLUSTER_SEED must be an integer, got {env!r}") from err
-    if value is not None:
-        return value
-    return 0
+    if value is None:
+        return 0
+    if value < 0:
+        raise UsageError(f"seed must be nonnegative, got {value}")
+    return value
 
 
 def cmd_build(args: argparse.Namespace) -> int:

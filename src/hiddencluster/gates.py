@@ -219,45 +219,3 @@ def decompose_cz_multimode(adjacency: np.ndarray, alpha: float) -> MultimodeDeco
                     raise AssertionError(f"unexpected surviving term {term}")
     return MultimodeDecomposition(tuple(logical), tuple(gauge), tuple(interaction))
 
-
-@dataclass(frozen=True)
-class ControlledRotationForm:
-    """Equivalent shift-plus-rotation form of one logical-modular coupling.
-
-    ``exp(i c u (x) ell)`` factors into a modular-position phase
-    ``exp(i (c/2) u)`` on the gauge mode and a logical z-rotation by the
-    angle ``c * u`` controlled on that modular position.  Rendering and
-    diagnostics only; both forms act identically.
-    """
-
-    control_mode: int
-    rotated_mode: int
-    shift_coefficient: float
-    rotation_coefficient: float
-
-    def describe(self) -> str:
-        return (
-            f"exp(i*{self.shift_coefficient:g}*u[{self.control_mode}]) followed by "
-            f"Rz({self.rotation_coefficient:g}*u[{self.control_mode}]) "
-            f"on logical qubit {self.rotated_mode}"
-        )
-
-
-def interaction_as_controlled_rotation(term: CouplingTerm) -> ControlledRotationForm:
-    """Rewrite a logical-modular coupling as shift times controlled rotation."""
-    kinds = {term.op_a.kind, term.op_b.kind}
-    if kinds != {SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR}:
-        raise DomainError(
-            "controlled-rotation form applies only to logical-modular couplings, "
-            f"got kinds {tuple(k.value for k in term.kinds)}"
-        )
-    if term.op_a.kind is SubsystemKind.GAUGE_MODULAR:
-        control, rotated = term.op_a.mode, term.op_b.mode
-    else:
-        control, rotated = term.op_b.mode, term.op_a.mode
-    return ControlledRotationForm(
-        control_mode=control,
-        rotated_mode=rotated,
-        shift_coefficient=term.coefficient / 2.0,
-        rotation_coefficient=term.coefficient,
-    )

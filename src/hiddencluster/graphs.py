@@ -1,7 +1,10 @@
 """Typed subsystem graphs for CV, GKP and hybrid cluster states.
 
 Every physical mode contributes three nodes (logical qubit, gauge bin
-number, gauge modular position).  Edges carry a small integer multiplicity;
+number, gauge modular position).  Node ``3*i + k`` is the kind-``k`` node
+(0 logical, 1 gauge bin, 2 gauge modular) of the mode with index ``i``, and
+its state follows from that mode's input type, so a graph stores only its
+modes and edges.  Edges carry a small integer multiplicity;
 under the node-operator normalization (circle = u/alpha, square = m,
 diamond = ell) every single line is a coupling of strength pi, so the
 physical coefficient of an edge is ``pi * multiplicity / alpha**k`` with
@@ -20,6 +23,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +101,24 @@ def gkp_plus() -> ModeSpec:
     return ModeSpec(CvType.GKP_PLUS)
 
 
+def _norm_sq(values: tuple[complex, complex]) -> float:
+    """|c0|^2 + |c1|^2, or inf when squaring a huge amplitude overflows."""
+    try:
+        return sum(abs(z) ** 2 for z in values)
+    except OverflowError:
+        return math.inf
+
+
+def _is_finite(values: tuple[complex, complex]) -> bool:
+    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values)
+
+
 def gkp_labeled(c0: complex, c1: complex, label: str = "psi") -> ModeSpec:
     """A GKP mode encoding the qubit c0|0> + c1|1>; amplitudes must be unit norm."""
     c0, c1 = complex(c0), complex(c1)
-    norm_sq = abs(c0) ** 2 + abs(c1) ** 2
+    if not _is_finite((c0, c1)):
+        raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
+    norm_sq = _norm_sq((c0, c1))
     if abs(norm_sq - 1.0) > 1e-12:
         raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {norm_sq}")
     return ModeSpec(CvType.GKP_LABELED, label=label, amplitudes=(c0, c1))
@@ -128,30 +146,60 @@ class SubsystemEdge:
         return node_id == self.a or node_id == self.b
 
 
+def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
+    logical = (
+        NodeState.LOGICAL_LABELED if cv_type is CvType.GKP_LABELED else NodeState.LOGICAL_PLUS
+    )
+    modular = NodeState.MODULAR_ZERO if cv_type.is_gkp else NodeState.UNIFORM_MODULAR
+    return (logical, NodeState.UNIFORM_BIN, modular)
+
+
+def _mode_nodes(record: ModeRecord) -> tuple[Node, ...]:
+    """The three nodes of a mode: ids 3*index + kind offset, states from its cv_type."""
+    states = _node_states_for(record.cv_type)
+    return tuple(
+        Node(id=3 * record.index + offset, mode=record.index, kind=kind, state=state)
+        for offset, (kind, state) in enumerate(zip(_KIND_ORDER, states))
+    )
+
+
 @dataclass(frozen=True)
 class SubsystemGraph:
+    """Modes and edges; each mode's three nodes are derived from its record.
+
+    An edge endpoint names its mode (``id // 3``) and kind (``id % 3``)
+    without a lookup table.
+    """
+
     alpha: float
     modes: tuple[ModeRecord, ...]
-    nodes: tuple[Node, ...]
     edges: tuple[SubsystemEdge, ...]
 
+    @cached_property
+    def _mode_index(self) -> dict[int, ModeRecord]:
+        return {record.index: record for record in self.modes}
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(node for record in self.modes for node in _mode_nodes(record))
+
     def node_by_id(self, node_id: int) -> Node:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise DomainError(f"no node with id {node_id}")
+        record = self._mode_index.get(node_id // 3)
+        if record is None:
+            raise DomainError(f"no node with id {node_id}")
+        return _mode_nodes(record)[node_id % 3]
 
     def mode_by_index(self, index: int) -> ModeRecord:
-        for mode in self.modes:
-            if mode.index == index:
-                return mode
-        raise DomainError(f"no mode with index {index}")
+        record = self._mode_index.get(index)
+        if record is None:
+            raise DomainError(f"no mode with index {index}")
+        return record
 
     def node_of(self, mode_index: int, kind: SubsystemKind) -> Node:
-        for node in self.nodes:
-            if node.mode == mode_index and node.kind == kind:
-                return node
-        raise DomainError(f"no {kind.value} node for mode {mode_index}")
+        record = self._mode_index.get(mode_index)
+        if record is None:
+            raise DomainError(f"no {kind.value} node for mode {mode_index}")
+        return _mode_nodes(record)[_KIND_OFFSET[kind]]
 
     def edges_at(self, node_id: int) -> tuple[SubsystemEdge, ...]:
         return tuple(e for e in self.edges if e.touches(node_id))
@@ -165,49 +213,26 @@ class SubsystemGraph:
         return (complex(inv), complex(inv))
 
 
-def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
-    logical = (
-        NodeState.LOGICAL_LABELED if cv_type is CvType.GKP_LABELED else NodeState.LOGICAL_PLUS
-    )
-    modular = NodeState.MODULAR_ZERO if cv_type.is_gkp else NodeState.UNIFORM_MODULAR
-    return (logical, NodeState.UNIFORM_BIN, modular)
-
-
-def _make_nodes(modes: tuple[ModeRecord, ...]) -> tuple[Node, ...]:
-    nodes = []
-    for position, record in enumerate(modes):
-        states = _node_states_for(record.cv_type)
-        for kind, state in zip(_KIND_ORDER, states):
-            nodes.append(
-                Node(
-                    id=3 * position + _KIND_OFFSET[kind],
-                    mode=record.index,
-                    kind=kind,
-                    state=state,
-                )
-            )
-    return tuple(nodes)
-
-
 def absorb_modular_zero_edges(
-    nodes: tuple[Node, ...], edges: tuple[SubsystemEdge, ...]
+    modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
 ) -> tuple[SubsystemEdge, ...]:
-    """Delete every edge incident to a modular-position node pinned at u = 0."""
-    pinned = {n.id for n in nodes if n.state is NodeState.MODULAR_ZERO}
+    """Delete every edge incident to a modular-position node pinned at u = 0.
+
+    Every GKP-type mode has its modular-position node (id ``3*index + 2``) pinned.
+    """
+    pinned = {3 * m.index + 2 for m in modes if m.cv_type.is_gkp}
     return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
-def _edge_from_term(
-    term: CouplingTerm, node_id: dict[tuple[int, SubsystemKind], int], alpha: float
-) -> SubsystemEdge:
+def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
     # multiplicity = coefficient * alpha**(#modular operands) / pi
     units = term.coefficient * alpha**term.modular_operand_count / EDGE_UNIT_PHASE
     multiplicity = round(units)
     if multiplicity not in (1, 2) or abs(units - multiplicity) > 1e-9:
         raise DomainError(f"term {term} has non-integral edge strength {units}")
     return SubsystemEdge(
-        a=node_id[(term.op_a.mode, term.op_a.kind)],
-        b=node_id[(term.op_b.mode, term.op_b.kind)],
+        a=3 * term.op_a.mode + _KIND_OFFSET[term.op_a.kind],
+        b=3 * term.op_b.mode + _KIND_OFFSET[term.op_b.kind],
         multiplicity=multiplicity,
     )
 
@@ -233,32 +258,35 @@ def build_cluster(
         ModeRecord(index=i, cv_type=s.cv_type, label=s.label, amplitudes=s.amplitudes)
         for i, s in enumerate(node_types)
     )
-    nodes = _make_nodes(modes)
-    node_id = {(n.mode, n.kind): n.id for n in nodes}
-
     decomposition = decompose_cz_multimode(adjacency, alpha)
     edges = tuple(
         sorted(
-            (_edge_from_term(t, node_id, alpha) for t in decomposition.all_terms),
+            (_edge_from_term(t, alpha) for t in decomposition.all_terms),
             key=lambda e: (e.a, e.b),
         )
     )
-    edges = absorb_modular_zero_edges(nodes, edges)
-    return SubsystemGraph(alpha=alpha, modes=modes, nodes=nodes, edges=edges)
+    edges = absorb_modular_zero_edges(modes, edges)
+    return SubsystemGraph(alpha=alpha, modes=modes, edges=edges)
+
+
+def logical_neighbors(graph: SubsystemGraph) -> dict[int, set[int]]:
+    """Mode-level adjacency from the logical-logical edges: index -> neighbor indices."""
+    neighbors: dict[int, set[int]] = {record.index: set() for record in graph.modes}
+    for edge in graph.edges:
+        if edge.a % 3 == 0 and edge.b % 3 == 0:
+            neighbors[edge.a // 3].add(edge.b // 3)
+            neighbors[edge.b // 3].add(edge.a // 3)
+    return neighbors
 
 
 def logical_subgraph(graph: SubsystemGraph) -> np.ndarray:
     """Binary adjacency over the logical nodes, indexed by mode position."""
     position = {record.index: pos for pos, record in enumerate(graph.modes)}
-    logical_mode = {
-        n.id: position[n.mode] for n in graph.nodes if n.kind is SubsystemKind.LOGICAL
-    }
     n = len(graph.modes)
     a = np.zeros((n, n))
-    for edge in graph.edges:
-        if edge.a in logical_mode and edge.b in logical_mode:
-            i, j = logical_mode[edge.a], logical_mode[edge.b]
-            a[i, j] = a[j, i] = 1.0
+    for mode, neighbors in logical_neighbors(graph).items():
+        for other in neighbors:
+            a[position[mode], position[other]] = 1.0
     return a
 
 
@@ -347,7 +375,10 @@ def _parse_amplitudes(raw: object, where: str) -> tuple[complex, complex]:
         or not all(isinstance(p, list) and len(p) == 2 for p in raw)
     ):
         raise GraphParseError(f"{where}: amplitudes must be [[re, im], [re, im]]")
-    return (complex(raw[0][0], raw[0][1]), complex(raw[1][0], raw[1][1]))
+    amplitudes = (complex(raw[0][0], raw[0][1]), complex(raw[1][0], raw[1][1]))
+    if not _is_finite(amplitudes):
+        raise GraphParseError(f"{where}: amplitudes must be finite")
+    return amplitudes
 
 
 def from_json(text: str) -> SubsystemGraph:
@@ -389,36 +420,30 @@ def from_json(text: str) -> SubsystemGraph:
             SubsystemEdge(a=int(raw["a"]), b=int(raw["b"]), multiplicity=int(raw["multiplicity"]))
             for raw in doc["edges"]
         ]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise GraphParseError(f"malformed graph document: {err}") from err
 
-    graph = SubsystemGraph(alpha=alpha, modes=tuple(modes), nodes=tuple(nodes), edges=tuple(edges))
+    graph = SubsystemGraph(alpha=alpha, modes=tuple(modes), edges=tuple(edges))
+    if len(nodes) != len(graph.nodes) or set(nodes) != set(graph.nodes):
+        raise GraphParseError(
+            "nodes must be exactly ids 3*index + (0 logical, 1 gauge_m, 2 gauge_u) "
+            "of each mode, with states matching its cv_type"
+        )
     _validate_graph(graph)
     return graph
 
 
 def _validate_graph(graph: SubsystemGraph) -> None:
-    node_ids = {n.id for n in graph.nodes}
-    if len(node_ids) != len(graph.nodes):
-        raise GraphParseError("duplicate node ids")
-    mode_indices = {m.index for m in graph.modes}
+    mode_indices = graph._mode_index
     if len(mode_indices) != len(graph.modes):
         raise GraphParseError("duplicate mode indices")
-    for node in graph.nodes:
-        if node.mode not in mode_indices:
-            raise GraphParseError(f"node {node.id} references unknown mode {node.mode}")
     for record in graph.modes:
-        expected = dict(zip(_KIND_ORDER, _node_states_for(record.cv_type)))
-        states = {n.kind: n.state for n in graph.nodes if n.mode == record.index}
-        if states != expected:
-            raise GraphParseError(
-                f"mode {record.index} must have one node of each kind with states "
-                f"matching its cv_type {record.cv_type.value}"
-            )
+        if record.label is not None and not isinstance(record.label, str):
+            raise GraphParseError(f"mode {record.index} label must be a string")
         if record.cv_type is CvType.GKP_LABELED:
             if record.amplitudes is None:
                 raise GraphParseError(f"mode {record.index} is labeled but has no amplitudes")
-            norm_sq = sum(abs(z) ** 2 for z in record.amplitudes)
+            norm_sq = _norm_sq(record.amplitudes)
             if abs(norm_sq - 1.0) > 1e-12:
                 raise GraphParseError(
                     f"mode {record.index} amplitudes are not normalized (|c|^2 = {norm_sq})"
@@ -427,38 +452,41 @@ def _validate_graph(graph: SubsystemGraph) -> None:
             raise GraphParseError(
                 f"mode {record.index} of type {record.cv_type.value} cannot carry amplitudes"
             )
-    for edge in graph.edges:
-        if edge.a not in node_ids or edge.b not in node_ids:
-            raise GraphParseError(f"edge ({edge.a}, {edge.b}) references unknown node")
-    if absorb_modular_zero_edges(graph.nodes, graph.edges) != graph.edges:
+    if absorb_modular_zero_edges(graph.modes, graph.edges) != graph.edges:
         raise GraphParseError("edges incident to a pinned modular-position node")
+    seen = set()
+    for edge in graph.edges:
+        where = f"edge ({edge.a}, {edge.b})"
+        if edge.a // 3 not in mode_indices or edge.b // 3 not in mode_indices:
+            raise GraphParseError(f"{where} references unknown node")
+        if edge.a // 3 == edge.b // 3:
+            raise GraphParseError(f"{where} joins two nodes of the same mode")
+        if edge.multiplicity not in (1, 2):
+            raise GraphParseError(f"{where} has multiplicity {edge.multiplicity}, not 1 or 2")
+        if (edge.a, edge.b) in seen:
+            raise GraphParseError(f"duplicate {where}")
+        seen.add((edge.a, edge.b))
 
 
 # --- structural comparison ---------------------------------------------------
 
 
 def canonical(graph: SubsystemGraph) -> SubsystemGraph:
-    """Relabel modes to 0..N-1 (order preserved) and node ids to the build layout."""
+    """Relabel modes to 0..N-1 (order preserved) and edge endpoints to match."""
     order = sorted(graph.modes, key=lambda m: m.index)
     new_index = {record.index: pos for pos, record in enumerate(order)}
     modes = tuple(replace(record, index=pos) for pos, record in enumerate(order))
-    id_map = {}
-    nodes = []
-    for node in graph.nodes:
-        new_id = 3 * new_index[node.mode] + _KIND_OFFSET[node.kind]
-        id_map[node.id] = new_id
-        nodes.append(replace(node, id=new_id, mode=new_index[node.mode]))
-    nodes.sort(key=lambda n: n.id)
+
+    def renumber(node_id: int) -> int:
+        return 3 * new_index[node_id // 3] + node_id % 3
+
     edges = tuple(
         sorted(
-            (
-                SubsystemEdge(id_map[e.a], id_map[e.b], e.multiplicity)
-                for e in graph.edges
-            ),
+            (SubsystemEdge(renumber(e.a), renumber(e.b), e.multiplicity) for e in graph.edges),
             key=lambda e: (e.a, e.b),
         )
     )
-    return SubsystemGraph(alpha=graph.alpha, modes=modes, nodes=tuple(nodes), edges=edges)
+    return SubsystemGraph(alpha=graph.alpha, modes=modes, edges=edges)
 
 
 def structurally_equal(
@@ -479,14 +507,10 @@ def structurally_equal(
             )
             if diff > amplitude_tol:
                 return False
-    return a.nodes == b.nodes and a.edges == b.edges
+    return a.edges == b.edges
 
 
 def graph_shape(graph: SubsystemGraph) -> tuple:
     """Hashable shape ignoring logical labels: used to compare rewrites across inputs."""
     g = canonical(graph)
-    return (
-        tuple(m.cv_type for m in g.modes),
-        tuple((n.mode, n.kind, n.state) for n in g.nodes),
-        g.edges,
-    )
+    return (tuple(m.cv_type for m in g.modes), g.edges)

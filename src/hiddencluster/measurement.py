@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
-from .graphs import (
-    CvType,
-    NodeState,
-    SubsystemGraph,
-    absorb_modular_zero_edges,
-    logical_subgraph,
-)
+from .graphs import CvType, SubsystemGraph, absorb_modular_zero_edges, logical_neighbors
 from .modular import SubsystemKind
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -43,22 +37,6 @@ class MeasurementRecord:
     outcome: float
     removed_nodes: tuple[int, int, int]
     converted_node: int
-
-
-@dataclass(frozen=True)
-class ProjectorFactorization:
-    """Fixed factorization of the outcome-0 momentum projector."""
-
-    logical_basis: str
-    logical_outcome: int
-    gauge_projection: str
-
-
-def factorize_p0_projector() -> ProjectorFactorization:
-    """Describe the measurement as separable logical and gauge projections."""
-    return ProjectorFactorization(
-        logical_basis="X", logical_outcome=+1, gauge_projection="p_G = 0"
-    )
 
 
 @dataclass(frozen=True)
@@ -88,21 +66,19 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
             "nodes (use the grid oracle instead)"
         )
 
-    adjacency = logical_subgraph(graph)
-    position = {m.index: pos for pos, m in enumerate(graph.modes)}
-    degree = int(adjacency[position[mode]].sum())
-    if degree != 1:
+    neighbors = logical_neighbors(graph)[mode]
+    if len(neighbors) != 1:
         raise UnsupportedTopology(
-            f"measured mode {mode} has {degree} neighbors; only degree-1 nodes are supported"
+            f"measured mode {mode} has {len(neighbors)} neighbors; only degree-1 nodes "
+            "are supported"
         )
-    neighbor_pos = int(np.flatnonzero(adjacency[position[mode]])[0])
-    neighbor = graph.modes[neighbor_pos].index
+    (neighbor,) = neighbors
 
     measured_label = graph.mode_amplitudes(mode)
     new_label = _apply_hadamard(measured_label)
     label_text = f"H({record.label or '+'})"
 
-    removed = tuple(sorted(n.id for n in graph.nodes if n.mode == mode))
+    removed = tuple(graph.node_of(mode, kind).id for kind in SubsystemKind)
     converted = graph.node_of(neighbor, SubsystemKind.GAUGE_MODULAR).id
 
     modes = tuple(
@@ -112,21 +88,10 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
         for m in graph.modes
         if m.index != mode
     )
-    nodes = []
-    for node in graph.nodes:
-        if node.mode == mode:
-            continue
-        if node.id == converted:
-            node = replace(node, state=NodeState.MODULAR_ZERO)
-        elif node.mode == neighbor and node.kind is SubsystemKind.LOGICAL:
-            node = replace(node, state=NodeState.LOGICAL_LABELED)
-        nodes.append(node)
-    nodes = tuple(nodes)
+    kept = tuple(e for e in graph.edges if e.a not in removed and e.b not in removed)
+    edges = absorb_modular_zero_edges(modes, kept)
 
-    kept = tuple(e for e in graph.edges if not any(e.touches(i) for i in removed))
-    edges = absorb_modular_zero_edges(nodes, kept)
-
-    new_graph = SubsystemGraph(alpha=graph.alpha, modes=modes, nodes=nodes, edges=edges)
+    new_graph = SubsystemGraph(alpha=graph.alpha, modes=modes, edges=edges)
     new_frame = LogicalFrame(
         hadamard_count=frame.hadamard_count + 1, current_label=new_label
     )
@@ -157,15 +122,14 @@ def _wire_input_mode(graph: SubsystemGraph) -> int:
     Prefers a labeled endpoint; if both ends qualify equally the higher mode
     index wins, so chains built with the input listed last behave as written.
     """
-    adjacency = logical_subgraph(graph)
-    n = adjacency.shape[0]
-    degrees = adjacency.sum(axis=1)
+    neighbors = logical_neighbors(graph)
+    degrees = [len(neighbors[m.index]) for m in graph.modes]
+    n = len(degrees)
     if n > 1 and (
-        int(adjacency.sum()) // 2 != n - 1
-        or sorted(degrees) != [1.0, 1.0] + [2.0] * (n - 2)
+        sum(degrees) // 2 != n - 1 or sorted(degrees) != [1, 1] + [2] * (n - 2)
     ):
         raise UnsupportedTopology("run_wire requires a linear chain of modes")
-    endpoints = [graph.modes[i].index for i in range(n) if n == 1 or degrees[i] == 1.0]
+    endpoints = [m.index for m, d in zip(graph.modes, degrees) if n == 1 or d == 1]
     gkp_ends = [i for i in endpoints if graph.mode_by_index(i).cv_type.is_gkp]
     if not gkp_ends:
         raise UnsupportedMeasurement("wire has no GKP-type input endpoint")

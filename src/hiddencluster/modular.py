@@ -49,10 +49,16 @@ class QuantumNumbers:
 
 
 def require_bin_size(alpha: float) -> float:
-    """Validate a bin size: finite and strictly positive."""
+    """Validate a bin size: finite, strictly positive, and such that alpha**2
+    and the tuned gate weight pi/alpha**2 are finite and nonzero floats."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"bin size must be finite and positive, got {alpha!r}")
+    square = alpha * alpha
+    if not 0.0 < square < math.inf or not 0.0 < math.pi / square < math.inf:
+        raise DomainError(
+            f"bin size {alpha!r} is out of range: alpha**2 or pi/alpha**2 is 0 or infinite"
+        )
     return alpha
 
 

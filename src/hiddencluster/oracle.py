@@ -316,17 +316,6 @@ def connected_correlator(
     return mean_ab - mean_a * mean_b
 
 
-def correlation_strength(
-    state: DiscretizedState, sub_a: Subsystem, sub_b: Subsystem
-) -> float:
-    """Frobenius distance of the pair's reduced state from the product of its
-    marginals; zero iff the two subsystems are completely uncorrelated."""
-    rho_ab = reduced_density(state, [sub_a, sub_b])
-    rho_a = reduced_density(state, [sub_a])
-    rho_b = reduced_density(state, [sub_b])
-    return float(np.linalg.norm(rho_ab - np.kron(rho_a, rho_b)))
-
-
 def coupling_strength(
     state: DiscretizedState, sub_a: Subsystem, sub_b: Subsystem
 ) -> float:
@@ -399,6 +388,16 @@ def load_state(path: str | Path, alpha: float) -> DiscretizedState:
     raw = Path(path).read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise DomainError(f"{path}: not a state snapshot (bad magic)")
+    header = len(_MAGIC) + 8
+    if len(raw) < header:
+        raise DomainError(f"{path}: truncated snapshot header")
     n, n_modes = struct.unpack_from("<II", raw, len(_MAGIC))
-    amps = np.frombuffer(raw[len(_MAGIC) + 8 :], dtype="<c16").astype(complex)
+    count, odd_bytes = divmod(len(raw) - header, 16)
+    # dim = 2*n*n >= 2, so dim**n_modes can only equal count if n_modes fits in its bits
+    if n < 1 or odd_bytes or n_modes > count.bit_length() or (2 * n * n) ** n_modes != count:
+        raise DomainError(
+            f"{path}: payload of {len(raw) - header} bytes does not match "
+            f"grid n={n} with {n_modes} modes"
+        )
+    amps = np.frombuffer(raw[header:], dtype="<c16").astype(complex)
     return DiscretizedState(GridSpec(n=n, alpha=alpha), n_modes, amps)

@@ -256,3 +256,38 @@ class TestRender:
         text = first.read_text()
         assert text.startswith("graph ")
         assert "shape=diamond" in text
+
+
+class TestBadInputExits2:
+    """Malformed values reach exit 2 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({}, ["build", "--topology", "{tmp}/edges_not_list.json", "--nodes", "p"]),
+            ({}, ["build", "--topology", "{tmp}/edge_not_int.json", "--nodes", "p"]),
+            ({"HIDDENCLUSTER_SEED": "-1"}, ["verify"]),
+            ({}, ["verify", "--seed", "-1"]),
+            ({}, ["build", "--topology", "chain:2", "--nodes", "p", "--alpha", "1e-320"]),
+            ({}, ["build", "--topology", "chain:2", "--nodes", "p", "--alpha", "1e200"]),
+            ({}, ["build", "--topology", "chain:2", "--nodes", "p,gkp:1,nan", "-o", "{tmp}/g.json"]),
+        ],
+        ids=[
+            "topology-edges-not-a-list",
+            "topology-edge-not-an-int",
+            "env-seed-negative",
+            "flag-seed-negative",
+            "alpha-squared-underflows",
+            "alpha-squared-overflows",
+            "nan-amplitude",
+        ],
+    )
+    def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "edges_not_list.json").write_text('{"edges": 5}')
+        (tmp_path / "edge_not_int.json").write_text('[[1, "x"]]')
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "g.json").exists()

@@ -17,18 +17,10 @@ from hiddencluster.gates import (
     decompose_cz_two_mode,
     expand_adjacency,
     grid_adjacency,
-    interaction_as_controlled_rotation,
     is_trivial_term,
     require_binary_adjacency,
 )
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
-from hiddencluster.oracle import (
-    GridSpec,
-    apply_subsystem_coupling,
-    apply_subsystem_phase,
-    prepare_momentum_state,
-    tensor_product,
-)
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
 PI = math.pi
@@ -216,49 +208,3 @@ class TestMultimodeDecomposition:
         with pytest.raises(DomainError):
             require_binary_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))
 
-
-class TestControlledRotationForm:
-    def test_shift_coefficient_is_half(self):
-        alpha = DEFAULT_ALPHA
-        t = term(L, U, PI / alpha, modes=(2, 1))
-        form = interaction_as_controlled_rotation(t)
-        assert form.control_mode == 1
-        assert form.rotated_mode == 2
-        assert form.shift_coefficient == pytest.approx(PI / (2 * alpha))
-        assert form.rotation_coefficient == pytest.approx(PI / alpha)
-        assert "Rz" in form.describe()
-
-    def test_zero_coefficient_gives_identity_factorization(self):
-        form = interaction_as_controlled_rotation(term(U, L, 0.0))
-        assert form.shift_coefficient == 0.0
-        assert form.rotation_coefficient == 0.0
-
-    def test_sqrt_pi_shift(self):
-        alpha = DEFAULT_ALPHA  # pi/(2 alpha) = sqrt(pi)/2
-        form = interaction_as_controlled_rotation(term(L, U, PI / alpha, modes=(1, 2)))
-        assert form.shift_coefficient == pytest.approx(math.sqrt(PI) / 2)
-
-    def test_rejects_wrong_kinds(self):
-        with pytest.raises(DomainError):
-            interaction_as_controlled_rotation(term(L, M, 1.0))
-        with pytest.raises(DomainError):
-            interaction_as_controlled_rotation(term(U, U, 1.0))
-
-    def test_oracle_equality_of_both_orderings(self):
-        # apply exp(i c u_0 (x) ell_1) directly, then as shift * controlled Rz
-        alpha = DEFAULT_ALPHA
-        c = PI / alpha
-        grid = GridSpec(n=3, alpha=alpha)
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=grid.dim**2) + 1j * rng.normal(size=grid.dim**2)
-        state = tensor_product([prepare_momentum_state(grid)] * 2)
-        state.amplitudes = raw / np.linalg.norm(raw)
-
-        direct = apply_subsystem_coupling(state, (0, U), (1, L), c)
-
-        shifted = apply_subsystem_phase(state, U, 0, c / 2.0)
-        u_vals = grid.basis_values(U).reshape(grid.dim, 1)
-        z_vals = (1.0 - 2.0 * grid.basis_values(L)).reshape(1, grid.dim)
-        rotation = np.exp(-1j * (c * u_vals) * z_vals / 2.0)
-        rotated = shifted.amplitudes.reshape(grid.dim, grid.dim) * rotation
-        assert np.allclose(direct.amplitudes, rotated.reshape(-1), atol=1e-14)

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiddencluster.errors import DomainError, GraphParseError
 from hiddencluster.gates import chain_adjacency, grid_adjacency
 from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,
+    SubsystemGraph,
     build_cluster,
     canonical,
     from_json,
@@ -21,6 +24,7 @@ from hiddencluster.graphs import (
     structurally_equal,
     to_json,
 )
+from hiddencluster.measurement import LogicalFrame, measure_p0
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
@@ -140,6 +144,13 @@ class TestInvariants:
                 else:
                     assert edge.multiplicity == 1
 
+    @pytest.mark.parametrize(
+        "c0, c1", [(math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0), (1e300, 0.0)]
+    )
+    def test_gkp_labeled_rejects_non_finite_or_unnormalized(self, c0, c1):
+        with pytest.raises(DomainError):
+            gkp_labeled(c0, c1)
+
     def test_edge_normalizes_endpoint_order(self):
         edge = SubsystemEdge(a=5, b=2, multiplicity=1)
         assert (edge.a, edge.b) == (2, 5)
@@ -184,21 +195,23 @@ class TestRendering:
         assert all("shape" not in line for line in lines)
 
 
+def hybrid_grid():
+    adjacency = grid_adjacency(2, 3)
+    specs = [
+        momentum(),
+        gkp_plus(),
+        momentum(),
+        gkp_labeled(1 / math.sqrt(2), 1j / math.sqrt(2), label="in"),
+        momentum(),
+        gkp_plus(),
+    ]
+    return build_cluster(adjacency, specs, DEFAULT_ALPHA)
+
+
 class TestSerialization:
-    def hybrid_grid(self):
-        adjacency = grid_adjacency(2, 3)
-        specs = [
-            momentum(),
-            gkp_plus(),
-            momentum(),
-            gkp_labeled(1 / math.sqrt(2), 1j / math.sqrt(2), label="in"),
-            momentum(),
-            gkp_plus(),
-        ]
-        return build_cluster(adjacency, specs, DEFAULT_ALPHA)
 
     def test_round_trip_identity(self):
-        graph = self.hybrid_grid()
+        graph = hybrid_grid()
         restored = from_json(to_json(graph))
         assert restored == graph
 
@@ -210,12 +223,12 @@ class TestSerialization:
         assert doc["modes"] == [] and doc["nodes"] == [] and doc["edges"] == []
 
     def test_truncated_document_fails_with_location(self):
-        text = to_json(self.hybrid_grid())
+        text = to_json(hybrid_grid())
         with pytest.raises(GraphParseError, match="line"):
             from_json(text[: len(text) // 2])
 
     def test_schema_keys_are_lowercase(self):
-        doc = json.loads(to_json(self.hybrid_grid()))
+        doc = json.loads(to_json(hybrid_grid()))
         assert set(doc) == {"alpha", "modes", "nodes", "edges"}
         mode = doc["modes"][3]
         assert mode["cv_type"] == "gkp_labeled"
@@ -228,7 +241,7 @@ class TestSerialization:
         assert kinds == {"logical", "gauge_m", "gauge_u"}
 
     def test_rejects_unknown_edge_endpoint(self):
-        doc = json.loads(to_json(self.hybrid_grid()))
+        doc = json.loads(to_json(hybrid_grid()))
         doc["edges"].append({"a": 0, "b": 999, "multiplicity": 1})
         with pytest.raises(GraphParseError, match="unknown node"):
             from_json(json.dumps(doc))
@@ -245,6 +258,86 @@ class TestSerialization:
         doc["edges"].append({"a": other, "b": pinned, "multiplicity": 1})
         with pytest.raises(GraphParseError, match="pinned"):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "defect, match",
+        [
+            ("duplicate_edge", "duplicate edge"),
+            ("multiplicity_3", "multiplicity 3"),
+            ("same_mode_edge", "same mode"),
+            ("shifted_node_ids", "3\\*index"),
+            ("nan_amplitude", "finite"),
+        ],
+    )
+    def test_rejects_broken_invariants(self, defect, match):
+        doc = json.loads(to_json(hybrid_grid()))
+        if defect == "duplicate_edge":
+            doc["edges"].append(dict(doc["edges"][0]))
+        elif defect == "multiplicity_3":
+            doc["edges"][0]["multiplicity"] = 3
+        elif defect == "same_mode_edge":
+            doc["edges"].append({"a": 0, "b": 1, "multiplicity": 1})  # mode 0: logical--gauge_m
+        elif defect == "shifted_node_ids":
+            for node in doc["nodes"]:
+                node["id"] += 3
+            for edge in doc["edges"]:
+                edge["a"] += 3
+                edge["b"] += 3
+        else:
+            doc["modes"][3]["amplitudes"][0][0] = float("nan")
+        with pytest.raises(GraphParseError, match=match):
+            from_json(json.dumps(doc))
+
+
+def _json_paths(value, prefix=()):
+    """Every key/index path below the document root."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, item in children:
+        yield prefix + (key,)
+        yield from _json_paths(item, prefix + (key,))
+
+
+_WIRE = build_cluster(chain_adjacency(4), [momentum()] * 3 + [gkp_plus()], DEFAULT_ALPHA)
+_FUZZ_DOCUMENTS = [to_json(hybrid_grid()), to_json(measure_p0(_WIRE, 3, LogicalFrame()).graph)]
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-3, 40), st.floats(), st.text(max_size=3)), max_size=3),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_from_json_mutations_parse_or_reject(data):
+    """One mutated field of a valid document either raises GraphParseError or
+    parses into a graph that keeps the invariants and round-trips."""
+    doc = json.loads(data.draw(st.sampled_from(_FUZZ_DOCUMENTS)))
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        graph = from_json(json.dumps(doc))
+    except GraphParseError:
+        return
+    assert isinstance(graph, SubsystemGraph)
+    text = to_json(graph)
+    assert "NaN" not in text and "Infinity" not in text
+    assert all(e.multiplicity in (1, 2) and e.a // 3 != e.b // 3 for e in graph.edges)
+    assert len({(e.a, e.b) for e in graph.edges}) == len(graph.edges)
+    assert from_json(text) == graph
 
 
 class TestStructuralComparison:

@@ -20,7 +20,6 @@ from hiddencluster.graphs import (
 from hiddencluster.measurement import (
     HADAMARD,
     LogicalFrame,
-    factorize_p0_projector,
     measure_p0,
     run_wire,
 )
@@ -43,15 +42,6 @@ def wire(n_modes, label=None, all_gkp=False):
 
 
 class TestProjectorFactorization:
-    def test_structure(self):
-        desc = factorize_p0_projector()
-        assert desc.logical_basis == "X"
-        assert desc.logical_outcome == +1
-        assert "p_G" in desc.gauge_projection
-
-    def test_idempotent(self):
-        assert factorize_p0_projector() == factorize_p0_projector()
-
     def test_bra_factorizes_on_grid(self):
         # uniform single-mode bra == (logical + bra) (x) (uniform gauge bra)
         grid = GridSpec(n=2, alpha=ALPHA)

@@ -128,7 +128,7 @@ def test_nonfinite_position_rejected(bad):
         decompose_position(bad, 1.0)
 
 
-@pytest.mark.parametrize("bad_alpha", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("bad_alpha", [0.0, -1.0, float("nan"), 1e-320, 1e200])
 def test_bad_alpha_rejected(bad_alpha):
     with pytest.raises(DomainError):
         decompose_position(1.0, bad_alpha)
