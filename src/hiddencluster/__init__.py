@@ -57,6 +57,7 @@ from .modular import (
 from .oracle import (
     DiscretizedState,
     GridSpec,
+    apply_couplings,
     apply_cz,
     apply_subsystem_coupling,
     apply_subsystem_phase,

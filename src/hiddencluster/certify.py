@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 from .gates import (
-    CouplingTerm,
     chain_adjacency,
     decompose_cz_multimode,
     decompose_cz_two_mode,
@@ -41,8 +40,7 @@ from .modular import DEFAULT_ALPHA, SubsystemKind
 from .oracle import (
     DiscretizedState,
     GridSpec,
-    apply_cz,
-    apply_subsystem_coupling,
+    apply_couplings,
     connected_correlator,
     coupling_strength,
     fidelity,
@@ -61,20 +59,20 @@ _ALL_KINDS = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUG
 # --- evaluating symbolic objects on the grid ---------------------------------
 
 
-def apply_coupling_term(state: DiscretizedState, term: CouplingTerm) -> DiscretizedState:
-    """Apply one symbolic coupling factor to a grid state."""
-    return apply_subsystem_coupling(
-        state,
-        (term.op_a.mode, term.op_a.kind),
-        (term.op_b.mode, term.op_b.kind),
-        term.coefficient,
-    )
+def _kind_values(grid: GridSpec) -> dict:
+    return {kind: grid.basis_values(kind) for kind in _ALL_KINDS}
 
 
 def apply_terms(state: DiscretizedState, terms) -> DiscretizedState:
-    for term in terms:
-        state = apply_coupling_term(state, term)
-    return state
+    """Apply symbolic coupling factors to a grid state in one fused call."""
+    values = _kind_values(state.grid)
+    return apply_couplings(
+        state,
+        [
+            (t.op_a.mode, values[t.op_a.kind], t.op_b.mode, values[t.op_b.kind], t.coefficient)
+            for t in terms
+        ],
+    )
 
 
 def mode_state(grid: GridSpec, spec: ModeSpec) -> DiscretizedState:
@@ -97,26 +95,29 @@ def direct_cluster_state(
     specs: list[ModeSpec],
     g_scale: float = 1.0,
 ) -> DiscretizedState:
-    """Route one: the position-position gate applied edge by edge."""
-    adjacency = require_binary_adjacency(adjacency)
-    if adjacency.shape[0] != len(specs):
-        raise DomainError("adjacency size does not match the number of mode specs")
+    """Route one: the position-position gate on every edge."""
+    adjacency = _require_matching_adjacency(adjacency, specs)
     state = product_state(grid, specs)
     g = g_scale * math.pi / grid.alpha**2
-    n = adjacency.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j] != 0.0:
-                state = apply_cz(state, i, j, g)
-    return state
+    pos = grid.position_values()
+    rows, cols = np.nonzero(np.triu(adjacency, k=1))
+    return apply_couplings(state, [(int(i), pos, int(j), pos, g) for i, j in zip(rows, cols)])
 
 
 def decomposed_cluster_state(
     grid: GridSpec, adjacency: np.ndarray, specs: list[ModeSpec]
 ) -> DiscretizedState:
-    """Route two: the surviving symbolic coupling terms, factor by factor."""
+    """Route two: the surviving symbolic coupling terms."""
+    adjacency = _require_matching_adjacency(adjacency, specs)
     state = product_state(grid, specs)
     return apply_terms(state, decompose_cz_multimode(adjacency, grid.alpha).all_terms)
+
+
+def _require_matching_adjacency(adjacency: np.ndarray, specs: list[ModeSpec]) -> np.ndarray:
+    adjacency = require_binary_adjacency(adjacency)
+    if adjacency.shape[0] != len(specs):
+        raise DomainError("adjacency size does not match the number of mode specs")
+    return adjacency
 
 
 def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
@@ -146,16 +147,20 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
             modular = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
         vec = np.kron(np.kron(logical, bins), modular)
         factors.append(DiscretizedState(grid, 1, vec))
-    state = tensor_product(factors)
+    values = _kind_values(grid)
+    couplings = []
     for edge in graph.edges:
         node_a, node_b = graph.node_by_id(edge.a), graph.node_by_id(edge.b)
-        state = apply_subsystem_coupling(
-            state,
-            (axis_of[node_a.mode], node_a.kind),
-            (axis_of[node_b.mode], node_b.kind),
-            edge_coefficient(graph, edge),
+        couplings.append(
+            (
+                axis_of[node_a.mode],
+                values[node_a.kind],
+                axis_of[node_b.mode],
+                values[node_b.kind],
+                edge_coefficient(graph, edge),
+            )
         )
-    return state
+    return apply_couplings(tensor_product(factors), couplings)
 
 
 def align_global_phase(reference: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -381,6 +381,14 @@ def _parse_amplitudes(raw: object, where: str) -> tuple[complex, complex]:
     return amplitudes
 
 
+def _json_int(raw: dict, key: str) -> int:
+    """An integer field; floats, strings and booleans are refused, not truncated."""
+    value = raw[key]
+    if type(value) is not int:
+        raise GraphParseError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> SubsystemGraph:
     try:
         doc = json.loads(text)
@@ -401,7 +409,7 @@ def from_json(text: str) -> SubsystemGraph:
             )
             modes.append(
                 ModeRecord(
-                    index=int(raw["index"]),
+                    index=_json_int(raw, "index"),
                     cv_type=CvType(raw["cv_type"]),
                     label=raw.get("label"),
                     amplitudes=amplitudes,
@@ -409,15 +417,19 @@ def from_json(text: str) -> SubsystemGraph:
             )
         nodes = [
             Node(
-                id=int(raw["id"]),
-                mode=int(raw["mode"]),
+                id=_json_int(raw, "id"),
+                mode=_json_int(raw, "mode"),
                 kind=SubsystemKind(raw["kind"]),
                 state=NodeState(raw["state"]),
             )
             for raw in doc["nodes"]
         ]
         edges = [
-            SubsystemEdge(a=int(raw["a"]), b=int(raw["b"]), multiplicity=int(raw["multiplicity"]))
+            SubsystemEdge(
+                a=_json_int(raw, "a"),
+                b=_json_int(raw, "b"),
+                multiplicity=_json_int(raw, "multiplicity"),
+            )
             for raw in doc["edges"]
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as err:

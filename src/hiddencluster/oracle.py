@@ -172,6 +172,46 @@ def apply_subsystem_phase(
     return DiscretizedState(state.grid, state.n_modes, (state._tensor() * phase).reshape(-1))
 
 
+#: One diagonal two-mode coupling exp(i * coefficient * a (x) b), given as
+#: (mode_a, values_a, mode_b, values_b, coefficient) where each values array
+#: holds the operator's eigenvalue at the dim basis points of its mode.
+Coupling = tuple[int, np.ndarray, int, np.ndarray, float]
+
+
+def apply_couplings(state: DiscretizedState, couplings: list[Coupling]) -> DiscretizedState:
+    """Apply a product of diagonal two-mode couplings in one pass per mode pair.
+
+    The couplings commute, so the exponents of all entries on one unordered
+    mode pair are summed into a single dim x dim table, exponentiated once,
+    and multiplied into a copy of the state tensor in place.
+    """
+    dim = state.grid.dim
+    exponents: dict[tuple[int, int], np.ndarray] = {}
+    for mode_a, values_a, mode_b, values_b, coefficient in couplings:
+        state._require_mode(mode_a)
+        state._require_mode(mode_b)
+        if mode_a == mode_b:
+            raise DomainError("coupling operands must act on distinct modes")
+        exponent = np.multiply.outer(float(coefficient) * np.asarray(values_a), values_b)
+        if exponent.shape != (dim, dim):
+            raise DomainError(f"coupling values must have one entry per basis point ({dim})")
+        if mode_a > mode_b:
+            mode_a, mode_b, exponent = mode_b, mode_a, exponent.T
+        pair = (mode_a, mode_b)
+        exponents[pair] = exponents[pair] + exponent if pair in exponents else exponent
+    # the first pass reads the input and fills the copy; later passes run in place
+    source = state._tensor()
+    tensor = np.empty_like(source)
+    for (mode_a, mode_b), exponent in exponents.items():
+        shape = [1] * state.n_modes
+        shape[mode_a] = shape[mode_b] = dim
+        np.multiply(source, np.exp(1j * exponent).reshape(shape), out=tensor)
+        source = tensor
+    if source is not tensor:
+        tensor[...] = source
+    return DiscretizedState(state.grid, state.n_modes, tensor.reshape(-1))
+
+
 def apply_subsystem_coupling(
     state: DiscretizedState,
     op_a: Subsystem,
@@ -180,31 +220,16 @@ def apply_subsystem_coupling(
 ) -> DiscretizedState:
     """Apply exp(i * coefficient * a (x) b) for two diagonal subsystem operators."""
     (mode_a, kind_a), (mode_b, kind_b) = op_a, op_b
-    state._require_mode(mode_a)
-    state._require_mode(mode_b)
-    if mode_a == mode_b:
-        raise DomainError("coupling operands must act on distinct modes")
-    dim = state.grid.dim
-    va = state.grid.basis_values(kind_a).reshape(_axis_shape(state.n_modes, mode_a, dim))
-    vb = state.grid.basis_values(kind_b).reshape(_axis_shape(state.n_modes, mode_b, dim))
-    phase = np.exp(1j * coefficient * va * vb)
-    return DiscretizedState(state.grid, state.n_modes, (state._tensor() * phase).reshape(-1))
+    values = state.grid.basis_values
+    return apply_couplings(state, [(mode_a, values(kind_a), mode_b, values(kind_b), coefficient)])
 
 
 def apply_cz(
     state: DiscretizedState, mode_i: int, mode_j: int, g: float
 ) -> DiscretizedState:
     """Apply the position-position gate exp(i g q_i q_j) as diagonal phases."""
-    if mode_i == mode_j:
-        raise DomainError("controlled-Z couples two distinct modes")
-    state._require_mode(mode_i)
-    state._require_mode(mode_j)
-    dim = state.grid.dim
     pos = state.grid.position_values()
-    pi_ = pos.reshape(_axis_shape(state.n_modes, mode_i, dim))
-    pj_ = pos.reshape(_axis_shape(state.n_modes, mode_j, dim))
-    phase = np.exp(1j * float(g) * pi_ * pj_)
-    return DiscretizedState(state.grid, state.n_modes, (state._tensor() * phase).reshape(-1))
+    return apply_couplings(state, [(mode_i, pos, mode_j, pos, g)])
 
 
 def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, float]:

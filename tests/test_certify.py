@@ -21,6 +21,8 @@ from hiddencluster.modular import DEFAULT_ALPHA
 from hiddencluster.oracle import GridSpec, fidelity, prepare_gkp_state
 
 ALPHA = DEFAULT_ALPHA
+RING_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
+STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
 
 
 def random_specs(rng, n):
@@ -79,6 +81,26 @@ class TestGridEqualitiesUpToN4:
             lhs = direct_cluster_state(grid, adjacency, specs)
             rhs = decomposed_cluster_state(grid, adjacency, specs)
             assert max_amplitude_deviation(lhs, rhs) < 1e-12
+
+    @pytest.mark.parametrize("topology", ["ring", "star"])
+    def test_four_modes_at_n4(self, topology):
+        # 32**4 = 2**20 amplitudes, the largest size the benchmark runs
+        grid = GridSpec(n=4, alpha=ALPHA)
+        adjacency = np.zeros((4, 4))
+        for i, j in RING_EDGES if topology == "ring" else STAR_EDGES:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+        specs = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j), momentum()]
+        lhs = direct_cluster_state(grid, adjacency, specs)
+        rhs = decomposed_cluster_state(grid, adjacency, specs)
+        assert max_amplitude_deviation(lhs, rhs) < 1e-12
+        graph = build_cluster(adjacency, specs, ALPHA)
+        assert 1.0 - fidelity(lhs, graph_state(grid, graph)) < 1e-10
+
+    @pytest.mark.parametrize("route", [direct_cluster_state, decomposed_cluster_state])
+    def test_adjacency_size_must_match_specs(self, route):
+        grid = GridSpec(n=1, alpha=ALPHA)
+        with pytest.raises(DomainError, match="adjacency size does not match"):
+            route(grid, chain_adjacency(2), [momentum()] * 3)
 
 
 class TestHelpers:

@@ -288,6 +288,33 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match=match):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("multiplicity", 1.9),
+            ("multiplicity", "2"),
+            ("multiplicity", True),
+            ("mode_index", 0.7),
+            ("mode_index", "0"),
+            ("node_id", 0.0),
+            ("edge_a", "as_float"),
+        ],
+    )
+    def test_rejects_non_integer_numbers(self, field, value):
+        doc = json.loads(to_json(hybrid_grid()))
+        if field == "multiplicity":
+            doc["edges"][0]["multiplicity"] = value
+        elif field == "mode_index":
+            doc["modes"][0]["index"] = value
+            for node in doc["nodes"][:3]:
+                node["mode"] = value
+        elif field == "node_id":
+            doc["nodes"][0]["id"] = value
+        else:
+            doc["edges"][0]["a"] = float(doc["edges"][0]["a"])
+        with pytest.raises(GraphParseError, match="JSON integer"):
+            from_json(json.dumps(doc))
+
 
 def _json_paths(value, prefix=()):
     """Every key/index path below the document root."""

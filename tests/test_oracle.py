@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiddencluster.certify import apply_terms, direct_cluster_state
 from hiddencluster.errors import DomainError
@@ -11,6 +13,7 @@ from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
     DiscretizedState,
     GridSpec,
+    apply_couplings,
     apply_cz,
     apply_subsystem_coupling,
     apply_subsystem_phase,
@@ -154,6 +157,93 @@ class TestSubsystemCoupling:
         rotation = np.exp(-1j * (c * u_vals) * z_vals / 2.0)
         rotated = shifted.amplitudes.reshape(grid.dim, grid.dim) * rotation
         assert np.allclose(direct.amplitudes, rotated.reshape(-1), atol=1e-14)
+
+
+KERNEL_GRID = GridSpec(n=2, alpha=ALPHA)
+KERNEL_MODES = 3
+_KERNEL_VALUES = {
+    "logical": KERNEL_GRID.basis_values(L),
+    "gauge_m": KERNEL_GRID.basis_values(M),
+    "gauge_u": KERNEL_GRID.basis_values(U),
+    "position": KERNEL_GRID.position_values(),
+}
+_NAMED_COUPLING = st.tuples(
+    st.integers(0, KERNEL_MODES - 1),
+    st.sampled_from(sorted(_KERNEL_VALUES)),
+    st.integers(0, KERNEL_MODES - 1),
+    st.sampled_from(sorted(_KERNEL_VALUES)),
+    st.floats(-3.0, 3.0),
+).filter(lambda c: c[0] != c[2])
+
+
+def kernel_couplings(named):
+    return [(a, _KERNEL_VALUES[va], b, _KERNEL_VALUES[vb], c) for a, va, b, vb, c in named]
+
+
+def sequential_reference(state, couplings):
+    """One full-tensor factor exp(i c a (x) b) per coupling, in the order given."""
+    dim, n_modes = state.grid.dim, state.n_modes
+    tensor = state.amplitudes.reshape((dim,) * n_modes)
+    for mode_a, values_a, mode_b, values_b, coefficient in couplings:
+        shape_a, shape_b = [1] * n_modes, [1] * n_modes
+        shape_a[mode_a] = shape_b[mode_b] = dim
+        va, vb = values_a.reshape(shape_a), values_b.reshape(shape_b)
+        tensor = tensor * np.exp(1j * coefficient * va * vb)
+    return tensor.reshape(-1)
+
+
+class TestApplyCouplings:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(named=st.lists(_NAMED_COUPLING, max_size=8), seed=st.integers(0, 2**32 - 1))
+    @example(  # one pair three times, in both mode orders, position and subsystem values
+        named=[
+            (0, "position", 2, "position", 0.9),
+            (2, "gauge_u", 0, "logical", -1.3),
+            (0, "gauge_m", 2, "gauge_u", 2.5),
+        ],
+        seed=0,
+    )
+    def test_matches_sequential_reference(self, named, seed):
+        state = random_state(KERNEL_GRID, KERNEL_MODES, seed)
+        before = state.amplitudes.copy()
+        couplings = kernel_couplings(named)
+        fused = apply_couplings(state, couplings)
+        assert np.array_equal(state.amplitudes, before)
+        assert fused.amplitudes is not state.amplitudes
+        expected = sequential_reference(state, couplings)
+        assert np.max(np.abs(fused.amplitudes - expected)) < 1e-13
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        named=st.lists(_NAMED_COUPLING, max_size=4),
+        bad_modes=st.one_of(
+            st.integers(0, KERNEL_MODES - 1).map(lambda m: (m, m)),
+            st.tuples(st.sampled_from([-1, KERNEL_MODES]), st.integers(0, KERNEL_MODES - 1)),
+        ),
+        swap=st.booleans(),
+        position=st.integers(0, 4),
+    )
+    def test_rejects_same_mode_or_out_of_range(self, named, bad_modes, swap, position):
+        mode_a, mode_b = reversed(bad_modes) if swap else bad_modes
+        named = list(named)
+        named.insert(position, (mode_a, "position", mode_b, "gauge_u", 1.0))
+        state = random_state(KERNEL_GRID, KERNEL_MODES, 0)
+        before = state.amplitudes.copy()
+        with pytest.raises(DomainError):
+            apply_couplings(state, kernel_couplings(named))
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_no_couplings_returns_a_copy(self):
+        state = random_state(KERNEL_GRID, KERNEL_MODES, 1)
+        out = apply_couplings(state, [])
+        assert np.array_equal(out.amplitudes, state.amplitudes)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+    def test_rejects_values_of_the_wrong_length(self):
+        state = random_state(KERNEL_GRID, 2, 2)
+        values = KERNEL_GRID.position_values()
+        with pytest.raises(DomainError):
+            apply_couplings(state, [(0, values[:-1], 1, values, 1.0)])
 
 
 class TestProjection:
