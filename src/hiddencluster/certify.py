@@ -9,6 +9,7 @@ it is checking.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gates import (
+    adjacency_edges,
     chain_adjacency,
     decompose_cz_multimode,
     decompose_cz_two_mode,
@@ -100,8 +102,7 @@ def direct_cluster_state(
     state = product_state(grid, specs)
     g = g_scale * math.pi / grid.alpha**2
     pos = grid.position_values()
-    rows, cols = np.nonzero(np.triu(adjacency, k=1))
-    return apply_couplings(state, [(int(i), pos, int(j), pos, g) for i, j in zip(rows, cols)])
+    return apply_couplings(state, [(i, pos, j, pos, g) for i, j in adjacency_edges(adjacency)])
 
 
 def decomposed_cluster_state(
@@ -207,50 +208,39 @@ def sample_label(rng: np.random.Generator) -> tuple[complex, complex]:
     return (complex(math.sqrt(weight)), math.sqrt(1.0 - weight) * np.exp(1j * phase))
 
 
-def _term_values(ell, m, u, kind: SubsystemKind):
-    if kind is SubsystemKind.LOGICAL:
-        return ell
-    if kind is SubsystemKind.GAUGE_BIN:
-        return m
-    return u
+def _phase_deviation(weights: np.ndarray, alpha: float, terms, samples) -> float:
+    """Max |exp(i sum_{i<j} W_ij x_i x_j) - product of the terms' factors| over samples.
+
+    ``samples[mode]`` holds that mode's (ell, m, u) arrays, and each position
+    is x = alpha*(ell + 2m) + u.
+    """
+    x = [alpha * (ell + 2.0 * m) + u for ell, m, u in samples]
+    exponent = np.zeros_like(x[0])
+    for i, j in adjacency_edges(weights):
+        exponent = exponent + weights[i, j] * x[i] * x[j]
+    lhs = np.exp(1j * exponent)
+    product = np.ones_like(lhs)
+    for term in terms:
+        va = samples[term.op_a.mode][_ALL_KINDS.index(term.op_a.kind)]
+        vb = samples[term.op_b.mode][_ALL_KINDS.index(term.op_b.kind)]
+        product = product * np.exp(1j * term.coefficient * va * vb)
+    return float(np.max(np.abs(lhs - product)))
 
 
 def two_mode_phase_deviation(
     g: float, alpha: float, tuples: tuple
 ) -> float:
     """|exp(i g x1 x2) - product of surviving factors| over sampled tuples."""
-    (ell1, m1, u1), (ell2, m2, u2) = tuples
-    x1 = alpha * (ell1 + 2.0 * m1) + u1
-    x2 = alpha * (ell2 + 2.0 * m2) + u2
-    lhs = np.exp(1j * g * x1 * x2)
-    product = np.ones_like(lhs)
-    per_mode = {0: (ell1, m1, u1), 1: (ell2, m2, u2)}
-    for term in decompose_cz_two_mode(g, alpha):
-        va = _term_values(*per_mode[term.op_a.mode], term.op_a.kind)
-        vb = _term_values(*per_mode[term.op_b.mode], term.op_b.kind)
-        product = product * np.exp(1j * term.coefficient * va * vb)
-    return float(np.max(np.abs(lhs - product)))
+    weights = np.array([[0.0, g], [g, 0.0]])
+    return _phase_deviation(weights, alpha, decompose_cz_two_mode(g, alpha), tuples)
 
 
 def multimode_phase_deviation(
     adjacency: np.ndarray, alpha: float, samples: list
 ) -> float:
     """Same identity for the tuned multimode gate with a binary adjacency."""
-    g = math.pi / alpha**2
-    n = adjacency.shape[0]
-    x = [alpha * (ell + 2.0 * m) + u for ell, m, u in samples]
-    exponent = np.zeros_like(x[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j] != 0.0:
-                exponent = exponent + g * x[i] * x[j]
-    lhs = np.exp(1j * exponent)
-    product = np.ones_like(lhs)
-    for term in decompose_cz_multimode(adjacency, alpha).all_terms:
-        va = _term_values(*samples[term.op_a.mode], term.op_a.kind)
-        vb = _term_values(*samples[term.op_b.mode], term.op_b.kind)
-        product = product * np.exp(1j * term.coefficient * va * vb)
-    return float(np.max(np.abs(lhs - product)))
+    terms = decompose_cz_multimode(adjacency, alpha).all_terms
+    return _phase_deviation(math.pi / alpha**2 * adjacency, alpha, terms, samples)
 
 
 # --- verification suite -------------------------------------------------------
@@ -278,9 +268,7 @@ def _check(name: str, deviation: float, tolerance: float) -> CheckResult:
 
 def all_subsystem_pairs(n_modes: int):
     subsystems = [(mode, kind) for mode in range(n_modes) for kind in _ALL_KINDS]
-    for i in range(len(subsystems)):
-        for j in range(i + 1, len(subsystems)):
-            yield subsystems[i], subsystems[j]
+    return itertools.combinations(subsystems, 2)
 
 
 def graph_edge_pairs(graph: SubsystemGraph) -> set:

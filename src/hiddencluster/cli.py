@@ -39,6 +39,7 @@ from .graphs import (
     gkp_plus,
     momentum,
     render_dot,
+    require_json_int,
     to_json,
 )
 from .measurement import LogicalFrame, MeasurementRecord, measure_p0, run_wire
@@ -108,17 +109,30 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
     return specs
 
 
+#: Largest topology accepted, a 100x100 grid; its dense adjacency alone is 800 MB, so
+#: larger counts are refused before anything is allocated.
+MAX_TOPOLOGY_MODES = 10_000
+
+
+def _require_topology_size(n_modes: int, text: str) -> None:
+    if n_modes > MAX_TOPOLOGY_MODES:
+        raise UsageError(f"{text}: {n_modes} modes exceed the limit of {MAX_TOPOLOGY_MODES}")
+
+
 def parse_topology(text: str) -> np.ndarray:
     """chain:N, grid:RxC, or a path to a JSON edge-list file."""
     if text.startswith("chain:"):
-        return chain_adjacency(_positive_int(text[6:], "chain length"))
+        n_modes = _positive_int(text[6:], "chain length")
+        _require_topology_size(n_modes, text)
+        return chain_adjacency(n_modes)
     if text.startswith("grid:"):
         dims = text[5:].lower().split("x")
         if len(dims) != 2:
             raise UsageError(f"grid spec must be grid:RxC, got {text!r}")
-        return grid_adjacency(
-            _positive_int(dims[0], "grid rows"), _positive_int(dims[1], "grid cols")
-        )
+        rows = _positive_int(dims[0], "grid rows")
+        cols = _positive_int(dims[1], "grid cols")
+        _require_topology_size(rows * cols, text)
+        return grid_adjacency(rows, cols)
     try:
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -126,7 +140,7 @@ def parse_topology(text: str) -> np.ndarray:
     try:
         if isinstance(doc, dict):
             edges = doc.get("edges", [])
-            n_modes = int(doc.get("n_modes", 0))
+            n_modes = require_json_int(doc.get("n_modes", 0), "n_modes")
         else:
             edges = doc
             n_modes = 0
@@ -134,16 +148,17 @@ def parse_topology(text: str) -> np.ndarray:
         for pair in edges:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise UsageError(f"{text}: edges must be [i, j] pairs")
-            i, j = int(pair[0]), int(pair[1])
+            i, j = (require_json_int(end, "edge end") for end in pair)
             if i == j or i < 0 or j < 0:
                 raise UsageError(f"{text}: invalid edge [{i}, {j}]")
             pairs.append((i, j))
-    except (TypeError, ValueError, OverflowError) as err:
+    except (TypeError, GraphParseError) as err:
         raise UsageError(f"{text}: malformed edge list: {err}") from err
     if not n_modes:
         n_modes = 1 + max((max(p) for p in pairs), default=0)
     if n_modes < 0:
         raise UsageError(f"{text}: n_modes must be nonnegative, got {n_modes}")
+    _require_topology_size(n_modes, text)
     adjacency = np.zeros((n_modes, n_modes))
     for i, j in pairs:
         if max(i, j) >= n_modes:

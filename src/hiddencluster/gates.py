@@ -103,6 +103,10 @@ def decompose_cz_two_mode(
         (m, u, 2.0 * g * alpha),
         (u, m, 2.0 * g * alpha),
     ]
+    if not all(math.isfinite(c) for _, _, c in layout):
+        raise DomainError(
+            f"gate weight {g!r} at bin size {alpha!r} overflows a coupling coefficient"
+        )
     terms = [
         CouplingTerm(SubsystemOperator(ka, i), SubsystemOperator(kb, j), c)
         for ka, kb, c in layout
@@ -185,37 +189,52 @@ class MultimodeDecomposition:
         return self.logical_terms + self.gauge_terms + self.interaction_terms
 
 
+def adjacency_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(i, j)`` pairs with ``i < j`` and a nonzero entry, in row-major order.
+
+    Modes are Python ints, so terms built from them stay JSON-serializable.
+    """
+    rows, cols = np.nonzero(adjacency)
+    upper = rows < cols
+    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+
+
 def decompose_cz_multimode(adjacency: np.ndarray, alpha: float) -> MultimodeDecomposition:
     """Decompose the tuned gate with weight matrix (pi/alpha**2) * adjacency.
 
     ``adjacency`` must be binary; general weights are only supported pairwise
-    through :func:`decompose_cz_two_mode`.  Every surviving term lands in
-    exactly one family; ell-m and m-m couplings are always pruned at the
-    tuned weight.
+    through :func:`decompose_cz_two_mode`.  Every edge carries the same six
+    couplings, so they are derived and sorted into families once, then
+    stamped onto each edge in :func:`adjacency_edges` order.  ell-m and m-m
+    couplings are always pruned at the tuned weight.
     """
     alpha = require_bin_size(alpha)
     adjacency = require_binary_adjacency(adjacency)
-    g = math.pi / (alpha * alpha)
 
     logical: list[CouplingTerm] = []
     gauge: list[CouplingTerm] = []
     interaction: list[CouplingTerm] = []
-    n = adjacency.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j] == 0.0:
-                continue
-            for term in decompose_cz_two_mode(g, alpha, modes=(i, j)):
-                kinds = set(term.kinds)
-                if kinds == {SubsystemKind.LOGICAL}:
-                    logical.append(term)
-                elif SubsystemKind.LOGICAL not in kinds:
-                    gauge.append(term)
-                elif kinds == {SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR}:
-                    interaction.append(term)
-                else:
-                    # ell-m survives only for detuned weights, which the
-                    # binary precondition rules out.
-                    raise AssertionError(f"unexpected surviving term {term}")
-    return MultimodeDecomposition(tuple(logical), tuple(gauge), tuple(interaction))
+    for term in decompose_cz_two_mode(math.pi / (alpha * alpha), alpha):
+        kinds = set(term.kinds)
+        if kinds == {SubsystemKind.LOGICAL}:
+            logical.append(term)
+        elif SubsystemKind.LOGICAL not in kinds:
+            gauge.append(term)
+        elif kinds == {SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR}:
+            interaction.append(term)
+        else:
+            # ell-m survives only for detuned weights, which the
+            # binary precondition rules out.
+            raise AssertionError(f"unexpected surviving term {term}")
+    edges = adjacency_edges(adjacency)
 
+    def stamp(template: list[CouplingTerm]) -> tuple[CouplingTerm, ...]:
+        return tuple(
+            CouplingTerm(
+                SubsystemOperator(t.op_a.kind, i), SubsystemOperator(t.op_b.kind, j), t.coefficient
+            )
+            for i, j in edges
+            for t in template
+        )
+
+    return MultimodeDecomposition(stamp(logical), stamp(gauge), stamp(interaction))

@@ -142,9 +142,6 @@ class SubsystemEdge:
         if self.multiplicity < 1:
             raise DomainError("edge multiplicity must be positive")
 
-    def touches(self, node_id: int) -> bool:
-        return node_id == self.a or node_id == self.b
-
 
 def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
     logical = (
@@ -200,9 +197,6 @@ class SubsystemGraph:
         if record is None:
             raise DomainError(f"no {kind.value} node for mode {mode_index}")
         return _mode_nodes(record)[_KIND_OFFSET[kind]]
-
-    def edges_at(self, node_id: int) -> tuple[SubsystemEdge, ...]:
-        return tuple(e for e in self.edges if e.touches(node_id))
 
     def mode_amplitudes(self, index: int) -> tuple[complex, complex]:
         """Logical amplitudes of a mode; plus-type modes are (1,1)/sqrt(2)."""
@@ -381,11 +375,10 @@ def _parse_amplitudes(raw: object, where: str) -> tuple[complex, complex]:
     return amplitudes
 
 
-def _json_int(raw: dict, key: str) -> int:
-    """An integer field; floats, strings and booleans are refused, not truncated."""
-    value = raw[key]
+def require_json_int(value: object, what: str) -> int:
+    """A parsed JSON integer; floats, strings and booleans are refused, not truncated."""
     if type(value) is not int:
-        raise GraphParseError(f"{key} must be a JSON integer, got {value!r}")
+        raise GraphParseError(f"{what} must be a JSON integer, got {value!r}")
     return value
 
 
@@ -409,7 +402,7 @@ def from_json(text: str) -> SubsystemGraph:
             )
             modes.append(
                 ModeRecord(
-                    index=_json_int(raw, "index"),
+                    index=require_json_int(raw["index"], "index"),
                     cv_type=CvType(raw["cv_type"]),
                     label=raw.get("label"),
                     amplitudes=amplitudes,
@@ -417,8 +410,8 @@ def from_json(text: str) -> SubsystemGraph:
             )
         nodes = [
             Node(
-                id=_json_int(raw, "id"),
-                mode=_json_int(raw, "mode"),
+                id=require_json_int(raw["id"], "id"),
+                mode=require_json_int(raw["mode"], "mode"),
                 kind=SubsystemKind(raw["kind"]),
                 state=NodeState(raw["state"]),
             )
@@ -426,9 +419,9 @@ def from_json(text: str) -> SubsystemGraph:
         ]
         edges = [
             SubsystemEdge(
-                a=_json_int(raw, "a"),
-                b=_json_int(raw, "b"),
-                multiplicity=_json_int(raw, "multiplicity"),
+                a=require_json_int(raw["a"], "a"),
+                b=require_json_int(raw["b"], "b"),
+                multiplicity=require_json_int(raw["multiplicity"], "multiplicity"),
             )
             for raw in doc["edges"]
         ]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
 from .graphs import CvType, SubsystemGraph, absorb_modular_zero_edges, logical_neighbors
-from .modular import SubsystemKind
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -59,52 +58,8 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
     label, its modular-position node is pinned to u = 0 and stripped of
     edges, and the frame's Hadamard count increments by one.
     """
-    record = graph.mode_by_index(mode)
-    if not record.cv_type.is_gkp:
-        raise UnsupportedMeasurement(
-            f"mode {mode} is a momentum node; the rewrite is only derived for GKP-type "
-            "nodes (use the grid oracle instead)"
-        )
-
-    neighbors = logical_neighbors(graph)[mode]
-    if len(neighbors) != 1:
-        raise UnsupportedTopology(
-            f"measured mode {mode} has {len(neighbors)} neighbors; only degree-1 nodes "
-            "are supported"
-        )
-    (neighbor,) = neighbors
-
-    measured_label = graph.mode_amplitudes(mode)
-    new_label = _apply_hadamard(measured_label)
-    label_text = f"H({record.label or '+'})"
-
-    removed = tuple(graph.node_of(mode, kind).id for kind in SubsystemKind)
-    converted = graph.node_of(neighbor, SubsystemKind.GAUGE_MODULAR).id
-
-    modes = tuple(
-        replace(m, cv_type=CvType.GKP_LABELED, label=label_text, amplitudes=new_label)
-        if m.index == neighbor
-        else m
-        for m in graph.modes
-        if m.index != mode
-    )
-    kept = tuple(e for e in graph.edges if e.a not in removed and e.b not in removed)
-    edges = absorb_modular_zero_edges(modes, kept)
-
-    new_graph = SubsystemGraph(alpha=graph.alpha, modes=modes, edges=edges)
-    new_frame = LogicalFrame(
-        hadamard_count=frame.hadamard_count + 1, current_label=new_label
-    )
-    return MeasurementResult(
-        graph=new_graph,
-        frame=new_frame,
-        record=MeasurementRecord(
-            measured_mode=mode,
-            outcome=0.0,
-            removed_nodes=removed,  # type: ignore[arg-type]
-            converted_node=converted,
-        ),
-    )
+    run = _walk(graph, logical_neighbors(graph), mode, 1, frame)
+    return MeasurementResult(graph=run.graph, frame=run.frame, record=run.records[0])
 
 
 @dataclass(frozen=True)
@@ -116,13 +71,12 @@ class WireRun:
     frames: tuple[LogicalFrame, ...] = ()
 
 
-def _wire_input_mode(graph: SubsystemGraph) -> int:
+def _wire_input_mode(graph: SubsystemGraph, neighbors: dict[int, set[int]]) -> int:
     """Pick the wire's input end: a GKP-type endpoint of the mode-level path.
 
     Prefers a labeled endpoint; if both ends qualify equally the higher mode
     index wins, so chains built with the input listed last behave as written.
     """
-    neighbors = logical_neighbors(graph)
     degrees = [len(neighbors[m.index]) for m in graph.modes]
     n = len(degrees)
     if n > 1 and (
@@ -140,24 +94,75 @@ def _wire_input_mode(graph: SubsystemGraph) -> int:
     return max(candidates)
 
 
+def _walk(
+    graph: SubsystemGraph,
+    neighbors: dict[int, set[int]],
+    mode: int,
+    steps: int,
+    frame: LogicalFrame,
+) -> WireRun:
+    """Measure ``steps`` modes in turn, starting at ``mode``.
+
+    Each hop measures the mode the previous hop relabeled, so its residual
+    neighbors are its ``neighbors`` minus the modes already measured.  The
+    residual graph is built once, after the last hop.
+    """
+    record = graph.mode_by_index(mode)
+    if not record.cv_type.is_gkp:
+        raise UnsupportedMeasurement(
+            f"mode {mode} is a momentum node; the rewrite is only derived for GKP-type "
+            "nodes (use the grid oracle instead)"
+        )
+    amplitudes, label = graph.mode_amplitudes(mode), record.label
+    measured: set[int] = set()
+    records: list[MeasurementRecord] = []
+    frames: list[LogicalFrame] = []
+    for _ in range(steps):
+        remaining = neighbors[mode] - measured
+        if len(remaining) != 1:
+            raise UnsupportedTopology(
+                f"measured mode {mode} has {len(remaining)} neighbors; only degree-1 nodes "
+                "are supported"
+            )
+        (neighbor,) = remaining
+        amplitudes = _apply_hadamard(amplitudes)
+        label = f"H({label or '+'})"
+        frame = LogicalFrame(hadamard_count=frame.hadamard_count + 1, current_label=amplitudes)
+        records.append(
+            MeasurementRecord(
+                measured_mode=mode,
+                outcome=0.0,
+                removed_nodes=(3 * mode, 3 * mode + 1, 3 * mode + 2),
+                converted_node=3 * neighbor + 2,
+            )
+        )
+        frames.append(frame)
+        measured.add(mode)
+        mode = neighbor
+    if not records:
+        return WireRun(graph=graph, frame=frame, records=(), frames=())
+
+    modes = tuple(
+        replace(m, cv_type=CvType.GKP_LABELED, label=label, amplitudes=amplitudes)
+        if m.index == mode
+        else m
+        for m in graph.modes
+        if m.index not in measured
+    )
+    kept = tuple(e for e in graph.edges if e.a // 3 not in measured and e.b // 3 not in measured)
+    residual = SubsystemGraph(
+        alpha=graph.alpha, modes=modes, edges=absorb_modular_zero_edges(modes, kept)
+    )
+    return WireRun(graph=residual, frame=frame, records=tuple(records), frames=tuple(frames))
+
+
 def run_wire(graph: SubsystemGraph, steps: int) -> WireRun:
     """Measure a linear wire step by step from its GKP-type input end."""
     if steps < 0 or steps > len(graph.modes) - 1:
         raise DomainError(
             f"steps must be between 0 and {len(graph.modes) - 1}, got {steps}"
         )
-    current = _wire_input_mode(graph)
-    frame = LogicalFrame(
-        hadamard_count=0, current_label=graph.mode_amplitudes(current)
-    )
-    records: list[MeasurementRecord] = []
-    frames: list[LogicalFrame] = []
-    for _ in range(steps):
-        result = measure_p0(graph, current, frame)
-        graph, frame = result.graph, result.frame
-        records.append(result.record)
-        frames.append(result.frame)
-        current = result.graph.node_by_id(result.record.converted_node).mode
-    return WireRun(
-        graph=graph, frame=frame, records=tuple(records), frames=tuple(frames)
-    )
+    neighbors = logical_neighbors(graph)
+    start = _wire_input_mode(graph, neighbors)
+    frame = LogicalFrame(hadamard_count=0, current_label=graph.mode_amplitudes(start))
+    return _walk(graph, neighbors, start, steps, frame)

@@ -271,6 +271,17 @@ class TestBadInputExits2:
             ({}, ["build", "--topology", "chain:2", "--nodes", "p", "--alpha", "1e-320"]),
             ({}, ["build", "--topology", "chain:2", "--nodes", "p", "--alpha", "1e200"]),
             ({}, ["build", "--topology", "chain:2", "--nodes", "p,gkp:1,nan", "-o", "{tmp}/g.json"]),
+            ({}, ["decompose", "--g", "1e308", "--alpha", "1e10"]),
+            ({}, ["decompose", "--topology", "{tmp}/edge_float.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/edge_string.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/edge_bool.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/n_modes_float.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/n_modes_string.json"]),
+            ({}, ["build", "--topology", "chain:10000000", "--nodes", "p"]),
+            ({}, ["build", "--topology", "grid:5000x5000", "--nodes", "p"]),
+            ({}, ["build", "--topology", "{tmp}/edge_far.json", "--nodes", "p"]),
+            ({}, ["build", "--topology", "{tmp}/n_modes_huge.json", "--nodes", "p"]),
+            ({}, ["decompose", "--topology", "chain:10000000"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -280,11 +291,32 @@ class TestBadInputExits2:
             "alpha-squared-underflows",
             "alpha-squared-overflows",
             "nan-amplitude",
+            "coefficient-overflows",
+            "topology-edge-float",
+            "topology-edge-string",
+            "topology-edge-bool",
+            "topology-n-modes-float",
+            "topology-n-modes-string",
+            "chain-too-long",
+            "grid-too-large",
+            "topology-edge-too-far",
+            "topology-n-modes-too-large",
+            "decompose-chain-too-long",
         ],
     )
     def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys):
-        (tmp_path / "edges_not_list.json").write_text('{"edges": 5}')
-        (tmp_path / "edge_not_int.json").write_text('[[1, "x"]]')
+        for name, text in {
+            "edges_not_list": '{"edges": 5}',
+            "edge_not_int": '[[1, "x"]]',
+            "edge_float": "[[0, 1.9]]",
+            "edge_string": '[[0, "2"]]',
+            "edge_bool": "[[true, 2]]",
+            "n_modes_float": '{"n_modes": 3.7, "edges": [[0, 1]]}',
+            "n_modes_string": '{"n_modes": "4", "edges": [[0, 1]]}',
+            "edge_far": "[[0, 10000000]]",
+            "n_modes_huge": '{"n_modes": 10000000, "edges": []}',
+        }.items():
+            (tmp_path / f"{name}.json").write_text(text)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 2

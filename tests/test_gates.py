@@ -5,6 +5,7 @@ import pytest
 
 from hiddencluster.certify import (
     multimode_phase_deviation,
+    random_binary_adjacency,
     sample_quantum_numbers,
     two_mode_phase_deviation,
 )
@@ -68,6 +69,11 @@ class TestTwoModeDecomposition:
     def test_rejects_same_mode(self):
         with pytest.raises(DomainError):
             decompose_cz_two_mode(1.0, 1.0, modes=(2, 2))
+
+    @pytest.mark.parametrize("g, alpha", [(1e308, 1e10), (1e300, 1e5), (-1e308, 10.0)])
+    def test_rejects_overflowing_coefficient(self, g, alpha):
+        with pytest.raises(DomainError):
+            decompose_cz_two_mode(g, alpha)
 
 
 class TestTrivialityPredicate:
@@ -185,22 +191,35 @@ class TestMultimodeDecomposition:
         assert len(result.interaction_terms) == 2 * edges
 
     def test_partition_matches_prune_pipeline(self):
-        # independent route: prune the raw nine-term expansion per edge
+        # independent route: prune the raw nine-term expansion pair by pair,
+        # appending each edge's terms to their family in layout order
         alpha = DEFAULT_ALPHA
-        adjacency = grid_adjacency(2, 2)
-        expected = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if adjacency[i, j]:
-                    expected.extend(decompose_cz_two_mode(PI / alpha**2, alpha, modes=(i, j)))
-        result = decompose_cz_multimode(adjacency, alpha)
-        assert sorted(result.all_terms, key=repr) == sorted(expected, key=repr)
-        for t in result.logical_terms:
-            assert set(t.kinds) == {L}
-        for t in result.gauge_terms:
-            assert L not in t.kinds
-        for t in result.interaction_terms:
-            assert set(t.kinds) == {L, U}
+        rng = np.random.default_rng(21)
+        cases = [chain_adjacency(5), grid_adjacency(2, 3)] + [
+            random_binary_adjacency(rng, n_modes) for n_modes in (2, 3, 4, 5, 6, 7, 8, 8)
+        ]
+        for adjacency in cases:
+            n = adjacency.shape[0]
+            logical, gauge, interaction = [], [], []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if adjacency[i, j]:
+                        for t in decompose_cz_two_mode(PI / alpha**2, alpha, modes=(i, j)):
+                            if set(t.kinds) == {L}:
+                                logical.append(t)
+                            elif L not in t.kinds:
+                                gauge.append(t)
+                            else:
+                                interaction.append(t)
+            result = decompose_cz_multimode(adjacency, alpha)
+            assert list(result.logical_terms) == logical
+            assert list(result.gauge_terms) == gauge
+            assert list(result.interaction_terms) == interaction
+            for t in result.interaction_terms:
+                assert set(t.kinds) == {L, U}
+            # modes reach the CLI's JSON output, which refuses numpy integers
+            for t in result.all_terms:
+                assert type(t.op_a.mode) is int and type(t.op_b.mode) is int
 
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):

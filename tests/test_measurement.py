@@ -66,7 +66,7 @@ class TestMeasureP0:
         # the neighbor's circle is now open and edge-free
         u_node = result.graph.node_of(3, SubsystemKind.GAUGE_MODULAR)
         assert u_node.state is NodeState.MODULAR_ZERO
-        assert result.graph.edges_at(u_node.id) == ()
+        assert not any(u_node.id in (e.a, e.b) for e in result.graph.edges)
         assert result.frame.hadamard_count == 1
         assert result.record.measured_mode == 4
         assert result.record.outcome == 0
@@ -160,6 +160,34 @@ class TestRunWire:
         )
         # graphs differ only in the circle fill states before measurement
         assert np.array_equal(logical_subgraph(hybrid.graph), logical_subgraph(gkp.graph))
+
+    @pytest.mark.parametrize("n_modes", range(2, 9))
+    @pytest.mark.parametrize("input_last", [True, False])
+    @pytest.mark.parametrize("label", [(0.6, 0.8j), None], ids=["labeled", "gkp_plus"])
+    def test_run_wire_folds_measure_p0(self, n_modes, input_last, label):
+        specs = [momentum()] * (n_modes - 1)
+        specs.append(gkp_labeled(*label) if label is not None else gkp_plus())
+        start = n_modes - 1 if input_last else 0
+        if not input_last:
+            specs.reverse()
+        graph = build_cluster(chain_adjacency(n_modes), specs, ALPHA)
+        for k in range(n_modes):
+            run = run_wire(graph, k)
+            folded, frame, mode = graph, LogicalFrame(0, graph.mode_amplitudes(start)), start
+            records, frames = [], []
+            for _ in range(k):
+                result = measure_p0(folded, mode, frame)
+                folded, frame = result.graph, result.frame
+                records.append(result.record)
+                frames.append(frame)
+                mode = result.record.converted_node // 3
+            assert run.graph == folded
+            assert run.records == tuple(records)
+            assert run.frames == tuple(frames)
+            assert run.frame == frame
+            if k:
+                base = "psi" if label is not None else "+"
+                assert run.graph.mode_by_index(mode).label == "H(" * k + base + ")" * k
 
     def test_too_many_steps_rejected(self):
         with pytest.raises(DomainError):
