@@ -62,6 +62,7 @@ from .oracle import (
     apply_subsystem_coupling,
     apply_subsystem_phase,
     connected_correlator,
+    coupled_product,
     coupling_strength,
     fidelity,
     load_state,

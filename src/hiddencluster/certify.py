@@ -44,6 +44,7 @@ from .oracle import (
     GridSpec,
     apply_couplings,
     connected_correlator,
+    coupled_product,
     coupling_strength,
     fidelity,
     prepare_gkp_state,
@@ -65,16 +66,17 @@ def _kind_values(grid: GridSpec) -> dict:
     return {kind: grid.basis_values(kind) for kind in _ALL_KINDS}
 
 
+def _term_couplings(grid: GridSpec, terms) -> list:
+    values = _kind_values(grid)
+    return [
+        (t.op_a.mode, values[t.op_a.kind], t.op_b.mode, values[t.op_b.kind], t.coefficient)
+        for t in terms
+    ]
+
+
 def apply_terms(state: DiscretizedState, terms) -> DiscretizedState:
     """Apply symbolic coupling factors to a grid state in one fused call."""
-    values = _kind_values(state.grid)
-    return apply_couplings(
-        state,
-        [
-            (t.op_a.mode, values[t.op_a.kind], t.op_b.mode, values[t.op_b.kind], t.coefficient)
-            for t in terms
-        ],
-    )
+    return apply_couplings(state, _term_couplings(state.grid, terms))
 
 
 def mode_state(grid: GridSpec, spec: ModeSpec) -> DiscretizedState:
@@ -91,6 +93,10 @@ def product_state(grid: GridSpec, specs: list[ModeSpec]) -> DiscretizedState:
     return tensor_product([mode_state(grid, s) for s in specs])
 
 
+def _mode_vectors(grid: GridSpec, specs: list[ModeSpec]) -> list[np.ndarray]:
+    return [mode_state(grid, s).amplitudes for s in specs]
+
+
 def direct_cluster_state(
     grid: GridSpec,
     adjacency: np.ndarray,
@@ -99,10 +105,10 @@ def direct_cluster_state(
 ) -> DiscretizedState:
     """Route one: the position-position gate on every edge."""
     adjacency = _require_matching_adjacency(adjacency, specs)
-    state = product_state(grid, specs)
     g = g_scale * math.pi / grid.alpha**2
     pos = grid.position_values()
-    return apply_couplings(state, [(i, pos, j, pos, g) for i, j in adjacency_edges(adjacency)])
+    couplings = [(i, pos, j, pos, g) for i, j in adjacency_edges(adjacency)]
+    return coupled_product(grid, _mode_vectors(grid, specs), couplings)
 
 
 def decomposed_cluster_state(
@@ -110,8 +116,8 @@ def decomposed_cluster_state(
 ) -> DiscretizedState:
     """Route two: the surviving symbolic coupling terms."""
     adjacency = _require_matching_adjacency(adjacency, specs)
-    state = product_state(grid, specs)
-    return apply_terms(state, decompose_cz_multimode(adjacency, grid.alpha).all_terms)
+    terms = decompose_cz_multimode(adjacency, grid.alpha).all_terms
+    return coupled_product(grid, _mode_vectors(grid, specs), _term_couplings(grid, terms))
 
 
 def _require_matching_adjacency(adjacency: np.ndarray, specs: list[ModeSpec]) -> np.ndarray:
@@ -132,7 +138,7 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
         raise DomainError("grid and graph disagree on the bin size")
     n = grid.n
     axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
-    factors = []
+    vectors = []
     for record in graph.modes:
         logical_node = graph.node_of(record.index, SubsystemKind.LOGICAL)
         if logical_node.state is NodeState.LOGICAL_LABELED:
@@ -146,8 +152,7 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
             modular[grid.zero_u_index] = 1.0
         else:
             modular = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        vec = np.kron(np.kron(logical, bins), modular)
-        factors.append(DiscretizedState(grid, 1, vec))
+        vectors.append(np.kron(np.kron(logical, bins), modular))
     values = _kind_values(grid)
     couplings = []
     for edge in graph.edges:
@@ -161,7 +166,7 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
                 edge_coefficient(graph, edge),
             )
         )
-    return apply_couplings(tensor_product(factors), couplings)
+    return coupled_product(grid, vectors, couplings)
 
 
 def align_global_phase(reference: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -393,6 +398,8 @@ def run_verification(
         raise DomainError("grid_n must be in 1..4 (resource bound)")
     if max_modes < 2 or max_modes > 3:
         raise DomainError("max_modes must be 2 or 3 (resource bound)")
+    if not math.isfinite(g_scale):
+        raise DomainError(f"g_scale must be finite, got {g_scale!r}")
     rng = np.random.default_rng(seed)
     grid = GridSpec(n=grid_n, alpha=alpha)
     checks: list[CheckResult] = []

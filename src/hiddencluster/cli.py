@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,20 @@ from .measurement import LogicalFrame, MeasurementRecord, measure_p0, run_wire
 
 class UsageError(HiddenClusterError):
     """Malformed command-line value."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that also reads negative numbers in exponent notation as values.
+
+    argparse takes only ``-<digits>`` and ``-<digits>.<digits>`` for negative
+    numbers, so ``--g -1e-3`` would read ``-1e-3`` as an unknown option.  No
+    option here looks like a number, so widening the pattern is safe, and
+    ``add_subparsers`` gives every subcommand this class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def parse_alpha(text: str) -> float:
@@ -307,7 +322,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hiddencluster",
         description="Build, rewrite and verify subsystem-decomposed cluster states.",
     )

@@ -84,6 +84,11 @@ class GridSpec:
         )
 
 
+def _require_mode(mode: int, n_modes: int) -> None:
+    if not 0 <= mode < n_modes:
+        raise DomainError(f"mode {mode} out of range for {n_modes} modes")
+
+
 @dataclass
 class DiscretizedState:
     """Dense amplitude vector over the grid of ``n_modes`` modes."""
@@ -117,8 +122,7 @@ class DiscretizedState:
         return self.amplitudes.reshape((self.grid.dim,) * self.n_modes)
 
     def _require_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.n_modes:
-            raise DomainError(f"mode {mode} out of range for {self.n_modes} modes")
+        _require_mode(mode, self.n_modes)
 
 
 def prepare_momentum_state(grid: GridSpec) -> DiscretizedState:
@@ -178,38 +182,103 @@ def apply_subsystem_phase(
 Coupling = tuple[int, np.ndarray, int, np.ndarray, float]
 
 
+def _pair_exponents(
+    n_modes: int, dim: int, couplings: list[Coupling]
+) -> dict[tuple[int, int], np.ndarray]:
+    """Sum the exponents of all couplings on each unordered mode pair (a < b).
+
+    Each table is dim x dim with mode a on its first axis; pairs keep the
+    order of their first coupling.
+    """
+    exponents: dict[tuple[int, int], np.ndarray] = {}
+    # an exponent that overflows or is undefined is rejected after the loop, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode_a, values_a, mode_b, values_b, coefficient in couplings:
+            _require_mode(mode_a, n_modes)
+            _require_mode(mode_b, n_modes)
+            if mode_a == mode_b:
+                raise DomainError("coupling operands must act on distinct modes")
+            exponent = np.multiply.outer(float(coefficient) * np.asarray(values_a), values_b)
+            if exponent.shape != (dim, dim):
+                raise DomainError(f"coupling values must have one entry per basis point ({dim})")
+            if mode_a > mode_b:
+                mode_a, mode_b, exponent = mode_b, mode_a, exponent.T
+            pair = (mode_a, mode_b)
+            exponents[pair] = exponents[pair] + exponent if pair in exponents else exponent
+    for (mode_a, mode_b), exponent in exponents.items():
+        if not np.all(np.isfinite(exponent)):
+            raise DomainError(f"coupling phase on modes {mode_a} and {mode_b} is not finite")
+    return exponents
+
+
+def _multiply_factors(
+    grid: GridSpec, n_modes: int, factors: list[tuple[tuple[int, ...], np.ndarray]]
+) -> DiscretizedState:
+    """Multiply broadcast factors into one fresh (dim,)*n_modes tensor.
+
+    Each factor is (modes, table): the table has one axis of length dim per
+    listed mode, in increasing mode order.  The first pass writes the product
+    of the first two factors into the new buffer and later passes run in
+    place, so no factor is written and the finite check scans the result once.
+    """
+    dim = grid.dim
+    shaped = [
+        table.reshape([dim if mode in modes else 1 for mode in range(n_modes)])
+        for modes, table in factors
+    ]
+    tensor = np.empty((dim,) * n_modes, dtype=complex)
+    if len(shaped) == 1:
+        tensor[...] = shaped[0]
+    else:
+        np.multiply(shaped[0], shaped[1], out=tensor)
+        for factor in shaped[2:]:
+            np.multiply(tensor, factor, out=tensor)
+    return DiscretizedState(grid, n_modes, tensor.reshape(-1))
+
+
 def apply_couplings(state: DiscretizedState, couplings: list[Coupling]) -> DiscretizedState:
     """Apply a product of diagonal two-mode couplings in one pass per mode pair.
 
     The couplings commute, so the exponents of all entries on one unordered
     mode pair are summed into a single dim x dim table, exponentiated once,
-    and multiplied into a copy of the state tensor in place.
+    and multiplied into a copy of the state tensor.
     """
-    dim = state.grid.dim
-    exponents: dict[tuple[int, int], np.ndarray] = {}
-    for mode_a, values_a, mode_b, values_b, coefficient in couplings:
-        state._require_mode(mode_a)
-        state._require_mode(mode_b)
-        if mode_a == mode_b:
-            raise DomainError("coupling operands must act on distinct modes")
-        exponent = np.multiply.outer(float(coefficient) * np.asarray(values_a), values_b)
-        if exponent.shape != (dim, dim):
-            raise DomainError(f"coupling values must have one entry per basis point ({dim})")
-        if mode_a > mode_b:
-            mode_a, mode_b, exponent = mode_b, mode_a, exponent.T
-        pair = (mode_a, mode_b)
-        exponents[pair] = exponents[pair] + exponent if pair in exponents else exponent
-    # the first pass reads the input and fills the copy; later passes run in place
-    source = state._tensor()
-    tensor = np.empty_like(source)
-    for (mode_a, mode_b), exponent in exponents.items():
-        shape = [1] * state.n_modes
-        shape[mode_a] = shape[mode_b] = dim
-        np.multiply(source, np.exp(1j * exponent).reshape(shape), out=tensor)
-        source = tensor
-    if source is not tensor:
-        tensor[...] = source
-    return DiscretizedState(state.grid, state.n_modes, tensor.reshape(-1))
+    exponents = _pair_exponents(state.n_modes, state.grid.dim, couplings)
+    factors = [(tuple(range(state.n_modes)), state._tensor())]
+    factors += [(pair, np.exp(1j * exponent)) for pair, exponent in exponents.items()]
+    return _multiply_factors(state.grid, state.n_modes, factors)
+
+
+def coupled_product(
+    grid: GridSpec, vectors: list[np.ndarray], couplings: list[Coupling]
+) -> DiscretizedState:
+    """The product state of per-mode vectors with the couplings applied.
+
+    Equals ``apply_couplings(tensor_product(...), couplings)`` without
+    building the product state: each mode's vector is folded into the first
+    pair table that touches it, and a mode with no coupling is its own
+    factor, so the full tensor is written once and then updated in place.
+    """
+    if not vectors:
+        raise DomainError("a product state needs at least one mode")
+    dim = grid.dim
+    vectors = [np.asarray(vector) for vector in vectors]
+    if any(vector.shape != (dim,) for vector in vectors):
+        raise DomainError(f"mode vectors must have one entry per basis point ({dim})")
+    n_modes = len(vectors)
+    unfolded = set(range(n_modes))
+    factors = []
+    for (mode_a, mode_b), exponent in _pair_exponents(n_modes, dim, couplings).items():
+        table = np.exp(1j * exponent)
+        if mode_a in unfolded:
+            table *= vectors[mode_a][:, None]
+            unfolded.discard(mode_a)
+        if mode_b in unfolded:
+            table *= vectors[mode_b]
+            unfolded.discard(mode_b)
+        factors.append(((mode_a, mode_b), table))
+    factors += [((mode,), vectors[mode]) for mode in sorted(unfolded)]
+    return _multiply_factors(grid, n_modes, factors)
 
 
 def apply_subsystem_coupling(

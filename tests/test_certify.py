@@ -151,3 +151,8 @@ class TestVerificationReport:
             run_verification(grid_n=5)
         with pytest.raises(DomainError):
             run_verification(max_modes=4)
+
+    @pytest.mark.parametrize("g_scale", [math.inf, -math.inf, math.nan])
+    def test_non_finite_g_scale_is_rejected(self, g_scale):
+        with pytest.raises(DomainError, match="g_scale must be finite"):
+            run_verification(grid_n=2, max_modes=2, g_scale=g_scale)

@@ -220,6 +220,11 @@ class TestVerify:
         assert run("verify", "--n", "5") == 2
         assert run("verify", "--max-modes", "4") == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_g_scale_names_the_flag(self, value, capsys):
+        assert run("verify", "--g-scale", value) == 2
+        assert capsys.readouterr().err == f"error: g_scale must be finite, got {value}\n"
+
     def test_report_bytes_deterministic(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -282,6 +287,9 @@ class TestBadInputExits2:
             ({}, ["build", "--topology", "{tmp}/edge_far.json", "--nodes", "p"]),
             ({}, ["build", "--topology", "{tmp}/n_modes_huge.json", "--nodes", "p"]),
             ({}, ["decompose", "--topology", "chain:10000000"]),
+            ({}, ["decompose", "--g", "-1e308", "--alpha", "10"]),
+            ({}, ["verify", "--g-scale", "inf"]),
+            ({}, ["verify", "--g-scale", "nan"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -302,9 +310,12 @@ class TestBadInputExits2:
             "topology-edge-too-far",
             "topology-n-modes-too-large",
             "decompose-chain-too-long",
+            "negative-exponent-weight-overflows",
+            "g-scale-infinite",
+            "g-scale-nan",
         ],
     )
-    def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys):
+    def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys, recwarn):
         for name, text in {
             "edges_not_list": '{"edges": 5}',
             "edge_not_int": '[[1, "x"]]',
@@ -322,4 +333,28 @@ class TestBadInputExits2:
         assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1 and "Warning" not in err and not recwarn.list
         assert not (tmp_path / "g.json").exists()
+
+
+class TestNegativeExponentValues:
+    """argparse reads only -1 and -1.5 as numbers; -1e-3 must not be taken for an option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--g", "-1e-3"],
+            ["decompose", "--g", "-2.5E+1", "--alpha", "2.0"],
+            ["verify", "--g-scale", "-1e-3", "--max-modes", "2"],
+        ],
+    )
+    def test_spaced_value_matches_joined_value(self, argv, tmp_path):
+        command, flag, value, *rest = argv
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        code = run(*argv, "-o", str(spaced))
+        assert run(command, f"{flag}={value}", *rest, "-o", str(joined)) == code
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_overflowing_weight_reaches_the_overflow_check(self, capsys):
+        assert run("decompose", "--g", "-1e308", "--alpha", "10") == 2
+        assert "overflows a coupling coefficient" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from hiddencluster.oracle import (
     apply_subsystem_coupling,
     apply_subsystem_phase,
     connected_correlator,
+    coupled_product,
     coupling_strength,
     fidelity,
     load_state,
@@ -244,6 +245,91 @@ class TestApplyCouplings:
         values = KERNEL_GRID.position_values()
         with pytest.raises(DomainError):
             apply_couplings(state, [(0, values[:-1], 1, values, 1.0)])
+
+
+def grid_values(grid, name):
+    if name == "position":
+        return grid.position_values()
+    return grid.basis_values({"logical": L, "gauge_m": M, "gauge_u": U}[name])
+
+
+def random_vectors(grid, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n_modes, grid.dim)) + 1j * rng.normal(size=(n_modes, grid.dim))
+    return list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+@st.composite
+def product_cases(draw):
+    """(grid n, mode count, vector seed, couplings named as in _NAMED_COUPLING)."""
+    n = draw(st.sampled_from([1, 2]))
+    n_modes = draw(st.integers(1, 4))
+    mode, kind = st.integers(0, n_modes - 1), st.sampled_from(sorted(_KERNEL_VALUES))
+    coupling = st.tuples(mode, kind, mode, kind, st.floats(-3.0, 3.0))
+    coupling = coupling.filter(lambda c: c[0] != c[2])
+    named = draw(st.lists(coupling, max_size=8)) if n_modes > 1 else []
+    return n, n_modes, draw(st.integers(0, 2**32 - 1)), named
+
+
+class TestCoupledProduct:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=product_cases())
+    @example(  # one pair three times in both mode orders; modes 1 and 3 uncoupled
+        case=(
+            2,
+            4,
+            0,
+            [
+                (0, "position", 2, "position", 0.9),
+                (2, "gauge_u", 0, "logical", -1.3),
+                (0, "gauge_m", 2, "gauge_u", 2.5),
+            ],
+        )
+    )
+    @example(case=(2, 3, 1, []))
+    def test_matches_tensor_product_then_sequential_reference(self, case):
+        n, n_modes, seed, named = case
+        grid = GridSpec(n=n, alpha=ALPHA)
+        vectors = random_vectors(grid, n_modes, seed)
+        before = [v.copy() for v in vectors]
+        couplings = [
+            (a, grid_values(grid, va), b, grid_values(grid, vb), c) for a, va, b, vb, c in named
+        ]
+        out = coupled_product(grid, vectors, couplings)
+        assert all(np.array_equal(v, w) for v, w in zip(vectors, before))
+        product = tensor_product([DiscretizedState(grid, 1, v) for v in vectors])
+        expected = sequential_reference(product, couplings)
+        assert (out.n_modes, out.amplitudes.shape) == (n_modes, expected.shape)
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1, "position", 1, "gauge_u", 1.0),
+            (-1, "position", 1, "gauge_u", 1.0),
+            (0, "position", 3, "gauge_u", 1.0),
+            (0, "short", 1, "gauge_u", 1.0),
+            (0, "position", 1, "gauge_u", math.inf),
+            (2, "position", 0, "gauge_u", math.nan),
+        ],
+        ids=["same-mode", "negative-mode", "mode-past-end", "wrong-length", "inf", "nan"],
+    )
+    def test_rejects_bad_couplings(self, bad):
+        vectors = random_vectors(KERNEL_GRID, 3, 4)
+        before = [v.copy() for v in vectors]
+        values = dict(_KERNEL_VALUES, short=_KERNEL_VALUES["position"][:-1])
+        named = [(0, "logical", 2, "gauge_m", 0.5), bad]
+        couplings = [(a, values[va], b, values[vb], c) for a, va, b, vb, c in named]
+        with pytest.raises(DomainError):
+            coupled_product(KERNEL_GRID, vectors, couplings)
+        assert all(np.array_equal(v, w) for v, w in zip(vectors, before))
+
+    def test_rejects_wrong_length_or_missing_vectors(self):
+        vectors = random_vectors(KERNEL_GRID, 2, 5)
+        with pytest.raises(DomainError):
+            coupled_product(KERNEL_GRID, [vectors[0], vectors[1][:-1]], [])
+        with pytest.raises(DomainError):
+            coupled_product(KERNEL_GRID, [], [])
 
 
 class TestProjection:
