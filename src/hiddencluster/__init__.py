@@ -12,11 +12,14 @@ from .gates import (
     CouplingTerm,
     MultimodeDecomposition,
     SubsystemOperator,
+    Topology,
     chain_adjacency,
+    chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
     expand_adjacency,
     grid_adjacency,
+    grid_topology,
     is_trivial_term,
 )
 from .graphs import (
@@ -54,28 +57,48 @@ from .modular import (
     gauge_position,
     recompose,
 )
-from .oracle import (
-    DiscretizedState,
-    GridSpec,
-    apply_couplings,
-    apply_cz,
-    apply_subsystem_coupling,
-    apply_subsystem_phase,
-    connected_correlator,
-    coupled_product,
-    coupling_strength,
-    fidelity,
-    load_state,
-    prepare_gkp_state,
-    prepare_momentum_state,
-    project_p0,
-    purity,
-    qubit_cluster_state,
-    reduced_density,
-    save_state,
-    tensor_product,
+
+# The grid oracle needs numpy, so its names load on first use (PEP 562); the
+# symbolic layer and every CLI command but ``verify`` then run without numpy.
+_ORACLE_NAMES = (
+    "DiscretizedState",
+    "GridSpec",
+    "apply_couplings",
+    "apply_cz",
+    "apply_subsystem_coupling",
+    "apply_subsystem_phase",
+    "connected_correlator",
+    "coupled_product",
+    "coupling_strength",
+    "fidelity",
+    "load_state",
+    "prepare_gkp_state",
+    "prepare_momentum_state",
+    "project_p0",
+    "purity",
+    "qubit_cluster_state",
+    "reduced_density",
+    "save_state",
+    "tensor_product",
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | {"oracle", *_ORACLE_NAMES}
+)
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    oracle = importlib.import_module(f"{__name__}.oracle")
+    value = oracle if name == "oracle" else getattr(oracle, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,9 +16,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .certify import run_verification
 from .errors import (
     DomainError,
     GraphParseError,
@@ -27,10 +24,11 @@ from .errors import (
     UnsupportedTopology,
 )
 from .gates import (
-    chain_adjacency,
+    Topology,
+    chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
-    grid_adjacency,
+    grid_topology,
 )
 from .graphs import (
     ModeSpec,
@@ -51,17 +49,21 @@ class UsageError(HiddenClusterError):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that also reads negative numbers in exponent notation as values.
+    """argparse that also reads exponent notation, -inf and -nan as negative values.
 
     argparse takes only ``-<digits>`` and ``-<digits>.<digits>`` for negative
-    numbers, so ``--g -1e-3`` would read ``-1e-3`` as an unknown option.  No
-    option here looks like a number, so widening the pattern is safe, and
-    ``add_subparsers`` gives every subcommand this class.
+    numbers, so ``--g -1e-3`` or ``--g -inf`` would read the value as an
+    unknown option.  No option here looks like a number, so widening the
+    pattern (``-inf``, ``-infinity`` and ``-nan`` in any case, as ``float``
+    reads them) is safe, and ``add_subparsers`` gives every subcommand this
+    class.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def parse_alpha(text: str) -> float:
@@ -124,8 +126,9 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
     return specs
 
 
-#: Largest topology accepted, a 100x100 grid; its dense adjacency alone is 800 MB, so
-#: larger counts are refused before anything is allocated.
+#: Largest topology accepted, a 100x100 grid.  Topologies are edge lists, so a build
+#: costs time and memory linear in the edges; the cap bounds that work, and larger
+#: counts are refused before anything is allocated.
 MAX_TOPOLOGY_MODES = 10_000
 
 
@@ -134,12 +137,15 @@ def _require_topology_size(n_modes: int, text: str) -> None:
         raise UsageError(f"{text}: {n_modes} modes exceed the limit of {MAX_TOPOLOGY_MODES}")
 
 
-def parse_topology(text: str) -> np.ndarray:
-    """chain:N, grid:RxC, or a path to a JSON edge-list file."""
+def parse_topology(text: str) -> Topology:
+    """chain:N, grid:RxC, or a path to a JSON edge-list file.
+
+    An edge file's reversed and repeated pairs name one edge.
+    """
     if text.startswith("chain:"):
         n_modes = _positive_int(text[6:], "chain length")
         _require_topology_size(n_modes, text)
-        return chain_adjacency(n_modes)
+        return chain_topology(n_modes)
     if text.startswith("grid:"):
         dims = text[5:].lower().split("x")
         if len(dims) != 2:
@@ -147,7 +153,7 @@ def parse_topology(text: str) -> np.ndarray:
         rows = _positive_int(dims[0], "grid rows")
         cols = _positive_int(dims[1], "grid cols")
         _require_topology_size(rows * cols, text)
-        return grid_adjacency(rows, cols)
+        return grid_topology(rows, cols)
     try:
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -174,12 +180,10 @@ def parse_topology(text: str) -> np.ndarray:
     if n_modes < 0:
         raise UsageError(f"{text}: n_modes must be nonnegative, got {n_modes}")
     _require_topology_size(n_modes, text)
-    adjacency = np.zeros((n_modes, n_modes))
     for i, j in pairs:
         if max(i, j) >= n_modes:
             raise UsageError(f"{text}: edge [{i}, {j}] exceeds n_modes={n_modes}")
-        adjacency[i, j] = adjacency[j, i] = 1.0
-    return adjacency
+    return Topology(n_modes, tuple(sorted({(min(p), max(p)) for p in pairs})))
 
 
 def _positive_int(text: str, what: str) -> int:
@@ -248,9 +252,9 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    adjacency = parse_topology(args.topology)
-    specs = parse_node_specs(args.nodes, adjacency.shape[0])
-    graph = build_cluster(adjacency, specs, parse_alpha(args.alpha))
+    topology = parse_topology(args.topology)
+    specs = parse_node_specs(args.nodes, topology.n_modes)
+    graph = build_cluster(topology, specs, parse_alpha(args.alpha))
     _write_text(args.output, to_json(graph))
     return 0
 
@@ -260,11 +264,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.topology is not None and args.g is not None:
         raise UsageError("--g and --topology are mutually exclusive")
     if args.topology is not None:
-        adjacency = parse_topology(args.topology)
-        decomposition = decompose_cz_multimode(adjacency, alpha)
+        topology = parse_topology(args.topology)
+        decomposition = decompose_cz_multimode(topology, alpha)
+        adjacency = [[0] * topology.n_modes for _ in range(topology.n_modes)]
+        for i, j in topology.edges:
+            adjacency[i][j] = adjacency[j][i] = 1
         doc = {
             "alpha": alpha,
-            "adjacency": adjacency.astype(int).tolist(),
+            "adjacency": adjacency,
             "logical_terms": [_term_dict(t) for t in decomposition.logical_terms],
             "gauge_terms": [_term_dict(t) for t in decomposition.gauge_terms],
             "interaction_terms": [_term_dict(t) for t in decomposition.interaction_terms],
@@ -304,6 +311,9 @@ def cmd_run_wire(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the oracle behind the suite needs numpy; no other command imports it
+    from .certify import run_verification
+
     report = run_verification(
         alpha=parse_alpha(args.alpha),
         grid_n=args.n,

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .modular import SubsystemKind, require_bin_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,8 +116,62 @@ def decompose_cz_two_mode(
     return [t for t in terms if not _phase_is_identity(t)]
 
 
+@dataclass(frozen=True)
+class Topology:
+    """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
+
+    ``edges`` lists each pair once with ``i < j``, in row-major order, and
+    every end is a mode index below ``n_modes``.  Construction checks this
+    in O(E), so a ``Topology`` is valid wherever it is passed.
+    """
+
+    n_modes: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.n_modes < 0:
+            raise DomainError(f"n_modes must be nonnegative, got {self.n_modes}")
+        previous = (-1, -1)
+        for i, j in self.edges:
+            if i == j:
+                raise DomainError(f"self-loop at mode {i}")
+            if not 0 <= i < j < self.n_modes:
+                raise DomainError(
+                    f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={self.n_modes}"
+                )
+            if (i, j) <= previous:
+                raise DomainError(
+                    f"edge ({i}, {j}) repeats or breaks the row-major order after {previous}"
+                )
+            previous = (i, j)
+
+
+def chain_topology(n_modes: int) -> Topology:
+    """A linear chain on ``n_modes`` modes."""
+    if n_modes < 1:
+        raise DomainError("a chain needs at least one mode")
+    return Topology(n_modes, tuple((i, i + 1) for i in range(n_modes - 1)))
+
+
+def grid_topology(rows: int, cols: int) -> Topology:
+    """A rows-by-cols rectangular grid, row-major modes."""
+    if rows < 1 or cols < 1:
+        raise DomainError("grid dimensions must be positive")
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if c + 1 < cols:
+                edges.append((i, i + 1))
+            if r + 1 < rows:
+                edges.append((i, i + cols))
+    return Topology(rows * cols, tuple(edges))
+
+
 def require_adjacency(matrix: np.ndarray) -> np.ndarray:
     """Validate a real symmetric zero-diagonal weight matrix."""
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"adjacency matrix must be square, got shape {matrix.shape}")
@@ -127,36 +183,52 @@ def require_adjacency(matrix: np.ndarray) -> np.ndarray:
 
 
 def require_binary_adjacency(matrix: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     matrix = require_adjacency(matrix)
     if not np.all((matrix == 0.0) | (matrix == 1.0)):
         raise DomainError("adjacency entries must be 0 or 1")
     return matrix
 
 
+def adjacency_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
+    """The ``(i, j)`` pairs with ``i < j`` and a nonzero entry, in row-major order.
+
+    Modes are Python ints, so terms built from them stay JSON-serializable.
+    """
+    import numpy as np
+
+    rows, cols = np.nonzero(adjacency)
+    upper = rows < cols
+    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+
+
+def as_topology(adjacency: Topology | np.ndarray) -> Topology:
+    """A ``Topology`` as given, or the one a dense binary adjacency matrix encodes."""
+    if isinstance(adjacency, Topology):
+        return adjacency
+    matrix = require_binary_adjacency(adjacency)
+    return Topology(matrix.shape[0], tuple(adjacency_edges(matrix)))
+
+
+def topology_matrix(topology: Topology) -> np.ndarray:
+    """The dense binary adjacency matrix of a topology."""
+    import numpy as np
+
+    a = np.zeros((topology.n_modes, topology.n_modes))
+    for i, j in topology.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def chain_adjacency(n_modes: int) -> np.ndarray:
     """Binary adjacency of a linear chain on ``n_modes`` modes."""
-    if n_modes < 1:
-        raise DomainError("a chain needs at least one mode")
-    a = np.zeros((n_modes, n_modes))
-    for i in range(n_modes - 1):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    return a
+    return topology_matrix(chain_topology(n_modes))
 
 
 def grid_adjacency(rows: int, cols: int) -> np.ndarray:
     """Binary adjacency of a rows-by-cols rectangular grid, row-major modes."""
-    if rows < 1 or cols < 1:
-        raise DomainError("grid dimensions must be positive")
-    n = rows * cols
-    a = np.zeros((n, n))
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                a[i, i + 1] = a[i + 1, i] = 1.0
-            if r + 1 < rows:
-                a[i, i + cols] = a[i + cols, i] = 1.0
-    return a
+    return topology_matrix(grid_topology(rows, cols))
 
 
 def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:
@@ -165,6 +237,8 @@ def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:
     Ordering is (ell, m, u) per mode block; each entry V_ij becomes the
     3 x 3 block V_ij * outer(v, v) with v = (alpha, 2*alpha, 1).
     """
+    import numpy as np
+
     alpha = require_bin_size(alpha)
     weights = require_adjacency(weights)
     v = np.array([alpha, 2.0 * alpha, 1.0])
@@ -189,27 +263,20 @@ class MultimodeDecomposition:
         return self.logical_terms + self.gauge_terms + self.interaction_terms
 
 
-def adjacency_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(i, j)`` pairs with ``i < j`` and a nonzero entry, in row-major order.
-
-    Modes are Python ints, so terms built from them stay JSON-serializable.
-    """
-    rows, cols = np.nonzero(adjacency)
-    upper = rows < cols
-    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
-
-
-def decompose_cz_multimode(adjacency: np.ndarray, alpha: float) -> MultimodeDecomposition:
+def decompose_cz_multimode(
+    adjacency: Topology | np.ndarray, alpha: float
+) -> MultimodeDecomposition:
     """Decompose the tuned gate with weight matrix (pi/alpha**2) * adjacency.
 
-    ``adjacency`` must be binary; general weights are only supported pairwise
+    ``adjacency`` is a :class:`Topology` or a binary matrix (see
+    :func:`as_topology`); general weights are only supported pairwise
     through :func:`decompose_cz_two_mode`.  Every edge carries the same six
     couplings, so they are derived and sorted into families once, then
-    stamped onto each edge in :func:`adjacency_edges` order.  ell-m and m-m
-    couplings are always pruned at the tuned weight.
+    stamped onto each edge in row-major order.  ell-m and m-m couplings are
+    always pruned at the tuned weight.
     """
     alpha = require_bin_size(alpha)
-    adjacency = require_binary_adjacency(adjacency)
+    edges = as_topology(adjacency).edges
 
     logical: list[CouplingTerm] = []
     gauge: list[CouplingTerm] = []
@@ -226,7 +293,6 @@ def decompose_cz_multimode(adjacency: np.ndarray, alpha: float) -> MultimodeDeco
             # ell-m survives only for detuned weights, which the
             # binary precondition rules out.
             raise AssertionError(f"unexpected surviving term {term}")
-    edges = adjacency_edges(adjacency)
 
     def stamp(template: list[CouplingTerm]) -> tuple[CouplingTerm, ...]:
         return tuple(

@@ -24,12 +24,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GraphParseError
-from .gates import CouplingTerm, decompose_cz_multimode, require_binary_adjacency
+from .gates import CouplingTerm, Topology, as_topology, decompose_cz_two_mode
 from .modular import SubsystemKind, require_bin_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EDGE_UNIT_PHASE = math.pi
 
@@ -232,35 +234,37 @@ def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
 
 
 def build_cluster(
-    adjacency: np.ndarray, node_types: list[ModeSpec], alpha: float
+    adjacency: Topology | np.ndarray, node_types: list[ModeSpec], alpha: float
 ) -> SubsystemGraph:
     """Build the subsystem graph of a tuned cluster state.
 
-    ``adjacency`` is the binary mode-level adjacency matrix; ``node_types``
-    gives each mode's input state.  All-GKP inputs leave only the
-    logical-logical edges; momentum inputs additionally keep their
-    modular-position couplings.
+    ``adjacency`` is the mode-level :class:`Topology` or a binary adjacency
+    matrix (see :func:`as_topology`); ``node_types`` gives each mode's input
+    state.  All-GKP inputs leave only the logical-logical edges; momentum
+    inputs additionally keep their modular-position couplings.
     """
     alpha = require_bin_size(alpha)
-    adjacency = require_binary_adjacency(adjacency)
-    if len(node_types) != adjacency.shape[0]:
+    topology = as_topology(adjacency)
+    if len(node_types) != topology.n_modes:
         raise DomainError(
-            f"{adjacency.shape[0]} modes in adjacency but {len(node_types)} node types"
+            f"{topology.n_modes} modes in adjacency but {len(node_types)} node types"
         )
 
     modes = tuple(
         ModeRecord(index=i, cv_type=s.cv_type, label=s.label, amplitudes=s.amplitudes)
         for i, s in enumerate(node_types)
     )
-    decomposition = decompose_cz_multimode(adjacency, alpha)
-    edges = tuple(
-        sorted(
-            (_edge_from_term(t, alpha) for t in decomposition.all_terms),
-            key=lambda e: (e.a, e.b),
-        )
+    # One edge's surviving couplings as (kind offset on i, kind offset on j,
+    # multiplicity), stamped onto every mode pair (i, j) of the topology.
+    tuned = decompose_cz_two_mode(math.pi / (alpha * alpha), alpha)
+    template = [(e.a, e.b - 3, e.multiplicity) for e in (_edge_from_term(t, alpha) for t in tuned)]
+    stamped = sorted(
+        (3 * i + ka, 3 * j + kb, multiplicity)
+        for i, j in topology.edges
+        for ka, kb, multiplicity in template
     )
-    edges = absorb_modular_zero_edges(modes, edges)
-    return SubsystemGraph(alpha=alpha, modes=modes, edges=edges)
+    edges = tuple(SubsystemEdge(a, b, multiplicity) for a, b, multiplicity in stamped)
+    return SubsystemGraph(alpha=alpha, modes=modes, edges=absorb_modular_zero_edges(modes, edges))
 
 
 def logical_neighbors(graph: SubsystemGraph) -> dict[int, set[int]]:
@@ -275,6 +279,8 @@ def logical_neighbors(graph: SubsystemGraph) -> dict[int, set[int]]:
 
 def logical_subgraph(graph: SubsystemGraph) -> np.ndarray:
     """Binary adjacency over the logical nodes, indexed by mode position."""
+    import numpy as np
+
     position = {record.index: pos for pos, record in enumerate(graph.modes)}
     n = len(graph.modes)
     a = np.zeros((n, n))

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
 from .graphs import CvType, SubsystemGraph, absorb_modular_zero_edges, logical_neighbors
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_S = 1.0 / math.sqrt(2.0)
+
+#: The logical Hadamard as nested tuples; ``HADAMARD @ vector`` works on numpy vectors.
+HADAMARD = ((_S, _S), (_S, -_S))
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,10 @@ class MeasurementResult:
 
 
 def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, complex]:
-    out = HADAMARD @ np.array(amplitudes, dtype=complex)
-    return (complex(out[0]), complex(out[1]))
+    # Each row sums from 0j, as a matrix product does, so signed zeros come
+    # out as they do from ``numpy.array(HADAMARD) @ amplitudes``.
+    c0, c1 = complex(amplitudes[0]), complex(amplitudes[1])
+    return tuple(0j + h0 * c0 + h1 * c1 for h0, h1 in HADAMARD)
 
 
 def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> MeasurementResult:

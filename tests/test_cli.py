@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hiddencluster.cli import main, parse_alpha, parse_node_specs, parse_topology
 from hiddencluster.cli import UsageError
+from hiddencluster.gates import Topology
 from hiddencluster.graphs import CvType, from_json
 
 
@@ -56,18 +61,23 @@ class TestParsers:
             parse_node_specs("qubit", 1)
 
     def test_topology_chain_and_grid(self):
-        assert parse_topology("chain:3").sum() == 4
-        assert parse_topology("grid:2x3").sum() == 14
+        assert parse_topology("chain:3") == Topology(3, ((0, 1), (1, 2)))
+        grid = parse_topology("grid:2x3")
+        assert grid.n_modes == 6 and len(grid.edges) == 7
+        assert grid.edges == ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5))
 
     def test_topology_edge_list(self, tmp_path):
         path = tmp_path / "edges.json"
         path.write_text(json.dumps({"n_modes": 4, "edges": [[0, 1], [1, 3]]}))
-        adjacency = parse_topology(str(path))
-        assert adjacency.shape == (4, 4)
-        assert adjacency[1, 3] == 1.0
+        assert parse_topology(str(path)) == Topology(4, ((0, 1), (1, 3)))
         path2 = tmp_path / "bare.json"
         path2.write_text("[[0, 2]]")
-        assert parse_topology(str(path2)).shape == (3, 3)
+        assert parse_topology(str(path2)) == Topology(3, ((0, 2),))
+        path3 = tmp_path / "repeated.json"
+        path3.write_text("[[2, 0], [1, 2], [0, 2], [2, 1], [2, 0]]")
+        topology = parse_topology(str(path3))
+        assert topology.n_modes == 3
+        assert topology.edges == ((0, 2), (1, 2))
 
 
 class TestBuild:
@@ -220,7 +230,7 @@ class TestVerify:
         assert run("verify", "--n", "5") == 2
         assert run("verify", "--max-modes", "4") == 2
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_g_scale_names_the_flag(self, value, capsys):
         assert run("verify", "--g-scale", value) == 2
         assert capsys.readouterr().err == f"error: g_scale must be finite, got {value}\n"
@@ -290,6 +300,12 @@ class TestBadInputExits2:
             ({}, ["decompose", "--g", "-1e308", "--alpha", "10"]),
             ({}, ["verify", "--g-scale", "inf"]),
             ({}, ["verify", "--g-scale", "nan"]),
+            ({}, ["verify", "--g-scale", "-inf"]),
+            ({}, ["verify", "--g-scale", "-Infinity"]),
+            ({}, ["decompose", "--g", "-inf"]),
+            ({}, ["decompose", "--g", "-nan"]),
+            ({}, ["decompose", "--g", "-Infinity"]),
+            ({}, ["decompose", "--g", "-NaN", "--alpha", "2.0"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -313,6 +329,12 @@ class TestBadInputExits2:
             "negative-exponent-weight-overflows",
             "g-scale-infinite",
             "g-scale-nan",
+            "g-scale-negative-infinite",
+            "g-scale-negative-infinity-spelled-out",
+            "weight-negative-infinite",
+            "weight-negative-nan",
+            "weight-negative-infinity-spelled-out",
+            "weight-negative-nan-mixed-case",
         ],
     )
     def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys, recwarn):
@@ -358,3 +380,63 @@ class TestNegativeExponentValues:
     def test_overflowing_weight_reaches_the_overflow_check(self, capsys):
         assert run("decompose", "--g", "-1e308", "--alpha", "10") == 2
         assert "overflows a coupling coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-INFINITY"])
+    def test_negative_non_finite_weight_names_the_finite_rule(self, value, capsys):
+        assert run("decompose", "--g", value) == 2
+        expected = repr(float(value))
+        assert capsys.readouterr().err == f"error: gate weight must be finite, got {expected}\n"
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_IMPORT_PROBE = """
+import json, sys
+import hiddencluster
+from hiddencluster.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+class TestNumpyStaysUnloaded:
+    """Only ``verify`` needs the grid oracle, so only ``verify`` imports numpy."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("numpy-free")
+        assert main(["build", "--topology", "chain:4", "--nodes", "p,p,p,gkp:0.6,0.8j",
+                     "-o", str(path / "wire.json")]) == 0
+        return path
+
+    def probe(self, argv, cwd):
+        env = {k: v for k, v in os.environ.items() if k != "HIDDENCLUSTER_SEED"}
+        env["PYTHONPATH"] = str(_SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "Traceback" not in result.stderr, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["build", "--topology", "chain:5", "--nodes", "p,gkp+,p,p,gkp:0.6,0.8"], 0),
+            (["build", "--topology", "grid:3x4", "--nodes", "p"], 0),
+            (["decompose", "--g", "-1.3"], 0),
+            (["decompose", "--topology", "grid:2x3"], 0),
+            (["measure", "--input", "wire.json", "--mode", "3", "--log", "m.jsonl"], 0),
+            (["measure", "--input", "wire.json", "--mode", "0"], 4),
+            (["run-wire", "--input", "wire.json", "--steps", "3", "--log", "w.jsonl"], 0),
+            (["render", "--input", "wire.json"], 0),
+        ],
+        ids=["build-chain", "build-grid", "decompose-g", "decompose-topology", "measure",
+             "measure-refused", "run-wire", "render"],
+    )
+    def test_symbolic_commands_never_import_numpy(self, argv, exit_code, workdir):
+        assert self.probe(argv + ["-o", "out"], workdir) == [exit_code, False]
+
+    def test_verify_imports_numpy(self, workdir):
+        argv = ["verify", "--max-modes", "2", "-o", "report.json"]
+        assert self.probe(argv, workdir) == [0, True]

@@ -13,14 +13,20 @@ from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
     CouplingTerm,
     SubsystemOperator,
+    Topology,
+    as_topology,
     chain_adjacency,
+    chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
     expand_adjacency,
     grid_adjacency,
+    grid_topology,
     is_trivial_term,
     require_binary_adjacency,
+    topology_matrix,
 )
+from hiddencluster.graphs import build_cluster, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
@@ -227,3 +233,56 @@ class TestMultimodeDecomposition:
         with pytest.raises(DomainError):
             require_binary_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))
 
+
+
+class TestTopology:
+    def test_builders_give_row_major_edges(self):
+        assert chain_topology(1) == Topology(1, ())
+        assert chain_topology(4).edges == ((0, 1), (1, 2), (2, 3))
+        assert grid_topology(2, 2) == Topology(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+        assert grid_topology(1, 3) == chain_topology(3)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (3, 1), (3, 4), (5, 5)])
+    def test_dense_views_match_the_edge_builders(self, rows, cols):
+        topology = grid_topology(rows, cols)
+        matrix = grid_adjacency(rows, cols)
+        assert np.array_equal(matrix, topology_matrix(topology))
+        assert as_topology(matrix) == topology
+        assert int(matrix.sum()) == 2 * len(topology.edges)
+        n = rows * cols
+        assert as_topology(chain_adjacency(n)) == chain_topology(n)
+
+    def test_matrix_boundary_yields_python_ints(self):
+        topology = as_topology(grid_adjacency(2, 3))
+        assert all(type(end) is int for edge in topology.edges for end in edge)
+        assert type(topology.n_modes) is int
+
+    def test_builders_reject_empty_shapes(self):
+        with pytest.raises(DomainError, match="at least one mode"):
+            chain_topology(0)
+        with pytest.raises(DomainError, match="positive"):
+            grid_topology(2, 0)
+
+    @pytest.mark.parametrize(
+        "n_modes, edges",
+        [
+            (3, ((0, 3),)),
+            (3, ((-1, 2),)),
+            (3, ((1, 1),)),
+            (3, ((0, 1), (0, 1))),
+            (3, ((1, 0),)),
+            (3, ((1, 2), (0, 1))),
+            (-1, ()),
+        ],
+        ids=["end-out-of-range", "negative-end", "self-loop", "duplicate", "reversed",
+             "out-of-order", "negative-n-modes"],
+    )
+    def test_hand_built_topology_is_rejected(self, n_modes, edges):
+        with pytest.raises(DomainError):
+            build_cluster(Topology(n_modes, edges), [momentum()] * 3, 1.0)
+        with pytest.raises(DomainError):
+            decompose_cz_multimode(Topology(n_modes, edges), 1.0)
+
+    def test_node_count_must_match_the_topology(self):
+        with pytest.raises(DomainError, match="3 modes in adjacency but 2 node types"):
+            build_cluster(chain_topology(3), [momentum()] * 2, 1.0)

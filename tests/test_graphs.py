@@ -1,13 +1,16 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
-from hiddencluster.gates import chain_adjacency, grid_adjacency
+from hiddencluster.gates import chain_adjacency, decompose_cz_multimode, grid_adjacency
 from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,
@@ -365,6 +368,74 @@ def test_from_json_mutations_parse_or_reject(data):
     assert all(e.multiplicity in (1, 2) and e.a // 3 != e.b // 3 for e in graph.edges)
     assert len({(e.a, e.b) for e in graph.edges}) == len(graph.edges)
     assert from_json(text) == graph
+
+
+_SPECS = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j, "psi")]
+_KIND_OFFSET = {L: 0, M: 1, U: 2}
+
+
+def _edges_from_terms(terms, alpha, specs):
+    """Graph edges read off a term list: one per term, sorted, pinned u nodes absorbed."""
+    pinned = {3 * i + 2 for i, spec in enumerate(specs) if spec.cv_type.is_gkp}
+    edges = []
+    for t in terms:
+        a = 3 * t.op_a.mode + _KIND_OFFSET[t.op_a.kind]
+        b = 3 * t.op_b.mode + _KIND_OFFSET[t.op_b.kind]
+        modular = (t.op_a.kind is U) + (t.op_b.kind is U)
+        if a not in pinned and b not in pinned:
+            edges.append(SubsystemEdge(a, b, round(t.coefficient * alpha**modular / math.pi)))
+    return tuple(sorted(edges, key=lambda e: (e.a, e.b)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_edge_list_and_matrix_forms_agree(data):
+    """An edge file with repeated and reversed pairs and the dense matrix of the
+    same pairs build the same graph and the same decomposition."""
+    n = data.draw(st.integers(1, 12), label="n_modes")
+    pairs = (
+        data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=30,
+            ),
+            label="pairs",
+        )
+        if n > 1
+        else []
+    )
+    repeats = (
+        data.draw(st.lists(st.sampled_from(pairs), max_size=6), label="repeats") if pairs else []
+    )
+    written = data.draw(
+        st.permutations(pairs + [(j, i) for i, j in repeats] + repeats[:2]), label="order"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.json"
+        path.write_text(json.dumps({"n_modes": n, "edges": [list(p) for p in written]}))
+        topology = parse_topology(str(path))
+    matrix = np.zeros((n, n))
+    for i, j in written:
+        matrix[i, j] = matrix[j, i] = 1.0
+    assert topology.n_modes == n
+    assert len(topology.edges) == int(matrix.sum()) // 2
+
+    alpha = data.draw(st.sampled_from([DEFAULT_ALPHA, 1.0, 2.5]), label="alpha")
+    specs = data.draw(st.lists(st.sampled_from(_SPECS), min_size=n, max_size=n), label="specs")
+    from_edges = build_cluster(topology, specs, alpha)
+    from_matrix = build_cluster(matrix, specs, alpha)
+    assert to_json(from_edges) == to_json(from_matrix)
+    assert np.array_equal(logical_subgraph(from_edges), matrix)
+
+    by_edges = decompose_cz_multimode(topology, alpha)
+    by_matrix = decompose_cz_multimode(matrix, alpha)
+    assert by_edges.logical_terms == by_matrix.logical_terms
+    assert by_edges.gauge_terms == by_matrix.gauge_terms
+    assert by_edges.interaction_terms == by_matrix.interaction_terms
+    # the stamped graph edges are the decomposition's terms, sorted and absorbed
+    assert from_edges.edges == _edges_from_terms(by_edges.all_terms, alpha, specs)
 
 
 class TestStructuralComparison:

@@ -20,6 +20,7 @@ from hiddencluster.graphs import (
 from hiddencluster.measurement import (
     HADAMARD,
     LogicalFrame,
+    _apply_hadamard,
     measure_p0,
     run_wire,
 )
@@ -211,6 +212,37 @@ class TestRunWire:
         graph = build_cluster(chain_adjacency(3), specs, ALPHA)
         run = run_wire(graph, 1)
         assert run.records[0].measured_mode == 0
+
+
+class TestHadamard:
+    def test_forty_applications_match_numpy_in_repr(self):
+        """The pure-Python Hadamard reproduces the numpy matrix product bit for bit,
+        signed zeros included."""
+        rng = np.random.default_rng(8)
+        signed_zeros = [
+            (complex(one, zero_im), complex(zero_re, zero_im2))
+            for one in (1.0, -1.0)
+            for zero_im in (0.0, -0.0)
+            for zero_re in (0.0, -0.0)
+            for zero_im2 in (0.0, -0.0)
+        ]
+        labels = [sample_label(rng) for _ in range(200)] + signed_zeros + [(0.6, 0.8j)]
+        matrix = np.array(HADAMARD)
+        for label in labels:
+            ours = label
+            reference = np.array(label, dtype=complex)
+            for _ in range(40):
+                ours = _apply_hadamard(ours)
+                reference = matrix @ reference
+                expected = (complex(reference[0]), complex(reference[1]))
+                assert repr(ours) == repr(expected), label
+
+    def test_matrix_form(self):
+        s = 1.0 / math.sqrt(2.0)
+        assert HADAMARD == ((s, s), (s, -s))
+        assert np.array_equal(
+            np.array(HADAMARD), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        )
 
 
 class TestOracleAgreement:
