@@ -54,7 +54,6 @@ from .modular import (
     QuantumNumbers,
     SubsystemKind,
     decompose_position,
-    gauge_position,
     recompose,
 )
 

@@ -381,6 +381,11 @@ def _wire_unzip_deviation(
     return max(worst, label_drift)
 
 
+#: Largest state ``run_verification`` builds: ``dim**max_modes`` grid amplitudes,
+#: and the ``2**max_modes`` x ``2**max_modes`` logical density matrix of the GKP check.
+_VERIFY_BUDGET = 2**20
+
+
 def run_verification(
     alpha: float = DEFAULT_ALPHA,
     grid_n: int = 2,
@@ -396,8 +401,15 @@ def run_verification(
     """
     if grid_n < 1 or grid_n > 4:
         raise DomainError("grid_n must be in 1..4 (resource bound)")
-    if max_modes < 2 or max_modes > 3:
-        raise DomainError("max_modes must be 2 or 3 (resource bound)")
+    base = max(2 * grid_n * grid_n, 4)
+    # base >= 4 > 2, so a count past the budget's bit length is over budget
+    # without raising base to it
+    if not 2 <= max_modes <= _VERIFY_BUDGET.bit_length() or base**max_modes > _VERIFY_BUDGET:
+        raise DomainError(
+            f"max_modes={max_modes} is out of range for grid n={grid_n}: it must be at least 2, "
+            f"and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical density "
+            f"entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
+        )
     if not math.isfinite(g_scale):
         raise DomainError(f"g_scale must be finite, got {g_scale!r}")
     rng = np.random.default_rng(seed)

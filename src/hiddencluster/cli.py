@@ -369,7 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the oracle-backed identity suite")
     verify.add_argument("--alpha", default="sqrt_pi")
     verify.add_argument("--n", type=int, default=2, help="oracle grid size (1..4)")
-    verify.add_argument("--max-modes", type=int, default=3, help="largest chain length (2..3)")
+    verify.add_argument(
+        "--max-modes",
+        type=int,
+        default=3,
+        help="largest chain length (at least 2; (2*n*n)**max-modes and 4**max-modes "
+        "must stay within 2**20)",
+    )
     verify.add_argument("--g-scale", type=float, default=1.0, help="detuning factor (1 = tuned)")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("-o", "--output", default="-")

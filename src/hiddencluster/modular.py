@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -39,13 +38,52 @@ class SubsystemKind(enum.Enum):
         return self is not SubsystemKind.GAUGE_MODULAR
 
 
-@dataclass(frozen=True)
 class QuantumNumbers:
-    """The triple (ell, m, u) describing one position eigenvalue."""
+    """The triple (ell, m, u) describing one position eigenvalue.
+
+    An immutable slotted record: fields are set once, in ``__init__``, and
+    assigning or deleting one raises ``AttributeError``.  Equality, hashing
+    and ``repr`` follow the field tuple, as for a frozen dataclass.
+    """
+
+    __slots__ = ("ell", "m", "u")
 
     ell: int
     m: int
     u: float
+
+    def __init__(self, ell: int, m: int, u: float) -> None:
+        _set_ell(self, ell)
+        _set_m(self, m)
+        _set_u(self, u)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of QuantumNumbers")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of QuantumNumbers")
+
+    def __repr__(self) -> str:
+        return f"QuantumNumbers(ell={self.ell!r}, m={self.m!r}, u={self.u!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ell, self.m, self.u) == (other.ell, other.m, other.u)
+
+    def __hash__(self) -> int:
+        return hash((self.ell, self.m, self.u))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past the __setattr__ guard
+        return QuantumNumbers, (self.ell, self.m, self.u)
+
+
+# the slot descriptors write the fields past the __setattr__ guard, and more
+# cheaply than object.__setattr__
+_set_ell = QuantumNumbers.ell.__set__
+_set_m = QuantumNumbers.m.__set__
+_set_u = QuantumNumbers.u.__set__
 
 
 def require_bin_size(alpha: float) -> float:
@@ -67,7 +105,8 @@ def _require_quantum_numbers(q: QuantumNumbers, alpha: float) -> None:
         raise DomainError(f"logical quantum number must be 0 or 1, got {q.ell!r}")
     if not isinstance(q.m, int):
         raise DomainError(f"bin number must be an integer, got {q.m!r}")
-    if not math.isfinite(q.u) or not (-alpha / 2 <= q.u < alpha / 2):
+    half = alpha / 2
+    if not math.isfinite(q.u) or not (-half <= q.u < half):
         raise DomainError(
             f"modular position {q.u!r} outside [-alpha/2, alpha/2) for alpha={alpha}"
         )
@@ -84,38 +123,41 @@ def decompose_position(x: float, alpha: float) -> QuantumNumbers:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"position value must be finite, got {x!r}")
-
-    k = math.floor(x / alpha + 0.5)
+    try:
+        k = math.floor(x / alpha + 0.5)
+    except OverflowError:  # x/alpha is infinite
+        raise DomainError(
+            f"position {x!r} overflows its bin index x/alpha for alpha={alpha!r}"
+        ) from None
+    half = alpha / 2
     u = x - alpha * k
     # x/alpha rounding can put k off by one near the bin boundary.
-    if u >= alpha / 2:
+    if u >= half:
         k += 1
         u = x - alpha * k
-    elif u < -alpha / 2:
+    elif u < -half:
         k -= 1
         u = x - alpha * k
     # Residual round-off exactly at the boundary: pin to the included
     # endpoint (perturbs the represented x by at most 1 ulp).
-    if u >= alpha / 2:
+    if u >= half:
         k += 1
-        u = -alpha / 2
-    elif u < -alpha / 2:
-        u = -alpha / 2
+        u = -half
+    elif u < -half:
+        u = -half
 
     ell = k % 2
-    m = (k - ell) // 2
-    return QuantumNumbers(ell=ell, m=m, u=u)
+    return QuantumNumbers(ell, (k - ell) // 2, u)
 
 
 def recompose(q: QuantumNumbers, alpha: float) -> float:
     """Rebuild the position eigenvalue alpha*ell + 2*alpha*m + u."""
     alpha = require_bin_size(alpha)
     _require_quantum_numbers(q, alpha)
-    return alpha * (q.ell + 2 * q.m) + q.u
-
-
-def gauge_position(q: QuantumNumbers, alpha: float) -> float:
-    """Position of the gauge mode alone: alpha*m + u (ell does not enter)."""
-    alpha = require_bin_size(alpha)
-    _require_quantum_numbers(q, alpha)
-    return alpha * q.m + q.u
+    try:
+        x = alpha * (q.ell + 2 * q.m) + q.u
+    except OverflowError:  # ell + 2*m does not fit in a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"position of {q!r} overflows a float for alpha={alpha!r}")
+    return x

@@ -17,6 +17,7 @@ u-index) within a mode.  Operations never mutate their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -211,20 +212,54 @@ def _pair_exponents(
     return exponents
 
 
-def _multiply_factors(
-    grid: GridSpec, n_modes: int, factors: list[tuple[tuple[int, ...], np.ndarray]]
-) -> DiscretizedState:
+#: A broadcast factor: (modes, table), where the table has one axis of length
+#: dim per listed mode and the modes are listed in increasing order.
+Factor = tuple[tuple[int, ...], np.ndarray]
+
+
+def _spread(table: np.ndarray, modes: tuple[int, ...], axes, dim: int) -> np.ndarray:
+    """View a factor's table with one axis per entry of the sorted ``axes``."""
+    return table.reshape([dim if mode in modes else 1 for mode in axes])
+
+
+def _merge_small_factors(dim: int, n_modes: int, factors: list[Factor]) -> list[Factor]:
+    """Multiply factors together while their product stays below full size.
+
+    Each step merges the two factors whose mode union is smallest, the first
+    such pair in list order on a tie, as long as that union has fewer than
+    ``n_modes`` modes; the merged factor takes the first one's place.  A
+    merged table holds at most 1/dim of the full tensor.
+    """
+    factors = list(factors)
+    while True:
+        best = None
+        for i, j in itertools.combinations(range(len(factors)), 2):
+            union = set(factors[i][0]) | set(factors[j][0])
+            if len(union) < n_modes and (best is None or len(union) < len(best[2])):
+                best = (i, j, union)
+        if best is None:
+            return factors
+        i, j, union = best
+        modes = tuple(sorted(union))
+        (modes_a, table_a), (modes_b, table_b) = factors[i], factors[j]
+        table = _spread(table_a, modes_a, modes, dim) * _spread(table_b, modes_b, modes, dim)
+        factors[i] = (modes, table)
+        del factors[j]
+
+
+def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> DiscretizedState:
     """Multiply broadcast factors into one fresh (dim,)*n_modes tensor.
 
-    Each factor is (modes, table): the table has one axis of length dim per
-    listed mode, in increasing mode order.  The first pass writes the product
-    of the first two factors into the new buffer and later passes run in
-    place, so no factor is written and the finite check scans the result once.
+    The small factors are contracted first (:func:`_merge_small_factors`),
+    so a state whose factors pair up below full size, such as a 4-mode
+    chain, star or ring, is written by a single broadcast multiply.  Any
+    factors left after that are multiplied in place, so no factor is
+    written and the finite check scans the result once.
     """
     dim = grid.dim
     shaped = [
-        table.reshape([dim if mode in modes else 1 for mode in range(n_modes)])
-        for modes, table in factors
+        _spread(table, modes, range(n_modes), dim)
+        for modes, table in _merge_small_factors(dim, n_modes, factors)
     ]
     tensor = np.empty((dim,) * n_modes, dtype=complex)
     if len(shaped) == 1:

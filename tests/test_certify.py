@@ -147,10 +147,19 @@ class TestVerificationReport:
         assert by_name["block_expansion"]["passed"]
 
     def test_resource_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"1\.\.4"):
             run_verification(grid_n=5)
-        with pytest.raises(DomainError):
-            run_verification(max_modes=4)
+        # just past the 2**20 budget on grid amplitudes (32**5, 18**5, 8**7)
+        # or on logical density entries (4**11), then a count too small
+        # and one too large to raise any base to
+        for grid_n, max_modes in [(4, 5), (3, 5), (2, 7), (1, 11), (2, 1), (1, 10**12)]:
+            with pytest.raises(DomainError, match=r"budget of 2\*\*20 = 1048576"):
+                run_verification(grid_n=grid_n, max_modes=max_modes)
+
+    def test_budget_edge_is_accepted(self):
+        report = run_verification(grid_n=2, max_modes=4, seed=3)
+        assert report["passed"] is True
+        assert report["config"]["max_modes"] == 4
 
     @pytest.mark.parametrize("g_scale", [math.inf, -math.inf, math.nan])
     def test_non_finite_g_scale_is_rejected(self, g_scale):

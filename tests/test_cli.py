@@ -228,7 +228,10 @@ class TestVerify:
 
     def test_resource_guard(self, capsys):
         assert run("verify", "--n", "5") == 2
-        assert run("verify", "--max-modes", "4") == 2
+        assert run("verify", "--n", "2", "--max-modes", "7") == 2
+        assert "budget of 2**20 = 1048576" in capsys.readouterr().err
+        assert run("verify", "--n", "4", "--max-modes", "5") == 2
+        assert run("verify", "--n", "1", "--max-modes", "11") == 2
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_g_scale_names_the_flag(self, value, capsys):

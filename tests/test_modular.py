@@ -1,7 +1,9 @@
+import copy
 import math
+import pickle
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hiddencluster.errors import DomainError
@@ -9,8 +11,8 @@ from hiddencluster.modular import (
     DEFAULT_ALPHA,
     QuantumNumbers,
     decompose_position,
-    gauge_position,
     recompose,
+    require_bin_size,
 )
 
 ALPHAS = [0.25, 1.0, DEFAULT_ALPHA, 2.0, 7.5]
@@ -52,21 +54,6 @@ def test_recompose_examples():
     assert recompose(QuantumNumbers(0, 0, 0.0), DEFAULT_ALPHA) == 0.0
     assert recompose(QuantumNumbers(1, 1, -0.5), 1.0) == pytest.approx(2.5)
     assert recompose(QuantumNumbers(0, -2, 0.25), 1.0) == pytest.approx(-3.75)
-
-
-def test_gauge_position_examples():
-    assert gauge_position(QuantumNumbers(1, 0, 0.0), 1.0) == 0.0
-    assert gauge_position(QuantumNumbers(0, 3, 0.1), 1.0) == pytest.approx(3.1)
-    assert gauge_position(QuantumNumbers(1, -1, -0.4), 2.0) == pytest.approx(-2.4)
-
-
-def test_gauge_position_cross_check():
-    # x - alpha*ell - alpha*m must agree with gauge_position after decompose
-    for x in (-17.3, -0.2, 4.81, 123.456):
-        for alpha in (1.0, DEFAULT_ALPHA, 2.0):
-            q = decompose_position(x, alpha)
-            expected = x - alpha * q.ell - alpha * q.m
-            assert gauge_position(q, alpha) == pytest.approx(expected, abs=1e-9)
 
 
 @given(x=positions, alpha=alphas)
@@ -142,4 +129,108 @@ def test_recompose_rejects_invariant_violations():
     with pytest.raises(DomainError):
         recompose(QuantumNumbers(0, 1.5, 0.0), 1.0)  # type: ignore[arg-type]
     with pytest.raises(DomainError):
-        gauge_position(QuantumNumbers(0, 0, -0.6), 1.0)
+        recompose(QuantumNumbers(0, 0, -0.6), 1.0)  # u below -alpha/2
+
+
+@pytest.mark.parametrize("x, alpha", [(1.7e308, 0.5), (1e308, 1e-150)])
+def test_bin_index_overflow_rejected(x, alpha):
+    with pytest.raises(DomainError) as info:
+        decompose_position(x, alpha)
+    assert f"position {x!r} overflows" in str(info.value)
+    assert f"alpha={alpha!r}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "q, alpha",
+    [
+        (QuantumNumbers(0, 10**300, 0.0), 1e10),
+        (QuantumNumbers(1, -(10**300), 0.0), 1e10),
+        (QuantumNumbers(0, 10**400, 0.0), 1.0),
+    ],
+    ids=["inf", "minus-inf", "int-too-large"],
+)
+def test_recompose_overflow_rejected(q, alpha):
+    with pytest.raises(DomainError) as info:
+        recompose(q, alpha)
+    assert f"position of {q!r} overflows a float for alpha={alpha!r}" in str(info.value)
+
+
+class TestQuantumNumbersRecord:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        q = QuantumNumbers(1, 2, 0.25)
+        for name in ("ell", "m", "u"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(q, name)
+        with pytest.raises(AttributeError):
+            q.extra = 1
+        assert (q.ell, q.m, q.u) == (1, 2, 0.25)
+
+    def test_equality_hash_repr_and_copy(self):
+        q = QuantumNumbers(1, -3, -0.5)
+        assert q == QuantumNumbers(ell=1, m=-3, u=-0.5)
+        assert q != QuantumNumbers(1, -3, 0.5)
+        assert q != (1, -3, -0.5)
+        assert hash(q) == hash((1, -3, -0.5))
+        assert repr(q) == "QuantumNumbers(ell=1, m=-3, u=-0.5)"
+        assert copy.copy(q) == q and pickle.loads(pickle.dumps(q)) == q
+
+
+# The parent revision's split and rebuild, verbatim apart from returning the
+# (ell, m, u) tuple; the slotted record must give bit-identical numbers.
+def reference_decompose_position(x: float, alpha: float) -> tuple:
+    alpha = require_bin_size(alpha)
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"position value must be finite, got {x!r}")
+
+    k = math.floor(x / alpha + 0.5)
+    u = x - alpha * k
+    # x/alpha rounding can put k off by one near the bin boundary.
+    if u >= alpha / 2:
+        k += 1
+        u = x - alpha * k
+    elif u < -alpha / 2:
+        k -= 1
+        u = x - alpha * k
+    # Residual round-off exactly at the boundary: pin to the included
+    # endpoint (perturbs the represented x by at most 1 ulp).
+    if u >= alpha / 2:
+        k += 1
+        u = -alpha / 2
+    elif u < -alpha / 2:
+        u = -alpha / 2
+
+    ell = k % 2
+    m = (k - ell) // 2
+    return (ell, m, u)
+
+
+def reference_recompose(ell: int, m: int, u: float, alpha: float) -> float:
+    return alpha * (ell + 2 * m) + u
+
+
+@st.composite
+def split_inputs(draw):
+    """Random positions, exact bin edges (k +- 1/2)*alpha and their ulp neighbours."""
+    alpha = draw(alphas)
+    if draw(st.booleans()):
+        return draw(positions), alpha
+    k = draw(st.one_of(st.integers(-1000, 1000), st.integers(-(10**15), 10**15)))
+    edge = (k + draw(st.sampled_from([-0.5, 0.5]))) * alpha
+    step = draw(st.sampled_from([None, -math.inf, math.inf]))
+    return (edge if step is None else math.nextafter(edge, step)), alpha
+
+
+@given(case=split_inputs())
+@settings(max_examples=1000, derandomize=True)
+@example(case=(0.5, 1.0))
+@example(case=(-0.0, DEFAULT_ALPHA))
+@example(case=(math.nextafter(0.5, -math.inf), 1.0))
+def test_split_is_bit_identical_to_reference(case):
+    x, alpha = case
+    q = decompose_position(x, alpha)
+    expected = reference_decompose_position(x, alpha)
+    assert repr((q.ell, q.m, q.u)) == repr(expected)
+    assert repr(recompose(q, alpha)) == repr(reference_recompose(*expected, alpha))

@@ -12,6 +12,7 @@ from hiddencluster.graphs import gkp_labeled, gkp_plus, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
     DiscretizedState,
+    _merge_small_factors,
     GridSpec,
     apply_couplings,
     apply_cz,
@@ -161,7 +162,7 @@ class TestSubsystemCoupling:
 
 
 KERNEL_GRID = GridSpec(n=2, alpha=ALPHA)
-KERNEL_MODES = 3
+KERNEL_MODES = 4
 _KERNEL_VALUES = {
     "logical": KERNEL_GRID.basis_values(L),
     "gauge_m": KERNEL_GRID.basis_values(M),
@@ -203,6 +204,15 @@ class TestApplyCouplings:
             (0, "gauge_m", 2, "gauge_u", 2.5),
         ],
         seed=0,
+    )
+    @example(  # 4-mode ring of pair tables beside the full state factor
+        named=[
+            (0, "position", 1, "gauge_u", 0.7),
+            (1, "position", 2, "position", -1.2),
+            (3, "logical", 2, "gauge_m", 2.1),
+            (3, "gauge_u", 0, "position", 0.5),
+        ],
+        seed=1,
     )
     def test_matches_sequential_reference(self, named, seed):
         state = random_state(KERNEL_GRID, KERNEL_MODES, seed)
@@ -261,9 +271,13 @@ def random_vectors(grid, n_modes, seed):
 
 @st.composite
 def product_cases(draw):
-    """(grid n, mode count, vector seed, couplings named as in _NAMED_COUPLING)."""
+    """(grid n, mode count, vector seed, couplings named as in _NAMED_COUPLING).
+
+    Up to 6 modes at n=1 and 5 at n=2, so that chains of pair tables merge
+    below full size before the dense write.
+    """
     n = draw(st.sampled_from([1, 2]))
-    n_modes = draw(st.integers(1, 4))
+    n_modes = draw(st.integers(1, 6 if n == 1 else 5))
     mode, kind = st.integers(0, n_modes - 1), st.sampled_from(sorted(_KERNEL_VALUES))
     coupling = st.tuples(mode, kind, mode, kind, st.floats(-3.0, 3.0))
     coupling = coupling.filter(lambda c: c[0] != c[2])
@@ -287,6 +301,44 @@ class TestCoupledProduct:
         )
     )
     @example(case=(2, 3, 1, []))
+    @example(  # 4-mode ring: the pair tables merge into two 3-mode tables
+        case=(
+            2,
+            4,
+            2,
+            [
+                (0, "position", 1, "position", 0.7),
+                (2, "gauge_u", 1, "logical", -1.1),
+                (3, "position", 2, "gauge_m", 2.3),
+                (0, "gauge_u", 3, "position", -0.4),
+            ],
+        )
+    )
+    @example(  # 5-mode star around mode 2, mode 5 uncoupled
+        case=(
+            1,
+            6,
+            3,
+            [
+                (2, "position", 0, "position", 1.3),
+                (1, "gauge_m", 2, "logical", 0.6),
+                (2, "gauge_u", 3, "position", -2.2),
+                (4, "logical", 2, "gauge_u", 2.9),
+            ],
+        )
+    )
+    @example(  # 3-mode ring: every merge would reach full size, so none happens
+        case=(
+            2,
+            3,
+            4,
+            [
+                (0, "position", 1, "gauge_u", 0.8),
+                (1, "logical", 2, "position", -1.7),
+                (2, "gauge_m", 0, "position", 1.9),
+            ],
+        )
+    )
     def test_matches_tensor_product_then_sequential_reference(self, case):
         n, n_modes, seed, named = case
         grid = GridSpec(n=n, alpha=ALPHA)
@@ -330,6 +382,39 @@ class TestCoupledProduct:
             coupled_product(KERNEL_GRID, [vectors[0], vectors[1][:-1]], [])
         with pytest.raises(DomainError):
             coupled_product(KERNEL_GRID, [], [])
+
+
+class TestFactorMerge:
+    """The merge order of ``_multiply_factors``: smallest union first, below full size."""
+
+    @pytest.mark.parametrize(
+        "n_modes, pairs, merged",
+        [
+            (4, [(0, 1), (1, 2), (2, 3)], [(0, 1, 2), (2, 3)]),
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1, 2), (0, 2, 3)]),
+            (4, [(0, 1), (0, 2), (0, 3)], [(0, 1, 2), (0, 3)]),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1, 2), (2, 3, 4)]),
+            (3, [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (0, 2)]),
+            (4, [(0, 1, 2, 3), (0, 1), (2, 3)], [(0, 1, 2, 3), (0, 1), (2, 3)]),
+            (6, [(0, 1), (2, 3), (4,), (5,)], [(0, 1, 2, 3), (4, 5)]),
+        ],
+        ids=["chain", "ring", "star", "chain-5", "ring-3", "full-state", "singles"],
+    )
+    def test_merge_order_and_values(self, n_modes, pairs, merged):
+        dim = 2
+        rng = np.random.default_rng(len(pairs))
+        factors = [(modes, rng.normal(size=(dim,) * len(modes))) for modes in pairs]
+        out = _merge_small_factors(dim, n_modes, factors)
+        assert [modes for modes, _ in out] == merged
+        assert [modes for modes, _ in factors] == pairs  # the input list is not changed
+
+        def full(factor_list):
+            tensor = np.ones((dim,) * n_modes)
+            for modes, table in factor_list:
+                tensor = tensor * table.reshape([dim if m in modes else 1 for m in range(n_modes)])
+            return tensor
+
+        assert np.allclose(full(out), full(factors), rtol=1e-14, atol=0.0)
 
 
 class TestProjection:
