@@ -67,6 +67,7 @@ _ORACLE_NAMES = (
     "apply_subsystem_coupling",
     "apply_subsystem_phase",
     "connected_correlator",
+    "connected_correlators",
     "coupled_product",
     "coupling_strength",
     "fidelity",

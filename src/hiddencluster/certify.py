@@ -43,7 +43,7 @@ from .oracle import (
     DiscretizedState,
     GridSpec,
     apply_couplings,
-    connected_correlator,
+    connected_correlators,
     coupled_product,
     coupling_strength,
     fidelity,
@@ -472,11 +472,8 @@ def run_verification(
         )
         deviation = max(deviation, 1.0 - purity(logical))
         deviation = max(deviation, 1.0 - fidelity(qubit_cluster_state(a), logical))
-        correlators = [
-            abs(connected_correlator(state, pair_a, pair_b))
-            for pair_a, pair_b in all_subsystem_pairs(n_modes)
-        ]
-        deviation = max(deviation, max(correlators))
+        correlators = connected_correlators(state, all_subsystem_pairs(n_modes))
+        deviation = max(deviation, max(map(abs, correlators)))
     checks.append(_check("gkp_cluster_product", deviation, 1e-12))
 
     # Hybrid two-mode state: asymmetric factorization and correlation set.

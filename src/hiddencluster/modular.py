@@ -84,16 +84,22 @@ class QuantumNumbers:
 _set_ell = QuantumNumbers.ell.__set__
 _set_m = QuantumNumbers.m.__set__
 _set_u = QuantumNumbers.u.__set__
+_new_record = object.__new__  # decompose_position skips the __init__ frame
+
+# The exact float interval of valid bin sizes: rounding of alpha*alpha and
+# pi/alpha**2 is monotone in alpha, so the alphas for which both are finite
+# and nonzero form an interval, and these are its end points.
+_MIN_BIN_SIZE = 1.3219564750381271e-154
+_MAX_BIN_SIZE = 1.3407807929942596e154
 
 
 def require_bin_size(alpha: float) -> float:
     """Validate a bin size: finite, strictly positive, and such that alpha**2
     and the tuned gate weight pi/alpha**2 are finite and nonzero floats."""
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"bin size must be finite and positive, got {alpha!r}")
-    square = alpha * alpha
-    if not 0.0 < square < math.inf or not 0.0 < math.pi / square < math.inf:
+    if not _MIN_BIN_SIZE <= alpha <= _MAX_BIN_SIZE:  # also false for NaN
+        if not math.isfinite(alpha) or alpha <= 0.0:
+            raise DomainError(f"bin size must be finite and positive, got {alpha!r}")
         raise DomainError(
             f"bin size {alpha!r} is out of range: alpha**2 or pi/alpha**2 is 0 or infinite"
         )
@@ -106,10 +112,16 @@ def _require_quantum_numbers(q: QuantumNumbers, alpha: float) -> None:
     if not isinstance(q.m, int):
         raise DomainError(f"bin number must be an integer, got {q.m!r}")
     half = alpha / 2
-    if not math.isfinite(q.u) or not (-half <= q.u < half):
+    # alpha is finite, so this also rejects a NaN or infinite u
+    if not -half <= q.u < half:
         raise DomainError(
             f"modular position {q.u!r} outside [-alpha/2, alpha/2) for alpha={alpha}"
         )
+
+
+# Below this size a split always recomposes to a finite float: alpha*k is
+# within alpha/2 <= 2**511 of |x| <= 2**1023, far below the float maximum.
+_LARGE_POSITION = 2.0**1023
 
 
 def decompose_position(x: float, alpha: float) -> QuantumNumbers:
@@ -146,8 +158,17 @@ def decompose_position(x: float, alpha: float) -> QuantumNumbers:
     elif u < -half:
         u = -half
 
+    if abs(x) > _LARGE_POSITION and not math.isfinite(alpha * k + u):
+        # the same sum recompose forms, since ell + 2*m == k
+        raise DomainError(
+            f"position {x!r} has no split that recomposes to a finite float for alpha={alpha!r}"
+        )
     ell = k % 2
-    return QuantumNumbers(ell, (k - ell) // 2, u)
+    q = _new_record(QuantumNumbers)
+    _set_ell(q, ell)
+    _set_m(q, (k - ell) // 2)
+    _set_u(q, u)
+    return q
 
 
 def recompose(q: QuantumNumbers, alpha: float) -> float:

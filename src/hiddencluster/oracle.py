@@ -90,6 +90,11 @@ def _require_mode(mode: int, n_modes: int) -> None:
         raise DomainError(f"mode {mode} out of range for {n_modes} modes")
 
 
+def _require_finite(amplitudes: np.ndarray) -> None:
+    if not np.all(np.isfinite(amplitudes)):
+        raise DomainError("amplitudes must be finite")
+
+
 @dataclass
 class DiscretizedState:
     """Dense amplitude vector over the grid of ``n_modes`` modes."""
@@ -107,8 +112,7 @@ class DiscretizedState:
             raise DomainError(
                 f"amplitude vector has length {self.amplitudes.shape}, expected ({expected},)"
             )
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise DomainError("amplitudes must be finite")
+        _require_finite(self.amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -247,6 +251,10 @@ def _merge_small_factors(dim: int, n_modes: int, factors: list[Factor]) -> list[
         del factors[j]
 
 
+#: Bound below which a product of factor tables provably stays finite.
+_FINITE_BOUND = 2.0**1000
+
+
 def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> DiscretizedState:
     """Multiply broadcast factors into one fresh (dim,)*n_modes tensor.
 
@@ -254,21 +262,41 @@ def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> Di
     so a state whose factors pair up below full size, such as a 4-mode
     chain, star or ring, is written by a single broadcast multiply.  Any
     factors left after that are multiplied in place, so no factor is
-    written and the finite check scans the result once.
+    written.  The result is proven finite from the factor tables'
+    largest moduli; only when that bound fails is the tensor scanned.
     """
     dim = grid.dim
-    shaped = [
-        _spread(table, modes, range(n_modes), dim)
-        for modes, table in _merge_small_factors(dim, n_modes, factors)
-    ]
-    tensor = np.empty((dim,) * n_modes, dtype=complex)
-    if len(shaped) == 1:
-        tensor[...] = shaped[0]
-    else:
-        np.multiply(shaped[0], shaped[1], out=tensor)
-        for factor in shaped[2:]:
-            np.multiply(tensor, factor, out=tensor)
-    return DiscretizedState(grid, n_modes, tensor.reshape(-1))
+    # Every tensor entry, and every entry of a merged table, is a product of
+    # one entry per factor, so each partial product a multiply forms is at
+    # most the product of max(1, max|table|) over the factors; the factor 2
+    # per table covers the rounding of every complex multiply.  Below 2**1000
+    # no partial product, nor any term inside a complex multiply, can
+    # overflow, so finite tables give a finite tensor.  A NaN or inf entry
+    # makes its scale NaN or inf and fails the test, as does a true overflow;
+    # then the tensor is scanned.  A non-finite product is reported by that
+    # scan, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = np.maximum([2.0 * np.abs(table).max() for _, table in factors], 1.0)
+        proven = math.prod(scales.tolist()) < _FINITE_BOUND
+        shaped = [
+            _spread(table, modes, range(n_modes), dim)
+            for modes, table in _merge_small_factors(dim, n_modes, factors)
+        ]
+        tensor = np.empty((dim,) * n_modes, dtype=complex)
+        if len(shaped) == 1:
+            tensor[...] = shaped[0]
+        else:
+            np.multiply(shaped[0], shaped[1], out=tensor)
+            for factor in shaped[2:]:
+                np.multiply(tensor, factor, out=tensor)
+    amplitudes = tensor.reshape(-1)
+    if not proven:
+        _require_finite(amplitudes)
+    # the one state built without __post_init__: its shape holds by
+    # construction and its amplitudes were proven or scanned finite above
+    state = object.__new__(DiscretizedState)
+    state.grid, state.n_modes, state.amplitudes = grid, n_modes, amplitudes
+    return state
 
 
 def apply_couplings(state: DiscretizedState, couplings: list[Coupling]) -> DiscretizedState:
@@ -303,15 +331,18 @@ def coupled_product(
     n_modes = len(vectors)
     unfolded = set(range(n_modes))
     factors = []
-    for (mode_a, mode_b), exponent in _pair_exponents(n_modes, dim, couplings).items():
-        table = np.exp(1j * exponent)
-        if mode_a in unfolded:
-            table *= vectors[mode_a][:, None]
-            unfolded.discard(mode_a)
-        if mode_b in unfolded:
-            table *= vectors[mode_b]
-            unfolded.discard(mode_b)
-        factors.append(((mode_a, mode_b), table))
+    exponents = _pair_exponents(n_modes, dim, couplings)
+    # a fold that overflows is reported by _multiply_factors' scan, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (mode_a, mode_b), exponent in exponents.items():
+            table = np.exp(1j * exponent)
+            if mode_a in unfolded:
+                table *= vectors[mode_a][:, None]
+                unfolded.discard(mode_a)
+            if mode_b in unfolded:
+                table *= vectors[mode_b]
+                unfolded.discard(mode_b)
+            factors.append(((mode_a, mode_b), table))
     factors += [((mode,), vectors[mode]) for mode in sorted(unfolded)]
     return _multiply_factors(grid, n_modes, factors)
 
@@ -429,20 +460,32 @@ def connected_correlator(
     state: DiscretizedState, sub_a: Subsystem, sub_b: Subsystem
 ) -> float:
     """Connected two-point function <AB> - <A><B> of two diagonal operators."""
-    (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
-    state._require_mode(mode_a)
-    state._require_mode(mode_b)
+    return connected_correlators(state, [(sub_a, sub_b)])[0]
+
+
+def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
+    """:func:`connected_correlator` of each subsystem pair, in order.
+
+    ``|psi|**2`` and each subsystem's mean are computed once for all pairs.
+    """
+    pairs = list(pairs)
+    for sub_a, sub_b in pairs:
+        state._require_mode(sub_a[0])
+        state._require_mode(sub_b[0])
     dim = state.grid.dim
     probs = np.abs(state._tensor()) ** 2
     total = probs.sum()
     if total == 0.0:
         raise DomainError("state has zero norm")
-    va = state.grid.basis_values(kind_a).reshape(_axis_shape(state.n_modes, mode_a, dim))
-    vb = state.grid.basis_values(kind_b).reshape(_axis_shape(state.n_modes, mode_b, dim))
-    mean_a = float((probs * va).sum() / total)
-    mean_b = float((probs * vb).sum() / total)
-    mean_ab = float((probs * va * vb).sum() / total)
-    return mean_ab - mean_a * mean_b
+    values, means = {}, {}
+    for mode, kind in dict.fromkeys(sub for pair in pairs for sub in pair):
+        value = state.grid.basis_values(kind).reshape(_axis_shape(state.n_modes, mode, dim))
+        values[mode, kind] = value
+        means[mode, kind] = float((probs * value).sum() / total)
+    return [
+        float((probs * values[sub_a] * values[sub_b]).sum() / total) - means[sub_a] * means[sub_b]
+        for sub_a, sub_b in pairs
+    ]
 
 
 def coupling_strength(

@@ -16,6 +16,9 @@ from hiddencluster.modular import (
 )
 
 ALPHAS = [0.25, 1.0, DEFAULT_ALPHA, 2.0, 7.5]
+MAX_FLOAT = 1.7976931348623157e308
+# the end points of the valid bin sizes
+MIN_BIN, MAX_BIN = 1.3219564750381271e-154, 1.3407807929942596e154
 
 positions = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 alphas = st.sampled_from(ALPHAS)
@@ -132,6 +135,13 @@ def test_recompose_rejects_invariant_violations():
         recompose(QuantumNumbers(0, 0, -0.6), 1.0)  # u below -alpha/2
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_recompose_rejects_non_finite_modular_position(u):
+    with pytest.raises(DomainError) as info:
+        recompose(QuantumNumbers(0, 0, u), 1.0)
+    assert str(info.value) == f"modular position {u!r} outside [-alpha/2, alpha/2) for alpha=1.0"
+
+
 @pytest.mark.parametrize("x, alpha", [(1.7e308, 0.5), (1e308, 1e-150)])
 def test_bin_index_overflow_rejected(x, alpha):
     with pytest.raises(DomainError) as info:
@@ -153,6 +163,33 @@ def test_recompose_overflow_rejected(q, alpha):
     with pytest.raises(DomainError) as info:
         recompose(q, alpha)
     assert f"position of {q!r} overflows a float for alpha={alpha!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("x", [MAX_FLOAT, -MAX_FLOAT])
+@pytest.mark.parametrize("alpha", [7.5, 3.0])
+def test_split_that_cannot_recompose_rejected(x, alpha):
+    with pytest.raises(DomainError) as info:
+        decompose_position(x, alpha)
+    assert f"position {x!r} has no split that recomposes" in str(info.value)
+
+
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=2.0**1023, max_value=MAX_FLOAT),
+        st.floats(min_value=-MAX_FLOAT, max_value=-(2.0**1023)),
+    ),
+    alpha=st.one_of(alphas, st.sampled_from([3.0, 1e-100, 1e150, MAX_BIN])),
+)
+@settings(max_examples=1000, derandomize=True)
+@example(x=MAX_FLOAT, alpha=1.0)
+@example(x=-MAX_FLOAT, alpha=MAX_BIN)
+def test_accepted_split_recomposes_to_a_finite_float(x, alpha):
+    try:
+        q = decompose_position(x, alpha)
+    except DomainError:
+        return
+    assert math.isfinite(recompose(q, alpha))
 
 
 class TestQuantumNumbersRecord:
@@ -177,10 +214,23 @@ class TestQuantumNumbersRecord:
         assert copy.copy(q) == q and pickle.loads(pickle.dumps(q)) == q
 
 
-# The parent revision's split and rebuild, verbatim apart from returning the
-# (ell, m, u) tuple; the slotted record must give bit-identical numbers.
+# An earlier revision's bin-size check, split and rebuild, verbatim apart from
+# the names and the split returning the (ell, m, u) tuple; the current code
+# must give bit-identical numbers and the same messages.
+def reference_require_bin_size(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"bin size must be finite and positive, got {alpha!r}")
+    square = alpha * alpha
+    if not 0.0 < square < math.inf or not 0.0 < math.pi / square < math.inf:
+        raise DomainError(
+            f"bin size {alpha!r} is out of range: alpha**2 or pi/alpha**2 is 0 or infinite"
+        )
+    return alpha
+
+
 def reference_decompose_position(x: float, alpha: float) -> tuple:
-    alpha = require_bin_size(alpha)
+    alpha = reference_require_bin_size(alpha)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"position value must be finite, got {x!r}")
@@ -234,3 +284,49 @@ def test_split_is_bit_identical_to_reference(case):
     expected = reference_decompose_position(x, alpha)
     assert repr((q.ell, q.m, q.u)) == repr(expected)
     assert repr(recompose(q, alpha)) == repr(reference_recompose(*expected, alpha))
+
+
+def checked_bin_size(check, alpha):
+    try:
+        return repr(check(alpha))
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        MIN_BIN,
+        MAX_BIN,
+        math.nextafter(MIN_BIN, 0.0),
+        math.nextafter(MAX_BIN, math.inf),
+        0.0,
+        -0.0,
+        -1.0,
+        -MIN_BIN,
+        -MAX_BIN,
+        math.inf,
+        -math.inf,
+        math.nan,
+        1,
+        "2.5",
+    ],
+)
+def test_bin_size_check_is_identical_to_reference(alpha):
+    assert checked_bin_size(require_bin_size, alpha) == checked_bin_size(
+        reference_require_bin_size, alpha
+    )
+
+
+@given(
+    alpha=st.one_of(
+        st.floats(),
+        st.floats(min_value=MIN_BIN / 4, max_value=MIN_BIN * 4),
+        st.floats(min_value=MAX_BIN / 4, max_value=MAX_BIN * 4),
+    )
+)
+@settings(max_examples=1000, derandomize=True)
+def test_random_bin_size_check_is_identical_to_reference(alpha):
+    assert checked_bin_size(require_bin_size, alpha) == checked_bin_size(
+        reference_require_bin_size, alpha
+    )

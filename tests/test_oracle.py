@@ -19,6 +19,7 @@ from hiddencluster.oracle import (
     apply_subsystem_coupling,
     apply_subsystem_phase,
     connected_correlator,
+    connected_correlators,
     coupled_product,
     coupling_strength,
     fidelity,
@@ -384,6 +385,71 @@ class TestCoupledProduct:
             coupled_product(KERNEL_GRID, [], [])
 
 
+class TestFiniteProof:
+    """``coupled_product`` proves its result finite from the factor tables and
+    scans the tensor only when that bound fails."""
+
+    # pair tables in this order: (3, 4) with modes 3 and 4 folded in, (0, 1)
+    # with modes 0 and 1, and (1, 2) with mode 2; the (0, 1) and (1, 2)
+    # tables merge first, before the (3, 4) table is multiplied in
+    POSITIONS = KERNEL_GRID.position_values()
+    COUPLINGS = [
+        (3, POSITIONS, 4, POSITIONS, 0.6),
+        (0, POSITIONS, 1, POSITIONS, 0.9),
+        (1, POSITIONS, 2, POSITIONS, -1.4),
+    ]
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            {0: "nan"},
+            {4: "inf"},
+            {0: 1e200, 1: 1e200},  # folded into one pair table, which overflows
+            # every table is finite, but the merged (0, 1, 2) table overflows
+            # although the tiny (3, 4) table would scale it back into range
+            {0: 1e200, 2: 1e200, 3: 1e-300},
+        ],
+        ids=["nan-entry", "inf-entry", "overflowing-pair", "overflowing-merge"],
+    )
+    def test_non_finite_product_is_rejected(self, scales):
+        vectors = random_vectors(KERNEL_GRID, 5, 6)
+        for mode, scale in scales.items():
+            if isinstance(scale, str):
+                vectors[mode][1] = float(scale)
+            else:
+                vectors[mode] = vectors[mode] * scale
+        with pytest.raises(DomainError, match="^amplitudes must be finite$"):
+            coupled_product(KERNEL_GRID, vectors, self.COUPLINGS)
+
+    def finite_bound(self, vectors):
+        """The bound the rule forms over the three pair tables."""
+        phases = [np.exp(1j * c * np.multiply.outer(va, vb)) for _, va, _, vb, c in self.COUPLINGS]
+        tables = [
+            phases[0] * vectors[3][:, None] * vectors[4],
+            phases[1] * vectors[0][:, None] * vectors[1],
+            phases[2] * vectors[2],
+        ]
+        return math.prod(max(2.0 * float(np.abs(table).max()), 1.0) for table in tables)
+
+    @pytest.mark.parametrize("log2_bound", [999.5, 1000.5], ids=["proven", "scanned"])
+    def test_large_finite_product_matches_reference(self, log2_bound):
+        vectors = random_vectors(KERNEL_GRID, 5, 7)
+        vectors[3] = vectors[3] / 4  # keep the (3, 4) table's scale at 1
+        vectors[0], vectors[2] = vectors[0] * 1e100, vectors[2] * 1e100
+        # the other two tables' scales now exceed 1, so scaling modes 0 and 2
+        # by f scales the bound by f**2
+        f = math.sqrt(2.0**log2_bound / self.finite_bound(vectors))
+        vectors[0], vectors[2] = vectors[0] * f, vectors[2] * f
+        assert math.isclose(math.log2(self.finite_bound(vectors)), log2_bound)
+        out = coupled_product(KERNEL_GRID, vectors, self.COUPLINGS)
+        product = tensor_product([DiscretizedState(KERNEL_GRID, 1, v) for v in vectors])
+        expected = sequential_reference(product, self.COUPLINGS)
+        assert np.all(np.isfinite(out.amplitudes))
+        peak = np.max(np.abs(expected))
+        assert peak > 2.0**900
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13 * peak
+
+
 class TestFactorMerge:
     """The merge order of ``_multiply_factors``: smallest union first, below full size."""
 
@@ -528,6 +594,28 @@ class TestFidelity:
             fidelity(np.ones(2), np.ones(3))
 
 
+def reference_connected_correlator(state, sub_a, sub_b):
+    """An earlier revision's one-pair correlator, with the same arithmetic."""
+    (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
+    state._require_mode(mode_a)
+    state._require_mode(mode_b)
+    dim = state.grid.dim
+    probs = np.abs(state._tensor()) ** 2
+    total = probs.sum()
+    if total == 0.0:
+        raise DomainError("state has zero norm")
+    shape_a = [1] * state.n_modes
+    shape_a[mode_a] = dim
+    shape_b = [1] * state.n_modes
+    shape_b[mode_b] = dim
+    va = state.grid.basis_values(kind_a).reshape(shape_a)
+    vb = state.grid.basis_values(kind_b).reshape(shape_b)
+    mean_a = float((probs * va).sum() / total)
+    mean_b = float((probs * vb).sum() / total)
+    mean_ab = float((probs * va * vb).sum() / total)
+    return mean_ab - mean_a * mean_b
+
+
 class TestCorrelators:
     def test_diagonal_correlators_vanish_on_cluster_states(self):
         # diagonal phases leave the product probability distribution intact
@@ -536,6 +624,27 @@ class TestCorrelators:
         for kind_a in (L, M, U):
             for kind_b in (L, M, U):
                 assert abs(connected_correlator(state, (0, kind_a), (1, kind_b))) < 1e-12
+
+    def test_batch_is_bit_identical_to_reference(self):
+        # |psi|^2 of a random state correlates every subsystem pair
+        state = random_state(GridSpec(n=2, alpha=ALPHA), 3, 8)
+        subsystems = [(mode, kind) for mode in range(3) for kind in (L, M, U)]
+        pairs = [(a, b) for a in subsystems for b in subsystems]
+        values = connected_correlators(state, pairs)
+        expected = [reference_connected_correlator(state, a, b) for a, b in pairs]
+        assert repr(values) == repr(expected)
+        assert min(map(abs, values)) > 0.0
+        assert [connected_correlator(state, a, b) for a, b in pairs] == values
+        assert connected_correlators(state, iter(pairs[:5])) == values[:5]
+        assert connected_correlators(state, []) == []
+
+    def test_batch_rejects_bad_modes_and_zero_norm(self):
+        state = random_state(GridSpec(n=2, alpha=ALPHA), 2, 9)
+        with pytest.raises(DomainError, match="mode 2 out of range"):
+            connected_correlators(state, [((0, L), (1, M)), ((1, U), (2, L))])
+        zero = DiscretizedState(state.grid, 2, np.zeros_like(state.amplitudes))
+        with pytest.raises(DomainError, match="zero norm"):
+            connected_correlators(zero, [((0, L), (1, M))])
 
     def test_coupling_strength_reads_edges(self):
         grid = GridSpec(n=4, alpha=ALPHA)
