@@ -18,9 +18,7 @@ from .gates import (
     decompose_cz_multimode,
     decompose_cz_two_mode,
     expand_adjacency,
-    grid_adjacency,
     grid_topology,
-    is_trivial_term,
 )
 from .graphs import (
     CvType,
@@ -62,24 +60,16 @@ from .modular import (
 _ORACLE_NAMES = (
     "DiscretizedState",
     "GridSpec",
-    "apply_couplings",
-    "apply_cz",
-    "apply_subsystem_coupling",
-    "apply_subsystem_phase",
-    "connected_correlator",
     "connected_correlators",
     "coupled_product",
     "coupling_strength",
     "fidelity",
-    "load_state",
     "prepare_gkp_state",
     "prepare_momentum_state",
     "project_p0",
     "purity",
     "qubit_cluster_state",
     "reduced_density",
-    "save_state",
-    "tensor_product",
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .modular import DEFAULT_ALPHA, SubsystemKind
 from .oracle import (
     DiscretizedState,
     GridSpec,
-    apply_couplings,
     connected_correlators,
     coupled_product,
     coupling_strength,
@@ -53,7 +52,6 @@ from .oracle import (
     purity,
     qubit_cluster_state,
     reduced_density,
-    tensor_product,
 )
 
 _ALL_KINDS = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR)
@@ -74,11 +72,6 @@ def _term_couplings(grid: GridSpec, terms) -> list:
     ]
 
 
-def apply_terms(state: DiscretizedState, terms) -> DiscretizedState:
-    """Apply symbolic coupling factors to a grid state in one fused call."""
-    return apply_couplings(state, _term_couplings(state.grid, terms))
-
-
 def mode_state(grid: GridSpec, spec: ModeSpec) -> DiscretizedState:
     if spec.cv_type is CvType.MOMENTUM:
         return prepare_momentum_state(grid)
@@ -87,10 +80,6 @@ def mode_state(grid: GridSpec, spec: ModeSpec) -> DiscretizedState:
         return prepare_gkp_state(grid, inv, inv)
     assert spec.amplitudes is not None
     return prepare_gkp_state(grid, *spec.amplitudes)
-
-
-def product_state(grid: GridSpec, specs: list[ModeSpec]) -> DiscretizedState:
-    return tensor_product([mode_state(grid, s) for s in specs])
 
 
 def _mode_vectors(grid: GridSpec, specs: list[ModeSpec]) -> list[np.ndarray]:
@@ -179,14 +168,12 @@ def align_global_phase(reference: np.ndarray, target: np.ndarray) -> np.ndarray:
     return target * (rotation / magnitude)
 
 
-def max_amplitude_deviation(
-    a: DiscretizedState, b: DiscretizedState, fix_phase: bool = True
-) -> float:
+def max_amplitude_deviation(a: DiscretizedState, b: DiscretizedState) -> float:
+    """Largest per-amplitude difference once b's global phase is aligned to a's."""
     x, y = a.amplitudes, b.amplitudes
     if x.shape != y.shape:
         raise DomainError("states have different dimensions")
-    if fix_phase:
-        y = align_global_phase(x, y)
+    y = align_global_phase(x, y)
     return float(np.max(np.abs(x - y))) if x.size else 0.0
 
 

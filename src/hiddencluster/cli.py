@@ -161,10 +161,9 @@ def parse_topology(text: str) -> Topology:
     try:
         if isinstance(doc, dict):
             edges = doc.get("edges", [])
-            n_modes = require_json_int(doc.get("n_modes", 0), "n_modes")
+            n_modes = require_json_int(doc["n_modes"], "n_modes") if "n_modes" in doc else None
         else:
-            edges = doc
-            n_modes = 0
+            edges, n_modes = doc, None
         pairs = []
         for pair in edges:
             if not isinstance(pair, list) or len(pair) != 2:
@@ -175,7 +174,7 @@ def parse_topology(text: str) -> Topology:
             pairs.append((i, j))
     except (TypeError, GraphParseError) as err:
         raise UsageError(f"{text}: malformed edge list: {err}") from err
-    if not n_modes:
+    if n_modes is None:
         n_modes = 1 + max((max(p) for p in pairs), default=0)
     if n_modes < 0:
         raise UsageError(f"{text}: n_modes must be nonnegative, got {n_modes}")

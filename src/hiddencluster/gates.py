@@ -56,22 +56,18 @@ class CouplingTerm:
         return sum(k is SubsystemKind.GAUGE_MODULAR for k in self.kinds)
 
 
-def is_trivial_term(term: CouplingTerm) -> bool:
-    """True iff the term's phase is 1 on every joint eigenstate.
-
-    That requires both operands to have integer spectrum and the coefficient
-    to be an integer multiple of 2*pi (relative tolerance 1e-9); a modular
-    operand has continuous spectrum, so such a term is never trivial.
+def _phase_is_identity(term: CouplingTerm) -> bool:
+    """True iff the term's phase is 1 on every joint eigenstate: its coefficient
+    is 0, or both operands have integer spectrum (a modular operand's is
+    continuous) and the coefficient is an integer multiple of 2*pi within
+    the relative ``COEFFICIENT_TOLERANCE``.
     """
+    if term.coefficient == 0.0:
+        return True
     if not (term.op_a.kind.integer_spectrum and term.op_b.kind.integer_spectrum):
         return False
     turns = term.coefficient / _TWO_PI
     return abs(turns - round(turns)) <= COEFFICIENT_TOLERANCE * max(1.0, abs(turns))
-
-
-def _phase_is_identity(term: CouplingTerm) -> bool:
-    # A zero coefficient is the identity factor regardless of spectra.
-    return term.coefficient == 0.0 or is_trivial_term(term)
 
 
 def decompose_cz_two_mode(
@@ -224,11 +220,6 @@ def topology_matrix(topology: Topology) -> np.ndarray:
 def chain_adjacency(n_modes: int) -> np.ndarray:
     """Binary adjacency of a linear chain on ``n_modes`` modes."""
     return topology_matrix(chain_topology(n_modes))
-
-
-def grid_adjacency(rows: int, cols: int) -> np.ndarray:
-    """Binary adjacency of a rows-by-cols rectangular grid, row-major modes."""
-    return topology_matrix(grid_topology(rows, cols))
 
 
 def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:

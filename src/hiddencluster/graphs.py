@@ -519,9 +519,3 @@ def structurally_equal(
             if diff > amplitude_tol:
                 return False
     return a.edges == b.edges
-
-
-def graph_shape(graph: SubsystemGraph) -> tuple:
-    """Hashable shape ignoring logical labels: used to compare rewrites across inputs."""
-    g = canonical(graph)
-    return (tuple(m.cv_type for m in g.modes), g.edges)

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 from .modular import SubsystemKind, require_bin_size
 
-_MAGIC = b"HCGRID01"
 _KIND_AXIS = {
     SubsystemKind.LOGICAL: 0,
     SubsystemKind.GAUGE_BIN: 1,
@@ -126,9 +123,6 @@ class DiscretizedState:
     def _tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((self.grid.dim,) * self.n_modes)
 
-    def _require_mode(self, mode: int) -> None:
-        _require_mode(mode, self.n_modes)
-
 
 def prepare_momentum_state(grid: GridSpec) -> DiscretizedState:
     """Zero-momentum analog: the uniform superposition over all grid points."""
@@ -147,38 +141,6 @@ def prepare_gkp_state(grid: GridSpec, c0: complex, c1: complex) -> DiscretizedSt
     amps[0, :, grid.zero_u_index] = c0 / math.sqrt(n)
     amps[1, :, grid.zero_u_index] = c1 / math.sqrt(n)
     return DiscretizedState(grid, 1, amps.reshape(-1))
-
-
-def tensor_product(states: list[DiscretizedState]) -> DiscretizedState:
-    if not states:
-        raise DomainError("tensor product needs at least one state")
-    grid = states[0].grid
-    amps = states[0].amplitudes
-    total_modes = states[0].n_modes
-    for state in states[1:]:
-        if state.grid != grid:
-            raise DomainError("all factors must share one grid")
-        amps = np.kron(amps, state.amplitudes)
-        total_modes += state.n_modes
-    return DiscretizedState(grid, total_modes, amps)
-
-
-def _axis_shape(n_modes: int, mode: int, dim: int) -> tuple[int, ...]:
-    shape = [1] * n_modes
-    shape[mode] = dim
-    return tuple(shape)
-
-
-def apply_subsystem_phase(
-    state: DiscretizedState, kind: SubsystemKind, mode: int, coefficient: float
-) -> DiscretizedState:
-    """Apply exp(i * coefficient * op) for one diagonal subsystem operator."""
-    state._require_mode(mode)
-    values = state.grid.basis_values(kind)
-    phase = np.exp(1j * coefficient * values).reshape(
-        _axis_shape(state.n_modes, mode, state.grid.dim)
-    )
-    return DiscretizedState(state.grid, state.n_modes, (state._tensor() * phase).reshape(-1))
 
 
 #: One diagonal two-mode coupling exp(i * coefficient * a (x) b), given as
@@ -299,28 +261,14 @@ def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> Di
     return state
 
 
-def apply_couplings(state: DiscretizedState, couplings: list[Coupling]) -> DiscretizedState:
-    """Apply a product of diagonal two-mode couplings in one pass per mode pair.
-
-    The couplings commute, so the exponents of all entries on one unordered
-    mode pair are summed into a single dim x dim table, exponentiated once,
-    and multiplied into a copy of the state tensor.
-    """
-    exponents = _pair_exponents(state.n_modes, state.grid.dim, couplings)
-    factors = [(tuple(range(state.n_modes)), state._tensor())]
-    factors += [(pair, np.exp(1j * exponent)) for pair, exponent in exponents.items()]
-    return _multiply_factors(state.grid, state.n_modes, factors)
-
-
 def coupled_product(
     grid: GridSpec, vectors: list[np.ndarray], couplings: list[Coupling]
 ) -> DiscretizedState:
-    """The product state of per-mode vectors with the couplings applied.
+    """The tensor product of the per-mode vectors, times each coupling's phase.
 
-    Equals ``apply_couplings(tensor_product(...), couplings)`` without
-    building the product state: each mode's vector is folded into the first
-    pair table that touches it, and a mode with no coupling is its own
-    factor, so the full tensor is written once and then updated in place.
+    The product state itself is never built: each mode's vector is folded
+    into the first pair table that touches it, and a mode with no coupling
+    is its own factor, so the full tensor is written once and then updated.
     """
     if not vectors:
         raise DomainError("a product state needs at least one mode")
@@ -347,33 +295,13 @@ def coupled_product(
     return _multiply_factors(grid, n_modes, factors)
 
 
-def apply_subsystem_coupling(
-    state: DiscretizedState,
-    op_a: Subsystem,
-    op_b: Subsystem,
-    coefficient: float,
-) -> DiscretizedState:
-    """Apply exp(i * coefficient * a (x) b) for two diagonal subsystem operators."""
-    (mode_a, kind_a), (mode_b, kind_b) = op_a, op_b
-    values = state.grid.basis_values
-    return apply_couplings(state, [(mode_a, values(kind_a), mode_b, values(kind_b), coefficient)])
-
-
-def apply_cz(
-    state: DiscretizedState, mode_i: int, mode_j: int, g: float
-) -> DiscretizedState:
-    """Apply the position-position gate exp(i g q_i q_j) as diagonal phases."""
-    pos = state.grid.position_values()
-    return apply_couplings(state, [(mode_i, pos, mode_j, pos, g)])
-
-
 def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, float]:
     """Contract one mode with the uniform (zero-momentum) bra.
 
     Returns the unnormalized state on the remaining modes together with its
     norm, the outcome weight; callers normalize when they need a state.
     """
-    state._require_mode(mode)
+    _require_mode(mode, state.n_modes)
     dim = state.grid.dim
     bra = np.full(dim, 1.0 / math.sqrt(dim))
     contracted = np.tensordot(bra, state._tensor(), axes=(0, mode))
@@ -392,7 +320,7 @@ def reduced_density(
     n = state.grid.n
     axes = []
     for mode, kind in subsystems:
-        state._require_mode(mode)
+        _require_mode(mode, state.n_modes)
         axes.append(3 * mode + _KIND_AXIS[kind])
     tensor = state.amplitudes.reshape((2, n, n) * state.n_modes)
     rest = [ax for ax in range(3 * state.n_modes) if ax not in axes]
@@ -456,22 +384,15 @@ def fidelity(a, b) -> float:
     return float(np.sqrt(eigenvalues).sum() ** 2)
 
 
-def connected_correlator(
-    state: DiscretizedState, sub_a: Subsystem, sub_b: Subsystem
-) -> float:
-    """Connected two-point function <AB> - <A><B> of two diagonal operators."""
-    return connected_correlators(state, [(sub_a, sub_b)])[0]
-
-
 def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
-    """:func:`connected_correlator` of each subsystem pair, in order.
+    """Connected two-point function <AB> - <A><B> of each subsystem pair, in order.
 
     ``|psi|**2`` and each subsystem's mean are computed once for all pairs.
     """
     pairs = list(pairs)
     for sub_a, sub_b in pairs:
-        state._require_mode(sub_a[0])
-        state._require_mode(sub_b[0])
+        _require_mode(sub_a[0], state.n_modes)
+        _require_mode(sub_b[0], state.n_modes)
     dim = state.grid.dim
     probs = np.abs(state._tensor()) ** 2
     total = probs.sum()
@@ -479,7 +400,7 @@ def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
         raise DomainError("state has zero norm")
     values, means = {}, {}
     for mode, kind in dict.fromkeys(sub for pair in pairs for sub in pair):
-        value = state.grid.basis_values(kind).reshape(_axis_shape(state.n_modes, mode, dim))
+        value = _spread(state.grid.basis_values(kind), (mode,), range(state.n_modes), dim)
         values[mode, kind] = value
         means[mode, kind] = float((probs * value).sum() / total)
     return [
@@ -503,8 +424,8 @@ def coupling_strength(
     single grid point yields 0.
     """
     (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
-    state._require_mode(mode_a)
-    state._require_mode(mode_b)
+    _require_mode(mode_a, state.n_modes)
+    _require_mode(mode_b, state.n_modes)
     if (mode_a, kind_a) == (mode_b, kind_b):
         raise DomainError("coupling strength needs two distinct subsystems")
     n = state.grid.n
@@ -546,30 +467,3 @@ def qubit_cluster_state(adjacency: np.ndarray) -> np.ndarray:
                     sign = -sign
         amps[index] *= sign
     return amps
-
-
-def save_state(state: DiscretizedState, path: str | Path) -> None:
-    """Write a regression snapshot: magic, n, n_modes, then interleaved f64 re/im."""
-    payload = np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes()
-    header = _MAGIC + struct.pack("<II", state.grid.n, state.n_modes)
-    Path(path).write_bytes(header + payload)
-
-
-def load_state(path: str | Path, alpha: float) -> DiscretizedState:
-    """Read a snapshot written by :func:`save_state`; alpha is not stored."""
-    raw = Path(path).read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise DomainError(f"{path}: not a state snapshot (bad magic)")
-    header = len(_MAGIC) + 8
-    if len(raw) < header:
-        raise DomainError(f"{path}: truncated snapshot header")
-    n, n_modes = struct.unpack_from("<II", raw, len(_MAGIC))
-    count, odd_bytes = divmod(len(raw) - header, 16)
-    # dim = 2*n*n >= 2, so dim**n_modes can only equal count if n_modes fits in its bits
-    if n < 1 or odd_bytes or n_modes > count.bit_length() or (2 * n * n) ** n_modes != count:
-        raise DomainError(
-            f"{path}: payload of {len(raw) - header} bytes does not match "
-            f"grid n={n} with {n_modes} modes"
-        )
-    amps = np.frombuffer(raw[header:], dtype="<c16").astype(complex)
-    return DiscretizedState(GridSpec(n=n, alpha=alpha), n_modes, amps)

@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 
+from grid_reference import apply_terms, product_state, term
 from hiddencluster.certify import (
     all_subsystem_pairs,
     direct_cluster_state,
     graph_edge_pairs,
     graph_state,
     max_amplitude_deviation,
-    product_state,
     sample_label,
     sample_quantum_numbers,
     two_mode_phase_deviation,
@@ -40,8 +40,7 @@ from hiddencluster.measurement import HADAMARD, LogicalFrame, measure_p0
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
     GridSpec,
-    apply_subsystem_coupling,
-    connected_correlator,
+    connected_correlators,
     coupling_strength,
     fidelity,
     prepare_gkp_state,
@@ -115,19 +114,8 @@ def test_criterion_3_hidden_cluster_identity():
             specs = [momentum()] * n_modes
             lhs = direct_cluster_state(grid, adjacency, specs)
             decomposition = decompose_cz_multimode(adjacency, alpha)
-            rhs = product_state(grid, specs)
-            for term in (
-                decomposition.logical_terms
-                + decomposition.gauge_terms
-                + decomposition.interaction_terms
-            ):
-                rhs = apply_subsystem_coupling(
-                    rhs,
-                    (term.op_a.mode, term.op_a.kind),
-                    (term.op_b.mode, term.op_b.kind),
-                    term.coefficient,
-                )
-            worst = max(worst, max_amplitude_deviation(lhs, rhs, fix_phase=True))
+            rhs = apply_terms(product_state(grid, specs), decomposition.all_terms)
+            worst = max(worst, max_amplitude_deviation(lhs, rhs))
     elapsed = time.monotonic() - start
     ok = worst < 1e-12 and elapsed < 30.0
     _report(
@@ -152,10 +140,8 @@ def test_criterion_4_gkp_cluster_product_structure():
             worst_fidelity = max(
                 worst_fidelity, 1.0 - fidelity(qubit_cluster_state(adjacency), rho)
             )
-            for sub_a, sub_b in all_subsystem_pairs(n_modes):
-                worst_correlator = max(
-                    worst_correlator, abs(connected_correlator(state, sub_a, sub_b))
-                )
+            correlators = connected_correlators(state, all_subsystem_pairs(n_modes))
+            worst_correlator = max(worst_correlator, max(map(abs, correlators)))
     ok = worst_purity < 1e-12 and worst_fidelity < 1e-12 and worst_correlator < 1e-12
     _report(
         "criterion-4 gkp cluster product structure",
@@ -178,13 +164,15 @@ def test_criterion_5_hybrid_asymmetric_coupling():
             grid = GridSpec(n=n, alpha=alpha)
             lhs = direct_cluster_state(grid, adjacency, specs)
             # CS (x) Phi, then the single asymmetric interaction factor
-            rhs = product_state(grid, specs)
-            rhs = apply_subsystem_coupling(rhs, (0, L), (1, L), PI)
-            rhs = apply_subsystem_coupling(rhs, (0, U), (1, U), PI / alpha**2)
-            rhs = apply_subsystem_coupling(rhs, (0, M), (1, U), 2 * PI / alpha)
-            rhs = apply_subsystem_coupling(rhs, (0, U), (1, M), 2 * PI / alpha)
-            rhs = apply_subsystem_coupling(rhs, (0, U), (1, L), PI / alpha)
-            worst = max(worst, max_amplitude_deviation(lhs, rhs, fix_phase=True))
+            terms = [
+                term((0, L), (1, L), PI),
+                term((0, U), (1, U), PI / alpha**2),
+                term((0, M), (1, U), 2 * PI / alpha),
+                term((0, U), (1, M), 2 * PI / alpha),
+                term((0, U), (1, L), PI / alpha),
+            ]
+            rhs = apply_terms(product_state(grid, specs), terms)
+            worst = max(worst, max_amplitude_deviation(lhs, rhs))
             if n > 1:
                 graph = build_cluster(adjacency, specs, alpha)
                 assert len(graph.edges) == 3

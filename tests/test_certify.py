@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grid_reference import product_state
 from hiddencluster.certify import (
     align_global_phase,
     decomposed_cluster_state,
@@ -10,7 +11,6 @@ from hiddencluster.certify import (
     graph_state,
     max_amplitude_deviation,
     mode_state,
-    product_state,
     run_verification,
     sample_label,
 )

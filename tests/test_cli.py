@@ -299,6 +299,8 @@ class TestBadInputExits2:
             ({}, ["build", "--topology", "grid:5000x5000", "--nodes", "p"]),
             ({}, ["build", "--topology", "{tmp}/edge_far.json", "--nodes", "p"]),
             ({}, ["build", "--topology", "{tmp}/n_modes_huge.json", "--nodes", "p"]),
+            ({}, ["build", "--topology", "{tmp}/n_modes_zero.json", "--nodes", "p"]),
+            ({}, ["decompose", "--topology", "{tmp}/n_modes_zero.json"]),
             ({}, ["decompose", "--topology", "chain:10000000"]),
             ({}, ["decompose", "--g", "-1e308", "--alpha", "10"]),
             ({}, ["verify", "--g-scale", "inf"]),
@@ -328,6 +330,8 @@ class TestBadInputExits2:
             "grid-too-large",
             "topology-edge-too-far",
             "topology-n-modes-too-large",
+            "topology-n-modes-zero",
+            "decompose-topology-n-modes-zero",
             "decompose-chain-too-long",
             "negative-exponent-weight-overflows",
             "g-scale-infinite",
@@ -351,6 +355,7 @@ class TestBadInputExits2:
             "n_modes_string": '{"n_modes": "4", "edges": [[0, 1]]}',
             "edge_far": "[[0, 10000000]]",
             "n_modes_huge": '{"n_modes": 10000000, "edges": []}',
+            "n_modes_zero": '{"n_modes": 0, "edges": [[0, 1]]}',
         }.items():
             (tmp_path / f"{name}.json").write_text(text)
         for name, value in env.items():

@@ -19,10 +19,9 @@ from hiddencluster.gates import (
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
+    _phase_is_identity,
     expand_adjacency,
-    grid_adjacency,
     grid_topology,
-    is_trivial_term,
     require_binary_adjacency,
     topology_matrix,
 )
@@ -84,17 +83,17 @@ class TestTwoModeDecomposition:
 
 class TestTrivialityPredicate:
     def test_integer_pair_at_two_pi(self):
-        assert is_trivial_term(term(L, M, 2 * PI))
+        assert _phase_is_identity(term(L, M, 2 * PI))
 
     def test_modular_operand_never_trivial(self):
-        assert not is_trivial_term(term(L, U, 2 * PI))
+        assert not _phase_is_identity(term(L, U, 2 * PI))
 
     def test_bin_pair_at_four_pi(self):
-        assert is_trivial_term(term(M, M, 4 * PI))
+        assert _phase_is_identity(term(M, M, 4 * PI))
 
     def test_near_multiple_within_tolerance(self):
-        assert is_trivial_term(term(L, M, 2 * PI * (1 + 1e-12)))
-        assert not is_trivial_term(term(L, M, 2 * PI * 1.5))
+        assert _phase_is_identity(term(L, M, 2 * PI * (1 + 1e-12)))
+        assert not _phase_is_identity(term(L, M, 2 * PI * 1.5))
 
 
 class TestPhaseIdentity:
@@ -188,7 +187,7 @@ class TestMultimodeDecomposition:
         assert result.all_terms == ()
 
     def test_grid_per_edge_counts(self):
-        adjacency = grid_adjacency(2, 3)
+        adjacency = topology_matrix(grid_topology(2, 3))
         edges = int(adjacency.sum()) // 2
         assert edges == 7
         result = decompose_cz_multimode(adjacency, DEFAULT_ALPHA)
@@ -201,7 +200,7 @@ class TestMultimodeDecomposition:
         # appending each edge's terms to their family in layout order
         alpha = DEFAULT_ALPHA
         rng = np.random.default_rng(21)
-        cases = [chain_adjacency(5), grid_adjacency(2, 3)] + [
+        cases = [chain_adjacency(5), topology_matrix(grid_topology(2, 3))] + [
             random_binary_adjacency(rng, n_modes) for n_modes in (2, 3, 4, 5, 6, 7, 8, 8)
         ]
         for adjacency in cases:
@@ -245,15 +244,18 @@ class TestTopology:
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (3, 1), (3, 4), (5, 5)])
     def test_dense_views_match_the_edge_builders(self, rows, cols):
         topology = grid_topology(rows, cols)
-        matrix = grid_adjacency(rows, cols)
-        assert np.array_equal(matrix, topology_matrix(topology))
+        matrix = topology_matrix(topology)
+        # modes r*cols + c are neighbours iff they are one grid step apart
+        cells = [divmod(i, cols) for i in range(rows * cols)]
+        steps = [[abs(r - s) + abs(c - d) for s, d in cells] for r, c in cells]
+        assert np.array_equal(matrix, np.equal(steps, 1))
         assert as_topology(matrix) == topology
         assert int(matrix.sum()) == 2 * len(topology.edges)
         n = rows * cols
         assert as_topology(chain_adjacency(n)) == chain_topology(n)
 
     def test_matrix_boundary_yields_python_ints(self):
-        topology = as_topology(grid_adjacency(2, 3))
+        topology = as_topology(topology_matrix(grid_topology(2, 3)))
         assert all(type(end) is int for edge in topology.edges for end in edge)
         assert type(topology.n_modes) is int
 

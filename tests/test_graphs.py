@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_reference import graph_shape
 from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
-from hiddencluster.gates import chain_adjacency, decompose_cz_multimode, grid_adjacency
+from hiddencluster.gates import (
+    chain_adjacency,
+    decompose_cz_multimode,
+    grid_topology,
+    topology_matrix,
+)
 from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,
@@ -20,7 +26,6 @@ from hiddencluster.graphs import (
     from_json,
     gkp_labeled,
     gkp_plus,
-    graph_shape,
     logical_subgraph,
     momentum,
     render_dot,
@@ -98,7 +103,7 @@ class TestBuildCluster:
         }
 
     def test_grid_logical_subgraph_is_the_grid(self):
-        adjacency = grid_adjacency(2, 3)
+        adjacency = topology_matrix(grid_topology(2, 3))
         graph = build_cluster(adjacency, [momentum()] * 6, DEFAULT_ALPHA)
         assert np.array_equal(logical_subgraph(graph), adjacency)
         # 7 grid edges, 6 subsystem edges each for momentum-momentum pairs
@@ -106,7 +111,7 @@ class TestBuildCluster:
         assert len(graph.nodes) == 18
 
     def test_mixed_grid_keeps_input_adjacency(self):
-        adjacency = grid_adjacency(2, 3)
+        adjacency = topology_matrix(grid_topology(2, 3))
         rng = np.random.default_rng(5)
         graph = build_cluster(adjacency, random_specs(rng, 6), DEFAULT_ALPHA)
         assert np.array_equal(logical_subgraph(graph), adjacency)
@@ -186,7 +191,7 @@ class TestRendering:
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(9)
-        adjacency = grid_adjacency(2, 3)
+        adjacency = topology_matrix(grid_topology(2, 3))
         graph = build_cluster(adjacency, random_specs(rng, 6), DEFAULT_ALPHA)
         assert render_dot(graph).encode() == render_dot(graph).encode()
 
@@ -199,7 +204,7 @@ class TestRendering:
 
 
 def hybrid_grid():
-    adjacency = grid_adjacency(2, 3)
+    adjacency = topology_matrix(grid_topology(2, 3))
     specs = [
         momentum(),
         gkp_plus(),

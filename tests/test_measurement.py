@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grid_reference import graph_shape
 from hiddencluster.certify import direct_cluster_state, graph_state, sample_label
 from hiddencluster.errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
 from hiddencluster.gates import chain_adjacency
@@ -12,7 +13,6 @@ from hiddencluster.graphs import (
     build_cluster,
     gkp_labeled,
     gkp_plus,
-    graph_shape,
     logical_subgraph,
     momentum,
     structurally_equal,

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hiddencluster.certify import apply_terms, direct_cluster_state
+from grid_reference import (
+    apply_phase,
+    apply_terms,
+    sequential_reference,
+    tensor_product,
+    term,
+    term_couplings,
+)
+from hiddencluster.certify import direct_cluster_state
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import chain_adjacency, decompose_cz_two_mode
 from hiddencluster.graphs import gkp_labeled, gkp_plus, momentum
@@ -13,25 +21,18 @@ from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
     DiscretizedState,
     _merge_small_factors,
+    _require_mode,
     GridSpec,
-    apply_couplings,
-    apply_cz,
-    apply_subsystem_coupling,
-    apply_subsystem_phase,
-    connected_correlator,
     connected_correlators,
     coupled_product,
     coupling_strength,
     fidelity,
-    load_state,
     prepare_gkp_state,
     prepare_momentum_state,
     project_p0,
     purity,
     qubit_cluster_state,
     reduced_density,
-    save_state,
-    tensor_product,
 )
 
 ALPHA = DEFAULT_ALPHA
@@ -42,6 +43,12 @@ def random_state(grid, n_modes, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=grid.dim**n_modes) + 1j * rng.normal(size=grid.dim**n_modes)
     return DiscretizedState(grid, n_modes, raw / np.linalg.norm(raw))
+
+
+def random_vectors(grid, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n_modes, grid.dim)) + 1j * rng.normal(size=(n_modes, grid.dim))
+    return list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
 class TestGridSpec:
@@ -107,42 +114,49 @@ class TestPreparation:
             prepare_gkp_state(GridSpec(n=2, alpha=1.0), 1.0, 1.0)
 
 
+def cz(grid, mode_i, mode_j, g):
+    """The position-position gate exp(i g q_i q_j) as one oracle coupling."""
+    pos = grid.position_values()
+    return (mode_i, pos, mode_j, pos, g)
+
+
 class TestApplyCz:
+    """The position-position gate on the grid, as ``coupled_product`` applies it."""
+
     def test_zero_weight_is_identity(self):
         grid = GridSpec(n=2, alpha=ALPHA)
-        state = tensor_product([prepare_momentum_state(grid)] * 2)
-        out = apply_cz(state, 0, 1, 0.0)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        vectors = random_vectors(grid, 2, seed=0)
+        out = coupled_product(grid, vectors, [cz(grid, 0, 1, 0.0)])
+        assert np.array_equal(out.amplitudes, np.kron(*vectors))
 
     def test_norm_preserved(self):
         grid = GridSpec(n=3, alpha=ALPHA)
-        state = random_state(grid, 2, seed=1)
-        out = apply_cz(state, 0, 1, 0.83)
+        out = coupled_product(grid, random_vectors(grid, 2, seed=1), [cz(grid, 0, 1, 0.83)])
         assert abs(out.norm() - 1.0) < 1e-14
 
     def test_tuned_gate_equals_factor_product(self):
         grid = GridSpec(n=3, alpha=ALPHA)
         state = random_state(grid, 2, seed=2)
         g = math.pi / ALPHA**2
-        direct = apply_cz(state, 0, 1, g)
+        direct = sequential_reference(state, [cz(grid, 0, 1, g)])
         factored = apply_terms(state, decompose_cz_two_mode(g, ALPHA))
-        assert np.max(np.abs(direct.amplitudes - factored.amplitudes)) < 1e-12
+        assert np.max(np.abs(direct - factored.amplitudes)) < 1e-12
 
     def test_factor_order_is_irrelevant(self):
         grid = GridSpec(n=2, alpha=ALPHA)
-        state = random_state(grid, 2, seed=3)
+        vectors = random_vectors(grid, 2, seed=3)
         terms = decompose_cz_two_mode(math.pi / ALPHA**2, ALPHA)
-        forward = apply_terms(state, terms)
-        backward = apply_terms(state, list(reversed(terms)))
+        forward = coupled_product(grid, vectors, term_couplings(grid, terms))
+        backward = coupled_product(grid, vectors, term_couplings(grid, reversed(terms)))
         assert np.max(np.abs(forward.amplitudes - backward.amplitudes)) < 1e-13
 
     def test_rejects_same_mode(self):
         grid = GridSpec(n=2, alpha=1.0)
-        state = random_state(grid, 2, seed=4)
+        vectors = random_vectors(grid, 2, seed=4)
         with pytest.raises(DomainError):
-            apply_cz(state, 1, 1, 1.0)
+            coupled_product(grid, vectors, [cz(grid, 1, 1, 1.0)])
         with pytest.raises(DomainError):
-            apply_subsystem_coupling(state, (0, L), (0, U), 1.0)
+            coupled_product(grid, vectors, term_couplings(grid, [term((0, L), (0, U), 1.0)]))
 
 
 class TestSubsystemCoupling:
@@ -152,9 +166,9 @@ class TestSubsystemCoupling:
         grid = GridSpec(n=3, alpha=ALPHA)
         state = random_state(grid, 2, seed=3)
 
-        direct = apply_subsystem_coupling(state, (0, U), (1, L), c)
+        direct = apply_terms(state, [term((0, U), (1, L), c)])
 
-        shifted = apply_subsystem_phase(state, U, 0, c / 2.0)
+        shifted = apply_phase(state, U, 0, c / 2.0)
         u_vals = grid.basis_values(U).reshape(grid.dim, 1)
         z_vals = (1.0 - 2.0 * grid.basis_values(L)).reshape(1, grid.dim)
         rotation = np.exp(-1j * (c * u_vals) * z_vals / 2.0)
@@ -163,99 +177,12 @@ class TestSubsystemCoupling:
 
 
 KERNEL_GRID = GridSpec(n=2, alpha=ALPHA)
-KERNEL_MODES = 4
 _KERNEL_VALUES = {
     "logical": KERNEL_GRID.basis_values(L),
     "gauge_m": KERNEL_GRID.basis_values(M),
     "gauge_u": KERNEL_GRID.basis_values(U),
     "position": KERNEL_GRID.position_values(),
 }
-_NAMED_COUPLING = st.tuples(
-    st.integers(0, KERNEL_MODES - 1),
-    st.sampled_from(sorted(_KERNEL_VALUES)),
-    st.integers(0, KERNEL_MODES - 1),
-    st.sampled_from(sorted(_KERNEL_VALUES)),
-    st.floats(-3.0, 3.0),
-).filter(lambda c: c[0] != c[2])
-
-
-def kernel_couplings(named):
-    return [(a, _KERNEL_VALUES[va], b, _KERNEL_VALUES[vb], c) for a, va, b, vb, c in named]
-
-
-def sequential_reference(state, couplings):
-    """One full-tensor factor exp(i c a (x) b) per coupling, in the order given."""
-    dim, n_modes = state.grid.dim, state.n_modes
-    tensor = state.amplitudes.reshape((dim,) * n_modes)
-    for mode_a, values_a, mode_b, values_b, coefficient in couplings:
-        shape_a, shape_b = [1] * n_modes, [1] * n_modes
-        shape_a[mode_a] = shape_b[mode_b] = dim
-        va, vb = values_a.reshape(shape_a), values_b.reshape(shape_b)
-        tensor = tensor * np.exp(1j * coefficient * va * vb)
-    return tensor.reshape(-1)
-
-
-class TestApplyCouplings:
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(named=st.lists(_NAMED_COUPLING, max_size=8), seed=st.integers(0, 2**32 - 1))
-    @example(  # one pair three times, in both mode orders, position and subsystem values
-        named=[
-            (0, "position", 2, "position", 0.9),
-            (2, "gauge_u", 0, "logical", -1.3),
-            (0, "gauge_m", 2, "gauge_u", 2.5),
-        ],
-        seed=0,
-    )
-    @example(  # 4-mode ring of pair tables beside the full state factor
-        named=[
-            (0, "position", 1, "gauge_u", 0.7),
-            (1, "position", 2, "position", -1.2),
-            (3, "logical", 2, "gauge_m", 2.1),
-            (3, "gauge_u", 0, "position", 0.5),
-        ],
-        seed=1,
-    )
-    def test_matches_sequential_reference(self, named, seed):
-        state = random_state(KERNEL_GRID, KERNEL_MODES, seed)
-        before = state.amplitudes.copy()
-        couplings = kernel_couplings(named)
-        fused = apply_couplings(state, couplings)
-        assert np.array_equal(state.amplitudes, before)
-        assert fused.amplitudes is not state.amplitudes
-        expected = sequential_reference(state, couplings)
-        assert np.max(np.abs(fused.amplitudes - expected)) < 1e-13
-
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(
-        named=st.lists(_NAMED_COUPLING, max_size=4),
-        bad_modes=st.one_of(
-            st.integers(0, KERNEL_MODES - 1).map(lambda m: (m, m)),
-            st.tuples(st.sampled_from([-1, KERNEL_MODES]), st.integers(0, KERNEL_MODES - 1)),
-        ),
-        swap=st.booleans(),
-        position=st.integers(0, 4),
-    )
-    def test_rejects_same_mode_or_out_of_range(self, named, bad_modes, swap, position):
-        mode_a, mode_b = reversed(bad_modes) if swap else bad_modes
-        named = list(named)
-        named.insert(position, (mode_a, "position", mode_b, "gauge_u", 1.0))
-        state = random_state(KERNEL_GRID, KERNEL_MODES, 0)
-        before = state.amplitudes.copy()
-        with pytest.raises(DomainError):
-            apply_couplings(state, kernel_couplings(named))
-        assert np.array_equal(state.amplitudes, before)
-
-    def test_no_couplings_returns_a_copy(self):
-        state = random_state(KERNEL_GRID, KERNEL_MODES, 1)
-        out = apply_couplings(state, [])
-        assert np.array_equal(out.amplitudes, state.amplitudes)
-        assert not np.shares_memory(out.amplitudes, state.amplitudes)
-
-    def test_rejects_values_of_the_wrong_length(self):
-        state = random_state(KERNEL_GRID, 2, 2)
-        values = KERNEL_GRID.position_values()
-        with pytest.raises(DomainError):
-            apply_couplings(state, [(0, values[:-1], 1, values, 1.0)])
 
 
 def grid_values(grid, name):
@@ -264,15 +191,9 @@ def grid_values(grid, name):
     return grid.basis_values({"logical": L, "gauge_m": M, "gauge_u": U}[name])
 
 
-def random_vectors(grid, n_modes, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(n_modes, grid.dim)) + 1j * rng.normal(size=(n_modes, grid.dim))
-    return list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-
-
 @st.composite
 def product_cases(draw):
-    """(grid n, mode count, vector seed, couplings named as in _NAMED_COUPLING).
+    """(grid n, mode count, vector seed, couplings (mode, values name, mode, values name, c)).
 
     Up to 6 modes at n=1 and 5 at n=2, so that chains of pair tables merge
     below full size before the dense write.
@@ -597,8 +518,8 @@ class TestFidelity:
 def reference_connected_correlator(state, sub_a, sub_b):
     """An earlier revision's one-pair correlator, with the same arithmetic."""
     (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
-    state._require_mode(mode_a)
-    state._require_mode(mode_b)
+    _require_mode(mode_a, state.n_modes)
+    _require_mode(mode_b, state.n_modes)
     dim = state.grid.dim
     probs = np.abs(state._tensor()) ** 2
     total = probs.sum()
@@ -623,7 +544,8 @@ class TestCorrelators:
         state = direct_cluster_state(grid, chain_adjacency(2), [momentum(), momentum()])
         for kind_a in (L, M, U):
             for kind_b in (L, M, U):
-                assert abs(connected_correlator(state, (0, kind_a), (1, kind_b))) < 1e-12
+                pair = ((0, kind_a), (1, kind_b))
+                assert abs(connected_correlators(state, [pair])[0]) < 1e-12
 
     def test_batch_is_bit_identical_to_reference(self):
         # |psi|^2 of a random state correlates every subsystem pair
@@ -634,7 +556,7 @@ class TestCorrelators:
         expected = [reference_connected_correlator(state, a, b) for a, b in pairs]
         assert repr(values) == repr(expected)
         assert min(map(abs, values)) > 0.0
-        assert [connected_correlator(state, a, b) for a, b in pairs] == values
+        assert [connected_correlators(state, [pair])[0] for pair in pairs] == values
         assert connected_correlators(state, iter(pairs[:5])) == values[:5]
         assert connected_correlators(state, []) == []
 
@@ -649,7 +571,7 @@ class TestCorrelators:
     def test_coupling_strength_reads_edges(self):
         grid = GridSpec(n=4, alpha=ALPHA)
         state = tensor_product([prepare_momentum_state(grid)] * 2)
-        coupled = apply_subsystem_coupling(state, (0, M), (1, U), 2 * math.pi / ALPHA)
+        coupled = apply_terms(state, [term((0, M), (1, U), 2 * math.pi / ALPHA)])
         assert coupling_strength(coupled, (0, M), (1, U)) == pytest.approx(
             2 * math.pi / grid.n
         )
@@ -658,39 +580,13 @@ class TestCorrelators:
     def test_two_pi_integer_coupling_reads_as_absent(self):
         grid = GridSpec(n=3, alpha=ALPHA)
         state = tensor_product([prepare_momentum_state(grid)] * 2)
-        coupled = apply_subsystem_coupling(state, (0, M), (1, M), 4 * math.pi)
+        coupled = apply_terms(state, [term((0, M), (1, M), 4 * math.pi)])
         assert coupling_strength(coupled, (0, M), (1, M)) < 1e-12
 
     def test_coupling_strength_rejects_identical_subsystem(self):
         state = prepare_momentum_state(GridSpec(n=2, alpha=1.0))
         with pytest.raises(DomainError):
             coupling_strength(tensor_product([state, state]), (0, L), (0, L))
-
-
-class TestSnapshots:
-    def test_round_trip(self, tmp_path):
-        grid = GridSpec(n=3, alpha=ALPHA)
-        state = random_state(grid, 2, seed=10)
-        path = tmp_path / "state.bin"
-        save_state(state, path)
-        loaded = load_state(path, alpha=ALPHA)
-        assert loaded.grid == grid
-        assert loaded.n_modes == 2
-        assert np.array_equal(loaded.amplitudes, state.amplitudes)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        save_state(random_state(GridSpec(n=2, alpha=1.0), 1, seed=11), path)
-        valid = path.read_bytes()
-        for junk in (
-            b"NOTASTATE" + b"\x00" * 16,
-            valid[:10],  # magic plus a partial header
-            valid[:-24],  # payload cut mid-amplitude
-            valid[:8] + (2).to_bytes(4, "little") + (2**31).to_bytes(4, "little"),
-        ):
-            path.write_bytes(junk)
-            with pytest.raises(DomainError):
-                load_state(path, alpha=1.0)
 
 
 class TestTensorProduct:
