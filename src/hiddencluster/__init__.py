@@ -13,7 +13,6 @@ from .gates import (
     MultimodeDecomposition,
     SubsystemOperator,
     Topology,
-    chain_adjacency,
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,

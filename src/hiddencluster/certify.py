@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import DomainError
 from .gates import (
-    adjacency_edges,
-    chain_adjacency,
+    Topology,
+    as_topology,
+    chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
     expand_adjacency,
-    require_binary_adjacency,
 )
 from .graphs import (
     CvType,
@@ -33,7 +33,7 @@ from .graphs import (
     edge_coefficient,
     gkp_labeled,
     gkp_plus,
-    logical_subgraph,
+    logical_neighbors,
     momentum,
     structurally_equal,
 )
@@ -88,32 +88,33 @@ def _mode_vectors(grid: GridSpec, specs: list[ModeSpec]) -> list[np.ndarray]:
 
 def direct_cluster_state(
     grid: GridSpec,
-    adjacency: np.ndarray,
+    adjacency: Topology | np.ndarray,
     specs: list[ModeSpec],
     g_scale: float = 1.0,
 ) -> DiscretizedState:
-    """Route one: the position-position gate on every edge."""
-    adjacency = _require_matching_adjacency(adjacency, specs)
+    """Route one: the position-position gate on every edge.
+
+    ``adjacency``, in both routes, is a :class:`Topology` or a binary
+    matrix, which :func:`as_topology` checks and converts once.
+    """
+    topology = as_topology(adjacency)
+    if topology.n_modes != len(specs):
+        raise DomainError("adjacency size does not match the number of mode specs")
     g = g_scale * math.pi / grid.alpha**2
     pos = grid.position_values()
-    couplings = [(i, pos, j, pos, g) for i, j in adjacency_edges(adjacency)]
+    couplings = [(i, pos, j, pos, g) for i, j in topology.edges]
     return coupled_product(grid, _mode_vectors(grid, specs), couplings)
 
 
 def decomposed_cluster_state(
-    grid: GridSpec, adjacency: np.ndarray, specs: list[ModeSpec]
+    grid: GridSpec, adjacency: Topology | np.ndarray, specs: list[ModeSpec]
 ) -> DiscretizedState:
     """Route two: the surviving symbolic coupling terms."""
-    adjacency = _require_matching_adjacency(adjacency, specs)
-    terms = decompose_cz_multimode(adjacency, grid.alpha).all_terms
-    return coupled_product(grid, _mode_vectors(grid, specs), _term_couplings(grid, terms))
-
-
-def _require_matching_adjacency(adjacency: np.ndarray, specs: list[ModeSpec]) -> np.ndarray:
-    adjacency = require_binary_adjacency(adjacency)
-    if adjacency.shape[0] != len(specs):
+    topology = as_topology(adjacency)
+    if topology.n_modes != len(specs):
         raise DomainError("adjacency size does not match the number of mode specs")
-    return adjacency
+    terms = decompose_cz_multimode(topology, grid.alpha).all_terms
+    return coupled_product(grid, _mode_vectors(grid, specs), _term_couplings(grid, terms))
 
 
 def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
@@ -200,16 +201,16 @@ def sample_label(rng: np.random.Generator) -> tuple[complex, complex]:
     return (complex(math.sqrt(weight)), math.sqrt(1.0 - weight) * np.exp(1j * phase))
 
 
-def _phase_deviation(weights: np.ndarray, alpha: float, terms, samples) -> float:
-    """Max |exp(i sum_{i<j} W_ij x_i x_j) - product of the terms' factors| over samples.
+def _phase_deviation(edges, alpha: float, terms, samples) -> float:
+    """Max |exp(i sum_(i, j, w) w x_i x_j) - product of the terms' factors| over samples.
 
-    ``samples[mode]`` holds that mode's (ell, m, u) arrays, and each position
-    is x = alpha*(ell + 2m) + u.
+    ``edges`` holds weighted ``(i, j, w)`` mode pairs, ``samples[mode]`` that
+    mode's (ell, m, u) arrays, and each position is x = alpha*(ell + 2m) + u.
     """
     x = [alpha * (ell + 2.0 * m) + u for ell, m, u in samples]
     exponent = np.zeros_like(x[0])
-    for i, j in adjacency_edges(weights):
-        exponent = exponent + weights[i, j] * x[i] * x[j]
+    for i, j, w in edges:
+        exponent = exponent + w * x[i] * x[j]
     lhs = np.exp(1j * exponent)
     product = np.ones_like(lhs)
     for term in terms:
@@ -223,16 +224,17 @@ def two_mode_phase_deviation(
     g: float, alpha: float, tuples: tuple
 ) -> float:
     """|exp(i g x1 x2) - product of surviving factors| over sampled tuples."""
-    weights = np.array([[0.0, g], [g, 0.0]])
-    return _phase_deviation(weights, alpha, decompose_cz_two_mode(g, alpha), tuples)
+    return _phase_deviation([(0, 1, g)], alpha, decompose_cz_two_mode(g, alpha), tuples)
 
 
 def multimode_phase_deviation(
-    adjacency: np.ndarray, alpha: float, samples: list
+    adjacency: Topology | np.ndarray, alpha: float, samples: list
 ) -> float:
-    """Same identity for the tuned multimode gate with a binary adjacency."""
-    terms = decompose_cz_multimode(adjacency, alpha).all_terms
-    return _phase_deviation(math.pi / alpha**2 * adjacency, alpha, terms, samples)
+    """Same identity for the tuned multimode gate on a topology or binary matrix."""
+    topology = as_topology(adjacency)
+    terms = decompose_cz_multimode(topology, alpha).all_terms
+    tuned = math.pi / alpha**2
+    return _phase_deviation([(i, j, tuned) for i, j in topology.edges], alpha, terms, samples)
 
 
 # --- verification suite -------------------------------------------------------
@@ -273,9 +275,10 @@ def graph_edge_pairs(graph: SubsystemGraph) -> set:
     return pairs
 
 
-def random_binary_adjacency(rng: np.random.Generator, n_modes: int) -> np.ndarray:
-    upper = np.triu(rng.integers(0, 2, size=(n_modes, n_modes)), k=1).astype(float)
-    return upper + upper.T
+def random_topology(rng: np.random.Generator, n_modes: int) -> Topology:
+    """A random graph on ``n_modes`` modes: each pair joined with probability 1/2."""
+    upper = np.triu(rng.integers(0, 2, size=(n_modes, n_modes)), k=1)
+    return as_topology(upper + upper.T)
 
 
 def random_mode_specs(rng: np.random.Generator, n_modes: int) -> list[ModeSpec]:
@@ -313,10 +316,10 @@ def _wire_unzip_deviation(
     modular mass away from u = 0.  At the end, the single remaining mode is
     compared against the Hadamard-evolved label directly.
     """
-    adjacency = chain_adjacency(n_modes)
+    chain = chain_topology(n_modes)
     specs = [momentum() for _ in range(n_modes - 1)] + [gkp_labeled(*label)]
-    graph = build_cluster(adjacency, specs, grid.alpha)
-    state = direct_cluster_state(grid, adjacency, specs, g_scale=g_scale)
+    graph = build_cluster(chain, specs, grid.alpha)
+    state = direct_cluster_state(grid, chain, specs, g_scale=g_scale)
 
     worst = 0.0
     remaining = list(range(n_modes))
@@ -342,7 +345,7 @@ def _wire_unzip_deviation(
             gkp_labeled(*frame.current_label) if index == neighbor else momentum()
             for index in remaining
         ]
-        rebuilt = build_cluster(chain_adjacency(len(remaining)), residual_specs, grid.alpha)
+        rebuilt = build_cluster(chain_topology(len(remaining)), residual_specs, grid.alpha)
         if not structurally_equal(graph, rebuilt):
             return float("inf")
 
@@ -422,18 +425,18 @@ def run_verification(
     )
 
     # Multimode identity on a random 4-mode adjacency.
-    adjacency4 = random_binary_adjacency(rng, 4)
+    topology4 = random_topology(rng, 4)
     samples4 = [sample_quantum_numbers(rng, alpha, 1000) for _ in range(4)]
     checks.append(
         _check(
             "multimode_phase_identity",
-            multimode_phase_deviation(adjacency4, alpha, samples4),
+            multimode_phase_deviation(topology4, alpha, samples4),
             1e-10,
         )
     )
 
     # Block expansion of the two-mode edge.
-    expanded = expand_adjacency((tuned) * chain_adjacency(2), alpha)
+    expanded = expand_adjacency(np.array([[0.0, tuned], [tuned, 0.0]]), alpha)
     expected = _expected_block(alpha)
     relative = np.abs(expanded[0:3, 3:6] - expected) / np.abs(expected)
     checks.append(_check("block_expansion", float(relative.max()), 1e-12))
@@ -441,7 +444,7 @@ def run_verification(
     # Hidden-cluster state identity for momentum inputs.
     deviation = 0.0
     for n_modes in range(2, max_modes + 1):
-        a = chain_adjacency(n_modes)
+        a = chain_topology(n_modes)
         specs = [momentum() for _ in range(n_modes)]
         lhs = direct_cluster_state(grid, a, specs, g_scale=g_scale)
         rhs = decomposed_cluster_state(grid, a, specs)
@@ -451,7 +454,7 @@ def run_verification(
     # GKP clusters: logical state pure, equal to the qubit cluster, gauge flat.
     deviation = 0.0
     for n_modes in range(2, max_modes + 1):
-        a = chain_adjacency(n_modes)
+        a = chain_topology(n_modes)
         specs = [gkp_plus() for _ in range(n_modes)]
         state = direct_cluster_state(grid, a, specs, g_scale=g_scale)
         logical = reduced_density(
@@ -470,7 +473,7 @@ def run_verification(
     for _ in range(5):
         label = sample_label(rng)
         specs = [momentum(), gkp_labeled(*label)]
-        a = chain_adjacency(2)
+        a = chain_topology(2)
         lhs = direct_cluster_state(grid, a, specs, g_scale=g_scale)
         rhs = decomposed_cluster_state(grid, a, specs)
         state_dev = max(state_dev, max_amplitude_deviation(lhs, rhs))
@@ -502,13 +505,14 @@ def run_verification(
             )
     checks.append(_check("unzip_teleportation", deviation, 1e-10))
 
-    # Graph calculus: the logical subgraph always returns the input adjacency.
+    # Graph calculus: the logical edges always return the input topology.
     failures = 0
     for _ in range(50):
         n_modes = int(rng.integers(2, 9))
-        a = random_binary_adjacency(rng, n_modes)
+        a = random_topology(rng, n_modes)
         graph = build_cluster(a, random_mode_specs(rng, n_modes), alpha)
-        if not np.array_equal(logical_subgraph(graph), a):
+        logical = logical_neighbors(graph)
+        if {(i, j) for i in logical for j in logical[i] if i < j} != set(a.edges):
             failures += 1
         if len(graph.nodes) != 3 * n_modes:
             failures += 1

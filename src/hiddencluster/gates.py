@@ -187,39 +187,21 @@ def require_binary_adjacency(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def adjacency_edges(adjacency: np.ndarray) -> list[tuple[int, int]]:
-    """The ``(i, j)`` pairs with ``i < j`` and a nonzero entry, in row-major order.
-
-    Modes are Python ints, so terms built from them stay JSON-serializable.
-    """
-    import numpy as np
-
-    rows, cols = np.nonzero(adjacency)
-    upper = rows < cols
-    return list(zip(rows[upper].tolist(), cols[upper].tolist()))
-
-
 def as_topology(adjacency: Topology | np.ndarray) -> Topology:
-    """A ``Topology`` as given, or the one a dense binary adjacency matrix encodes."""
+    """A ``Topology`` as given, or the one a dense binary adjacency matrix encodes.
+
+    This is the one place a matrix becomes edges: the ``(i, j)`` pairs with
+    ``i < j`` and entry 1, in row-major order, as Python ints so that terms
+    built from them stay JSON-serializable.
+    """
     if isinstance(adjacency, Topology):
         return adjacency
-    matrix = require_binary_adjacency(adjacency)
-    return Topology(matrix.shape[0], tuple(adjacency_edges(matrix)))
-
-
-def topology_matrix(topology: Topology) -> np.ndarray:
-    """The dense binary adjacency matrix of a topology."""
     import numpy as np
 
-    a = np.zeros((topology.n_modes, topology.n_modes))
-    for i, j in topology.edges:
-        a[i, j] = a[j, i] = 1.0
-    return a
-
-
-def chain_adjacency(n_modes: int) -> np.ndarray:
-    """Binary adjacency of a linear chain on ``n_modes`` modes."""
-    return topology_matrix(chain_topology(n_modes))
+    matrix = require_binary_adjacency(adjacency)
+    rows, cols = np.nonzero(matrix)
+    upper = rows < cols
+    return Topology(matrix.shape[0], tuple(zip(rows[upper].tolist(), cols[upper].tolist())))
 
 
 def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:

@@ -500,9 +500,11 @@ def canonical(graph: SubsystemGraph) -> SubsystemGraph:
     return SubsystemGraph(alpha=graph.alpha, modes=modes, edges=edges)
 
 
-def structurally_equal(
-    first: SubsystemGraph, second: SubsystemGraph, amplitude_tol: float = 1e-12
-) -> bool:
+#: Largest per-amplitude difference of two labels that still counts as equal.
+AMPLITUDE_TOLERANCE = 1e-12
+
+
+def structurally_equal(first: SubsystemGraph, second: SubsystemGraph) -> bool:
     """Equality up to mode renumbering; label strings are display-only and ignored."""
     a, b = canonical(first), canonical(second)
     if a.alpha != b.alpha or len(a.modes) != len(b.modes):
@@ -516,6 +518,6 @@ def structurally_equal(
             diff = max(
                 abs(x - y) for x, y in zip(ma.amplitudes, mb.amplitudes)  # type: ignore[arg-type]
             )
-            if diff > amplitude_tol:
+            if diff > AMPLITUDE_TOLERANCE:
                 return False
     return a.edges == b.edges

@@ -133,7 +133,8 @@ def prepare_momentum_state(grid: GridSpec) -> DiscretizedState:
 def prepare_gkp_state(grid: GridSpec, c0: complex, c1: complex) -> DiscretizedState:
     """Comb state c0|0> + c1|1>: support on u = 0 only, uniform over bins."""
     c0, c1 = complex(c0), complex(c1)
-    norm_sq = abs(c0) ** 2 + abs(c1) ** 2
+    # products, not ``**``: an overflowing square is then inf, not an OverflowError
+    norm_sq = sum(c.real * c.real + c.imag * c.imag for c in (c0, c1))
     if abs(norm_sq - 1.0) > 1e-12:
         raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {norm_sq}")
     n = grid.n
@@ -453,17 +454,19 @@ def coupling_strength(
     return float(np.max(np.abs(np.angle(mixed[support]))))
 
 
-def qubit_cluster_state(adjacency: np.ndarray) -> np.ndarray:
-    """Reference qubit cluster state: CZ edges applied to |+...+>, mode-major."""
-    adjacency = np.asarray(adjacency, dtype=float)
-    n = adjacency.shape[0]
+def qubit_cluster_state(topology) -> np.ndarray:
+    """Reference qubit cluster state: CZ on each edge applied to |+...+>, mode-major.
+
+    ``topology`` is read by duck typing (its ``n_modes`` and ``(i, j)``
+    ``edges``, as on ``gates.Topology``), so the oracle imports nothing from
+    the symbolic layer.  A basis state's sign is the parity of
+    ``bits[i] & bits[j]`` over the edges.
+    """
+    n = topology.n_modes
+    index = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=np.int64)
+    for i, j in topology.edges:
+        parity ^= (index >> (n - 1 - i)) & (index >> (n - 1 - j)) & 1
     amps = np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)
-    for index in range(2**n):
-        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
-        sign = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adjacency[i, j] != 0.0 and bits[i] and bits[j]:
-                    sign = -sign
-        amps[index] *= sign
+    amps[parity == 1] *= -1.0
     return amps

@@ -2,15 +2,19 @@
 
 Each state here is built the slow, obvious way: a chain of ``np.kron``
 products for a product state, then one full-tensor phase per coupling in
-the order given.  The tests compare ``oracle.coupled_product`` and the
-``certify`` routes against these; the package itself never imports them.
+the order given, and the qubit cluster state by a scan of a dense matrix.
+The tests compare ``oracle.coupled_product``, ``oracle.qubit_cluster_state``
+and the ``certify`` routes against these, and build dense adjacency
+matrices here; the package itself never imports them.
 """
+
+import math
 
 import numpy as np
 
 from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import CouplingTerm, SubsystemOperator
+from hiddencluster.gates import CouplingTerm, SubsystemOperator, chain_topology
 from hiddencluster.graphs import canonical
 from hiddencluster.oracle import DiscretizedState
 
@@ -90,3 +94,36 @@ def graph_shape(graph):
     """Hashable shape ignoring logical labels: used to compare rewrites across inputs."""
     g = canonical(graph)
     return (tuple(m.cv_type for m in g.modes), g.edges)
+
+
+def topology_matrix(topology):
+    """The dense binary adjacency matrix of a topology."""
+    a = np.zeros((topology.n_modes, topology.n_modes))
+    for i, j in topology.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def chain_adjacency(n_modes):
+    """Binary adjacency matrix of a linear chain on ``n_modes`` modes."""
+    return topology_matrix(chain_topology(n_modes))
+
+
+def dense_qubit_cluster_state(adjacency):
+    """The qubit cluster state of a dense adjacency matrix, one basis state at a time.
+
+    Each amplitude of |+...+> (mode-major) takes a factor -1 for every pair
+    i < j with a nonzero entry whose bits are both 1.
+    """
+    adjacency = np.asarray(adjacency, dtype=float)
+    n = adjacency.shape[0]
+    amps = np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)
+    for index in range(2**n):
+        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
+        sign = 1.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if adjacency[i, j] != 0.0 and bits[i] and bits[j]:
+                    sign = -sign
+        amps[index] *= sign
+    return amps

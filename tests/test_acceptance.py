@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from grid_reference import apply_terms, product_state, term
+from grid_reference import apply_terms, chain_adjacency, product_state, term
 from hiddencluster.certify import (
     all_subsystem_pairs,
     direct_cluster_state,
@@ -22,7 +22,7 @@ from hiddencluster.certify import (
 )
 from hiddencluster.cli import main as cli_main
 from hiddencluster.gates import (
-    chain_adjacency,
+    chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
     expand_adjacency,
@@ -133,12 +133,12 @@ def test_criterion_4_gkp_cluster_product_structure():
     for n in (1, 2, 3):
         grid = GridSpec(n=n, alpha=alpha)
         for n_modes in (2, 3):
-            adjacency = chain_adjacency(n_modes)
-            state = direct_cluster_state(grid, adjacency, [gkp_plus()] * n_modes)
+            chain = chain_topology(n_modes)
+            state = direct_cluster_state(grid, chain, [gkp_plus()] * n_modes)
             rho = reduced_density(state, [(mode, L) for mode in range(n_modes)])
             worst_purity = max(worst_purity, 1.0 - purity(rho))
             worst_fidelity = max(
-                worst_fidelity, 1.0 - fidelity(qubit_cluster_state(adjacency), rho)
+                worst_fidelity, 1.0 - fidelity(qubit_cluster_state(chain), rho)
             )
             correlators = connected_correlators(state, all_subsystem_pairs(n_modes))
             worst_correlator = max(worst_correlator, max(map(abs, correlators)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_reference import product_state
+from grid_reference import chain_adjacency, product_state, topology_matrix
 from hiddencluster.certify import (
     align_global_phase,
     decomposed_cluster_state,
@@ -11,14 +11,17 @@ from hiddencluster.certify import (
     graph_state,
     max_amplitude_deviation,
     mode_state,
+    multimode_phase_deviation,
+    random_topology,
     run_verification,
     sample_label,
+    sample_quantum_numbers,
 )
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import chain_adjacency
+from hiddencluster.gates import chain_topology, grid_topology
 from hiddencluster.graphs import build_cluster, gkp_labeled, gkp_plus, momentum
 from hiddencluster.modular import DEFAULT_ALPHA
-from hiddencluster.oracle import GridSpec, fidelity, prepare_gkp_state
+from hiddencluster.oracle import GridSpec, fidelity, prepare_gkp_state, qubit_cluster_state
 
 ALPHA = DEFAULT_ALPHA
 RING_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -101,6 +104,53 @@ class TestGridEqualitiesUpToN4:
         grid = GridSpec(n=1, alpha=ALPHA)
         with pytest.raises(DomainError, match="adjacency size does not match"):
             route(grid, chain_adjacency(2), [momentum()] * 3)
+
+
+class TestTopologyBoundary:
+    """Each route reads a Topology and its dense matrix the same way."""
+
+    @pytest.mark.parametrize("route", [direct_cluster_state, decomposed_cluster_state])
+    def test_routes_are_bit_identical_for_topology_and_matrix(self, route):
+        grid = GridSpec(n=2, alpha=ALPHA)
+        rng = np.random.default_rng(50)
+        cases = [chain_topology(1), chain_topology(3), grid_topology(2, 2)]
+        cases += [random_topology(rng, n_modes) for n_modes in (2, 3, 3, 4)]
+        for topology in cases:
+            specs = random_specs(rng, topology.n_modes)
+            from_edges = route(grid, topology, specs)
+            from_matrix = route(grid, topology_matrix(topology), specs)
+            assert from_edges.amplitudes.tobytes() == from_matrix.amplitudes.tobytes()
+
+    def test_multimode_phase_deviation_is_bit_identical(self):
+        rng = np.random.default_rng(51)
+        for n_modes in (2, 3, 5, 8):
+            topology = random_topology(rng, n_modes)
+            samples = [sample_quantum_numbers(rng, ALPHA, 200) for _ in range(n_modes)]
+            from_edges = multimode_phase_deviation(topology, ALPHA, samples)
+            from_matrix = multimode_phase_deviation(topology_matrix(topology), ALPHA, samples)
+            assert from_edges == from_matrix
+
+    def test_topologies_are_accepted(self):
+        grid = GridSpec(2, 1.0)
+        chain = chain_topology(2)
+        assert direct_cluster_state(grid, chain, [momentum()] * 2).n_modes == 2
+        assert decomposed_cluster_state(grid, chain, [momentum()] * 2).n_modes == 2
+        assert qubit_cluster_state(chain).shape == (4,)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((2, 3)), "must be square"),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "must be symmetric"),
+            (np.eye(2), "must have zero diagonal"),
+            (0.5 * chain_adjacency(2), "entries must be 0 or 1"),
+        ],
+        ids=["not-square", "asymmetric", "diagonal", "not-binary"],
+    )
+    @pytest.mark.parametrize("route", [direct_cluster_state, decomposed_cluster_state])
+    def test_malformed_matrices_keep_their_messages(self, route, matrix, message):
+        with pytest.raises(DomainError, match=message):
+            route(GridSpec(n=1, alpha=ALPHA), matrix, [momentum()] * 2)
 
 
 class TestHelpers:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hiddencluster.cli import main, parse_alpha, parse_node_specs, parse_topology
 from hiddencluster.cli import UsageError
@@ -448,3 +453,91 @@ class TestNumpyStaysUnloaded:
     def test_verify_imports_numpy(self, workdir):
         argv = ["verify", "--max-modes", "2", "-o", "report.json"]
         assert self.probe(argv, workdir) == [0, True]
+
+
+# Flag values for the argv fuzz below, as (valid, malformed) spellings of each
+# flag; ``{dir}`` names the fixture directory.  ``verify`` stays cheap: its
+# valid ``--n`` and ``--max-modes`` values are at most 2 and 3.
+_MISSING = ["{dir}/missing.json", "{dir}"]
+_GRAPHS = (["{dir}/wire.json", "{dir}/gkp.json"],
+           ["{dir}/edges.json", "{dir}/bad.json", "{dir}/binary.json", *_MISSING])
+_OUTPUTS = (["-", "{dir}/out.txt"], ["{dir}/no-such-dir/out.txt", "{dir}"])
+_ALPHAS = (["sqrt_pi", "1", "2.5", "0.3"], ["0", "-1", "1e-320", "1e200", "nan", "inf", "x"])
+_TOPOLOGIES = (
+    ["chain:1", "chain:3", "grid:2x2", "{dir}/edges.json"],
+    ["chain:0", "chain:x", "chain:10000000", "grid:2x", "grid:0x3", "grid:2x3x4",
+     "grid:5000x5000", "{dir}/wire.json", "{dir}/bad.json", "{dir}/binary.json", *_MISSING],
+)
+_MODES = (["0", "1", "2"], ["-1", "3", "7", "1.5", "x", ""])
+_COMMAND_FLAGS = {
+    "build": {
+        "--topology": _TOPOLOGIES,
+        "--nodes": (["p", "gkp+", "gkp:+", "gkp:0.6,0.8", "gkp:0.6,0.8j", "p,p,gkp+"],
+                    ["gkp:0,0", "gkp:1e200,1e200", "gkp:1,nan", "gkp:0.6", "qubit", ""]),
+        "--alpha": _ALPHAS,
+        "-o": _OUTPUTS,
+    },
+    "decompose": {
+        "--g": (["0", "0.5", "1", "-2.5", "1e-3", "-1e-3"],
+                ["1e308", "-1e308", "inf", "-inf", "nan", "-NaN", "x", ""]),
+        "--topology": _TOPOLOGIES,
+        "--alpha": _ALPHAS,
+        "-o": _OUTPUTS,
+    },
+    "measure": {"--input": _GRAPHS, "--mode": _MODES, "--log": _OUTPUTS, "-o": _OUTPUTS},
+    "run-wire": {"--input": _GRAPHS, "--steps": _MODES, "--log": _OUTPUTS, "-o": _OUTPUTS},
+    "verify": {
+        "--alpha": _ALPHAS,
+        "--n": (["1", "2"], ["0", "5", "-1", "x"]),
+        "--max-modes": (["2", "3"], ["1", "0", "100", "x"]),
+        "--g-scale": (["1", "0.5", "2", "0", "-1"], ["inf", "-inf", "nan", "x"]),
+        "--seed": (["0", "7"], ["-1", "x"]),
+        "-o": _OUTPUTS,
+    },
+    "render": {"--input": _GRAPHS, "-o": _OUTPUTS},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command]
+    argv = [command]
+    # each flag, required or not, is left out a quarter of the time, and a
+    # present flag takes a malformed value a quarter of the time
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 3)):
+            valid, malformed = flags[flag]
+            argv += [flag, draw(st.sampled_from(valid if draw(st.integers(0, 3)) else malformed))]
+    return argv + draw(st.sampled_from([[]] * 6 + [["--bogus"], ["extra"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, nodes in [("wire", "p,p,gkp:0.6,0.8"), ("gkp", "gkp+")]:
+        argv = ["build", "--topology", "chain:3", "--nodes", nodes, "-o", str(path / f"{name}.json")]
+        assert main(argv) == 0
+    (path / "edges.json").write_text('{"n_modes": 3, "edges": [[0, 1], [2, 1]]}')
+    (path / "bad.json").write_text("{ not json")
+    (path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv=cli_argv())
+def test_random_argv_reaches_a_documented_exit(argv, fuzz_dir):
+    """Any argv exits 0, 2, 3, 4 or 5, with no traceback and no warning."""
+    argv = [arg.format(dir=fuzz_dir) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+    event(f"{argv[0]} exit {code}")
+    assert code in {0, 2, 3, 4, 5}, (argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from grid_reference import chain_adjacency, topology_matrix
 from hiddencluster.certify import (
     multimode_phase_deviation,
-    random_binary_adjacency,
+    random_topology,
     sample_quantum_numbers,
     two_mode_phase_deviation,
 )
@@ -15,7 +16,6 @@ from hiddencluster.gates import (
     SubsystemOperator,
     Topology,
     as_topology,
-    chain_adjacency,
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
@@ -23,7 +23,6 @@ from hiddencluster.gates import (
     expand_adjacency,
     grid_topology,
     require_binary_adjacency,
-    topology_matrix,
 )
 from hiddencluster.graphs import build_cluster, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
@@ -201,7 +200,7 @@ class TestMultimodeDecomposition:
         alpha = DEFAULT_ALPHA
         rng = np.random.default_rng(21)
         cases = [chain_adjacency(5), topology_matrix(grid_topology(2, 3))] + [
-            random_binary_adjacency(rng, n_modes) for n_modes in (2, 3, 4, 5, 6, 7, 8, 8)
+            topology_matrix(random_topology(rng, n_modes)) for n_modes in (2, 3, 4, 5, 6, 7, 8, 8)
         ]
         for adjacency in cases:
             n = adjacency.shape[0]

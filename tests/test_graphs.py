@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grid_reference import graph_shape
+from grid_reference import chain_adjacency, graph_shape, topology_matrix
 from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
-from hiddencluster.gates import (
-    chain_adjacency,
-    decompose_cz_multimode,
-    grid_topology,
-    topology_matrix,
-)
+from hiddencluster.gates import decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from grid_reference import graph_shape
+from grid_reference import chain_adjacency, graph_shape
 from hiddencluster.certify import direct_cluster_state, graph_state, sample_label
 from hiddencluster.errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
-from hiddencluster.gates import chain_adjacency
 from hiddencluster.graphs import (
     CvType,
     NodeState,

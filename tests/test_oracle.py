@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from grid_reference import (
     apply_phase,
     apply_terms,
+    chain_adjacency,
+    dense_qubit_cluster_state,
     sequential_reference,
     tensor_product,
     term,
     term_couplings,
+    topology_matrix,
 )
 from hiddencluster.certify import direct_cluster_state
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import chain_adjacency, decompose_cz_two_mode
+from hiddencluster.gates import Topology, chain_topology, decompose_cz_two_mode
 from hiddencluster.graphs import gkp_labeled, gkp_plus, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
@@ -112,6 +115,11 @@ class TestPreparation:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             prepare_gkp_state(GridSpec(n=2, alpha=1.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("c0, c1", [(1e200, 0), (1e155, 1e155)])
+    def test_rejects_amplitudes_whose_square_overflows(self, c0, c1):
+        with pytest.raises(DomainError, match=r"must be normalized, got \|c\|\^2 = inf"):
+            prepare_gkp_state(GridSpec(n=2, alpha=1.0), c0, c1)
 
 
 def cz(grid, mode_i, mode_j, g):
@@ -452,11 +460,11 @@ class TestReducedDensity:
 
     def test_gkp_cluster_logical_pair_is_pure(self):
         grid = GridSpec(n=2, alpha=ALPHA)
-        adjacency = chain_adjacency(2)
-        state = direct_cluster_state(grid, adjacency, [gkp_plus(), gkp_plus()])
+        chain = chain_topology(2)
+        state = direct_cluster_state(grid, chain, [gkp_plus(), gkp_plus()])
         rho = reduced_density(state, [(0, L), (1, L)])
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(qubit_cluster_state(adjacency), rho) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(qubit_cluster_state(chain), rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_cvcs_logical_pair_is_mixed(self):
         grid = GridSpec(n=2, alpha=ALPHA)
@@ -603,3 +611,29 @@ class TestTensorProduct:
         b = prepare_momentum_state(GridSpec(n=2, alpha=1.0))
         with pytest.raises(DomainError):
             tensor_product([a, b])
+
+
+@st.composite
+def topologies(draw):
+    n_modes = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Topology(n_modes, tuple(pair for pair, keep in zip(pairs, chosen) if keep))
+
+
+class TestQubitClusterState:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(topologies())
+    def test_bit_identical_to_the_dense_scan(self, topology):
+        amps = qubit_cluster_state(topology)
+        reference = dense_qubit_cluster_state(topology_matrix(topology))
+        assert amps.dtype == reference.dtype and amps.tobytes() == reference.tobytes()
+
+    def test_reads_any_object_with_modes_and_edges(self):
+        class Edges:
+            n_modes = 2
+            edges = ((0, 1),)
+
+        assert qubit_cluster_state(Edges()).tobytes() == qubit_cluster_state(
+            chain_topology(2)
+        ).tobytes()
