@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, set_field
 from .errors import DomainError
 from .gates import (
     Topology,
@@ -240,12 +240,17 @@ def multimode_phase_deviation(
 # --- verification suite -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     max_deviation: float
     tolerance: float
+
+    def __init__(self, name: str, passed: bool, max_deviation: float, tolerance: float) -> None:
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "max_deviation", max_deviation)
+        set_field(self, "tolerance", tolerance)
 
     def as_dict(self) -> dict:
         return {

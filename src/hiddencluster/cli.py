@@ -37,6 +37,7 @@ from .graphs import (
     gkp_labeled,
     gkp_plus,
     momentum,
+    norm_sq,
     render_dot,
     require_json_int,
     to_json,
@@ -109,10 +110,10 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
             c0 = _parse_complex(token[4:])
             c1 = _parse_complex(tokens[i + 1])
             i += 1
-            try:
-                norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-            except OverflowError as err:
-                raise UsageError("gkp amplitudes are too large to normalize") from err
+            total = norm_sq(c0, c1)
+            if total == math.inf:
+                raise UsageError("gkp amplitudes are too large to normalize")
+            norm = math.sqrt(total)
             if norm == 0.0:
                 raise UsageError("gkp amplitudes cannot both be zero")
             specs.append(gkp_labeled(c0 / norm, c1 / norm))

@@ -12,9 +12,9 @@ survive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record, set_field
 from .errors import DomainError
 from .modular import SubsystemKind, require_bin_size
 
@@ -28,16 +28,18 @@ _TWO_PI = 2.0 * math.pi
 COEFFICIENT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SubsystemOperator:
+class SubsystemOperator(Record):
     """One diagonal subsystem operator (kind) acting on one mode."""
 
     kind: SubsystemKind
     mode: int
 
+    def __init__(self, kind: SubsystemKind, mode: int) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "mode", mode)
 
-@dataclass(frozen=True)
-class CouplingTerm:
+
+class CouplingTerm(Record):
     """One factor exp(i * coefficient * op_a (x) op_b) of a decomposed gate.
 
     All such factors commute, so the order of a term list never matters.
@@ -46,6 +48,13 @@ class CouplingTerm:
     op_a: SubsystemOperator
     op_b: SubsystemOperator
     coefficient: float
+
+    def __init__(
+        self, op_a: SubsystemOperator, op_b: SubsystemOperator, coefficient: float
+    ) -> None:
+        set_field(self, "op_a", op_a)
+        set_field(self, "op_b", op_b)
+        set_field(self, "coefficient", coefficient)
 
     @property
     def kinds(self) -> tuple[SubsystemKind, SubsystemKind]:
@@ -112,8 +121,7 @@ def decompose_cz_two_mode(
     return [t for t in terms if not _phase_is_identity(t)]
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
 
     ``edges`` lists each pair once with ``i < j``, in row-major order, and
@@ -124,22 +132,24 @@ class Topology:
     n_modes: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n_modes < 0:
-            raise DomainError(f"n_modes must be nonnegative, got {self.n_modes}")
+    def __init__(self, n_modes: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if n_modes < 0:
+            raise DomainError(f"n_modes must be nonnegative, got {n_modes}")
         previous = (-1, -1)
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise DomainError(f"self-loop at mode {i}")
-            if not 0 <= i < j < self.n_modes:
+            if not 0 <= i < j < n_modes:
                 raise DomainError(
-                    f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={self.n_modes}"
+                    f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={n_modes}"
                 )
             if (i, j) <= previous:
                 raise DomainError(
                     f"edge ({i}, {j}) repeats or breaks the row-major order after {previous}"
                 )
             previous = (i, j)
+        set_field(self, "n_modes", n_modes)
+        set_field(self, "edges", edges)
 
 
 def chain_topology(n_modes: int) -> Topology:
@@ -218,8 +228,7 @@ def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:
     return np.kron(weights, np.outer(v, v))
 
 
-@dataclass(frozen=True)
-class MultimodeDecomposition:
+class MultimodeDecomposition(Record):
     """Surviving couplings of a tuned multimode controlled-Z, by family.
 
     ``logical_terms`` holds the ell-ell couplings (one per edge, pi each),
@@ -230,6 +239,16 @@ class MultimodeDecomposition:
     logical_terms: tuple[CouplingTerm, ...]
     gauge_terms: tuple[CouplingTerm, ...]
     interaction_terms: tuple[CouplingTerm, ...]
+
+    def __init__(
+        self,
+        logical_terms: tuple[CouplingTerm, ...],
+        gauge_terms: tuple[CouplingTerm, ...],
+        interaction_terms: tuple[CouplingTerm, ...],
+    ) -> None:
+        set_field(self, "logical_terms", logical_terms)
+        set_field(self, "gauge_terms", gauge_terms)
+        set_field(self, "interaction_terms", interaction_terms)
 
     @property
     def all_terms(self) -> tuple[CouplingTerm, ...]:

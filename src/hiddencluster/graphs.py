@@ -22,10 +22,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from ._record import Record, set_field
 from .errors import DomainError, GraphParseError
 from .gates import CouplingTerm, Topology, as_topology, decompose_cz_two_mode
 from .modular import SubsystemKind, require_bin_size
@@ -68,31 +68,56 @@ class NodeState(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     id: int
     mode: int
     kind: SubsystemKind
     state: NodeState
 
+    def __init__(self, id: int, mode: int, kind: SubsystemKind, state: NodeState) -> None:
+        set_field(self, "id", id)
+        set_field(self, "mode", mode)
+        set_field(self, "kind", kind)
+        set_field(self, "state", state)
 
-@dataclass(frozen=True)
-class ModeRecord:
+
+class ModeRecord(Record):
     """One physical mode: its input type and, when labeled, its amplitudes."""
 
     index: int
     cv_type: CvType
-    label: str | None = None
-    amplitudes: tuple[complex, complex] | None = None
+    label: str | None
+    amplitudes: tuple[complex, complex] | None
+
+    def __init__(
+        self,
+        index: int,
+        cv_type: CvType,
+        label: str | None = None,
+        amplitudes: tuple[complex, complex] | None = None,
+    ) -> None:
+        set_field(self, "index", index)
+        set_field(self, "cv_type", cv_type)
+        set_field(self, "label", label)
+        set_field(self, "amplitudes", amplitudes)
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+class ModeSpec(Record):
     """Input description of one mode, before indices are assigned."""
 
     cv_type: CvType
-    label: str | None = None
-    amplitudes: tuple[complex, complex] | None = None
+    label: str | None
+    amplitudes: tuple[complex, complex] | None
+
+    def __init__(
+        self,
+        cv_type: CvType,
+        label: str | None = None,
+        amplitudes: tuple[complex, complex] | None = None,
+    ) -> None:
+        set_field(self, "cv_type", cv_type)
+        set_field(self, "label", label)
+        set_field(self, "amplitudes", amplitudes)
 
 
 def momentum() -> ModeSpec:
@@ -103,10 +128,15 @@ def gkp_plus() -> ModeSpec:
     return ModeSpec(CvType.GKP_PLUS)
 
 
-def _norm_sq(values: tuple[complex, complex]) -> float:
-    """|c0|^2 + |c1|^2, or inf when squaring a huge amplitude overflows."""
+def norm_sq(c0: complex, c1: complex) -> float:
+    """|c0|^2 + |c1|^2 of finite amplitudes, or inf when it overflows.
+
+    A square too large for a float raises ``OverflowError`` and two finite
+    squares can sum past the float maximum; both give inf, so every caller
+    applies one rule.
+    """
     try:
-        return sum(abs(z) ** 2 for z in values)
+        return abs(c0) ** 2 + abs(c1) ** 2
     except OverflowError:
         return math.inf
 
@@ -120,29 +150,29 @@ def gkp_labeled(c0: complex, c1: complex, label: str = "psi") -> ModeSpec:
     c0, c1 = complex(c0), complex(c1)
     if not _is_finite((c0, c1)):
         raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
-    norm_sq = _norm_sq((c0, c1))
-    if abs(norm_sq - 1.0) > 1e-12:
-        raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {norm_sq}")
+    total = norm_sq(c0, c1)
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
     return ModeSpec(CvType.GKP_LABELED, label=label, amplitudes=(c0, c1))
 
 
-@dataclass(frozen=True)
-class SubsystemEdge:
+class SubsystemEdge(Record):
     """Undirected edge between two subsystem nodes; endpoints kept sorted."""
 
     a: int
     b: int
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+    def __init__(self, a: int, b: int, multiplicity: int) -> None:
+        if a == b:
             raise DomainError("self-loops are not allowed")
-        if self.a > self.b:
-            low, high = self.b, self.a
-            object.__setattr__(self, "a", low)
-            object.__setattr__(self, "b", high)
-        if self.multiplicity < 1:
+        if a > b:
+            a, b = b, a
+        if multiplicity < 1:
             raise DomainError("edge multiplicity must be positive")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "multiplicity", multiplicity)
 
 
 def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
@@ -162,17 +192,24 @@ def _mode_nodes(record: ModeRecord) -> tuple[Node, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SubsystemGraph:
+class SubsystemGraph(Record):
     """Modes and edges; each mode's three nodes are derived from its record.
 
     An edge endpoint names its mode (``id // 3``) and kind (``id % 3``)
-    without a lookup table.
+    without a lookup table.  The lookups below are cached in the instance
+    ``__dict__`` beside the fields; equality and hashing read only the fields.
     """
 
     alpha: float
     modes: tuple[ModeRecord, ...]
     edges: tuple[SubsystemEdge, ...]
+
+    def __init__(
+        self, alpha: float, modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
+    ) -> None:
+        set_field(self, "alpha", alpha)
+        set_field(self, "modes", modes)
+        set_field(self, "edges", edges)
 
     @cached_property
     def _mode_index(self) -> dict[int, ModeRecord]:
@@ -454,10 +491,10 @@ def _validate_graph(graph: SubsystemGraph) -> None:
         if record.cv_type is CvType.GKP_LABELED:
             if record.amplitudes is None:
                 raise GraphParseError(f"mode {record.index} is labeled but has no amplitudes")
-            norm_sq = _norm_sq(record.amplitudes)
-            if abs(norm_sq - 1.0) > 1e-12:
+            total = norm_sq(*record.amplitudes)
+            if abs(total - 1.0) > 1e-12:
                 raise GraphParseError(
-                    f"mode {record.index} amplitudes are not normalized (|c|^2 = {norm_sq})"
+                    f"mode {record.index} amplitudes are not normalized (|c|^2 = {total})"
                 )
         elif record.amplitudes is not None:
             raise GraphParseError(
@@ -486,7 +523,10 @@ def canonical(graph: SubsystemGraph) -> SubsystemGraph:
     """Relabel modes to 0..N-1 (order preserved) and edge endpoints to match."""
     order = sorted(graph.modes, key=lambda m: m.index)
     new_index = {record.index: pos for pos, record in enumerate(order)}
-    modes = tuple(replace(record, index=pos) for pos, record in enumerate(order))
+    modes = tuple(
+        ModeRecord(pos, record.cv_type, record.label, record.amplitudes)
+        for pos, record in enumerate(order)
+    )
 
     def renumber(node_id: int) -> int:
         return 3 * new_index[node_id // 3] + node_id % 3

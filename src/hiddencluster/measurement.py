@@ -12,10 +12,16 @@ measured; anything else raises instead of producing an unproved rewrite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record, set_field
 from .errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
-from .graphs import CvType, SubsystemGraph, absorb_modular_zero_edges, logical_neighbors
+from .graphs import (
+    CvType,
+    ModeRecord,
+    SubsystemGraph,
+    absorb_modular_zero_edges,
+    logical_neighbors,
+)
 
 _S = 1.0 / math.sqrt(2.0)
 
@@ -23,27 +29,51 @@ _S = 1.0 / math.sqrt(2.0)
 HADAMARD = ((_S, _S), (_S, -_S))
 
 
-@dataclass(frozen=True)
-class LogicalFrame:
+class LogicalFrame(Record):
     """Accumulated logical byproduct along a wire: one Hadamard per hop."""
 
-    hadamard_count: int = 0
-    current_label: tuple[complex, complex] = (1.0 + 0.0j, 0.0 + 0.0j)
+    hadamard_count: int
+    current_label: tuple[complex, complex]
+
+    def __init__(
+        self,
+        hadamard_count: int = 0,
+        current_label: tuple[complex, complex] = (1.0 + 0.0j, 0.0 + 0.0j),
+    ) -> None:
+        set_field(self, "hadamard_count", hadamard_count)
+        set_field(self, "current_label", current_label)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Record):
     measured_mode: int
     outcome: float
     removed_nodes: tuple[int, int, int]
     converted_node: int
 
+    def __init__(
+        self,
+        measured_mode: int,
+        outcome: float,
+        removed_nodes: tuple[int, int, int],
+        converted_node: int,
+    ) -> None:
+        set_field(self, "measured_mode", measured_mode)
+        set_field(self, "outcome", outcome)
+        set_field(self, "removed_nodes", removed_nodes)
+        set_field(self, "converted_node", converted_node)
 
-@dataclass(frozen=True)
-class MeasurementResult:
+
+class MeasurementResult(Record):
     graph: SubsystemGraph
     frame: LogicalFrame
     record: MeasurementRecord
+
+    def __init__(
+        self, graph: SubsystemGraph, frame: LogicalFrame, record: MeasurementRecord
+    ) -> None:
+        set_field(self, "graph", graph)
+        set_field(self, "frame", frame)
+        set_field(self, "record", record)
 
 
 def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -65,13 +95,24 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
     return MeasurementResult(graph=run.graph, frame=run.frame, record=run.records[0])
 
 
-@dataclass(frozen=True)
-class WireRun:
+class WireRun(Record):
     graph: SubsystemGraph
     frame: LogicalFrame
     records: tuple[MeasurementRecord, ...]
     #: frame after each step, aligned with ``records``
-    frames: tuple[LogicalFrame, ...] = ()
+    frames: tuple[LogicalFrame, ...]
+
+    def __init__(
+        self,
+        graph: SubsystemGraph,
+        frame: LogicalFrame,
+        records: tuple[MeasurementRecord, ...],
+        frames: tuple[LogicalFrame, ...] = (),
+    ) -> None:
+        set_field(self, "graph", graph)
+        set_field(self, "frame", frame)
+        set_field(self, "records", records)
+        set_field(self, "frames", frames)
 
 
 def _wire_input_mode(graph: SubsystemGraph, neighbors: dict[int, set[int]]) -> int:
@@ -146,7 +187,7 @@ def _walk(
         return WireRun(graph=graph, frame=frame, records=(), frames=())
 
     modes = tuple(
-        replace(m, cv_type=CvType.GKP_LABELED, label=label, amplitudes=amplitudes)
+        ModeRecord(m.index, CvType.GKP_LABELED, label, amplitudes)
         if m.index == mode
         else m
         for m in graph.modes

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 
+from ._record import Record
 from .errors import DomainError
 
 DEFAULT_ALPHA = math.sqrt(math.pi)
@@ -38,12 +39,12 @@ class SubsystemKind(enum.Enum):
         return self is not SubsystemKind.GAUGE_MODULAR
 
 
-class QuantumNumbers:
+class QuantumNumbers(Record):
     """The triple (ell, m, u) describing one position eigenvalue.
 
     An immutable slotted record: fields are set once, in ``__init__``, and
     assigning or deleting one raises ``AttributeError``.  Equality, hashing
-    and ``repr`` follow the field tuple, as for a frozen dataclass.
+    and ``repr`` follow the field tuple (see :class:`Record`).
     """
 
     __slots__ = ("ell", "m", "u")
@@ -56,23 +57,6 @@ class QuantumNumbers:
         _set_ell(self, ell)
         _set_m(self, m)
         _set_u(self, u)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of QuantumNumbers")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of QuantumNumbers")
-
-    def __repr__(self) -> str:
-        return f"QuantumNumbers(ell={self.ell!r}, m={self.m!r}, u={self.u!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ell, self.m, self.u) == (other.ell, other.m, other.u)
-
-    def __hash__(self) -> int:
-        return hash((self.ell, self.m, self.u))
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, past the __setattr__ guard

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, set_field
 from .errors import DomainError
 from .modular import SubsystemKind, require_bin_size
 
@@ -36,17 +36,17 @@ _KIND_AXIS = {
 Subsystem = tuple[int, SubsystemKind]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Finite discretization of one mode: n bin values and n modular values."""
 
     n: int
     alpha: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"grid size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "alpha", require_bin_size(self.alpha))
+    def __init__(self, n: int, alpha: float) -> None:
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"grid size must be a positive integer, got {n!r}")
+        set_field(self, "n", n)
+        set_field(self, "alpha", require_bin_size(alpha))
 
     @property
     def dim(self) -> int:
@@ -92,24 +92,26 @@ def _require_finite(amplitudes: np.ndarray) -> None:
         raise DomainError("amplitudes must be finite")
 
 
-@dataclass
-class DiscretizedState:
+class DiscretizedState(Record):
     """Dense amplitude vector over the grid of ``n_modes`` modes."""
 
     grid: GridSpec
     n_modes: int
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n_modes < 0:
+    def __init__(self, grid: GridSpec, n_modes: int, amplitudes: np.ndarray) -> None:
+        if n_modes < 0:
             raise DomainError("mode count must be nonnegative")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        expected = self.grid.dim**self.n_modes
-        if self.amplitudes.shape != (expected,):
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        expected = grid.dim**n_modes
+        if amplitudes.shape != (expected,):
             raise DomainError(
-                f"amplitude vector has length {self.amplitudes.shape}, expected ({expected},)"
+                f"amplitude vector has length {amplitudes.shape}, expected ({expected},)"
             )
-        _require_finite(self.amplitudes)
+        _require_finite(amplitudes)
+        set_field(self, "grid", grid)
+        set_field(self, "n_modes", n_modes)
+        set_field(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -255,10 +257,12 @@ def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> Di
     amplitudes = tensor.reshape(-1)
     if not proven:
         _require_finite(amplitudes)
-    # the one state built without __post_init__: its shape holds by
+    # the one state built without __init__'s checks: its shape holds by
     # construction and its amplitudes were proven or scanned finite above
     state = object.__new__(DiscretizedState)
-    state.grid, state.n_modes, state.amplitudes = grid, n_modes, amplitudes
+    set_field(state, "grid", grid)
+    set_field(state, "n_modes", n_modes)
+    set_field(state, "amplitudes", amplitudes)
     return state
 
 
@@ -349,40 +353,28 @@ def _as_vector_or_density(obj) -> np.ndarray:
     return arr
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def fidelity(a, b) -> float:
     """State fidelity; 1 iff equal up to global phase in the pure case.
 
-    Accepts amplitude vectors (or :class:`DiscretizedState`) and density
-    matrices in any combination; pure inputs are normalized first.
+    Accepts two amplitude vectors (or :class:`DiscretizedState`), or one
+    vector and one density matrix in either order; pure inputs are
+    normalized first.  Two density matrices are refused.
     """
     x, y = _as_vector_or_density(a), _as_vector_or_density(b)
     if x.ndim == 2 and y.ndim == 1:
         x, y = y, x
-    if x.ndim == 1:
-        x = x / np.linalg.norm(x)
-        if y.ndim == 1:
-            y = y / np.linalg.norm(y)
-            if x.shape != y.shape:
-                raise DomainError("fidelity arguments must have matching dimensions")
-            return float(abs(np.vdot(x, y)) ** 2)
-        if y.shape != (x.size, x.size):
+    if x.ndim == 2:
+        raise DomainError("fidelity needs at least one pure state, got two density matrices")
+    x = x / np.linalg.norm(x)
+    if y.ndim == 1:
+        y = y / np.linalg.norm(y)
+        if x.shape != y.shape:
             raise DomainError("fidelity arguments must have matching dimensions")
-        y = y / np.trace(y).real
-        return float(np.real(x.conj() @ y @ x))
-    if x.shape != y.shape:
+        return float(abs(np.vdot(x, y)) ** 2)
+    if y.shape != (x.size, x.size):
         raise DomainError("fidelity arguments must have matching dimensions")
-    x = x / np.trace(x).real
     y = y / np.trace(y).real
-    sq = _sqrtm_psd(x)
-    eigenvalues = np.linalg.eigvalsh(sq @ y @ sq)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return float(np.sqrt(eigenvalues).sum() ** 2)
+    return float(np.real(x.conj() @ y @ x))
 
 
 def connected_correlators(state: DiscretizedState, pairs) -> list[float]:

@@ -4,8 +4,9 @@ Each state here is built the slow, obvious way: a chain of ``np.kron``
 products for a product state, then one full-tensor phase per coupling in
 the order given, and the qubit cluster state by a scan of a dense matrix.
 The tests compare ``oracle.coupled_product``, ``oracle.qubit_cluster_state``
-and the ``certify`` routes against these, and build dense adjacency
-matrices here; the package itself never imports them.
+and the ``certify`` routes against these, build dense adjacency matrices
+here, and compare two density matrices with ``mixed_fidelity``; the
+package itself never imports them.
 """
 
 import math
@@ -127,3 +128,23 @@ def dense_qubit_cluster_state(adjacency):
                     sign = -sign
         amps[index] *= sign
     return amps
+
+
+def _sqrtm_psd(rho):
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def mixed_fidelity(rho, sigma):
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))**2 of two density
+    matrices, each normalized to unit trace first."""
+    x, y = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise DomainError("fidelity arguments must have matching dimensions")
+    x = x / np.trace(x).real
+    y = y / np.trace(y).real
+    sq = _sqrtm_psd(x)
+    eigenvalues = np.linalg.eigvalsh(sq @ y @ sq)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    return float(np.sqrt(eigenvalues).sum() ** 2)

@@ -401,6 +401,32 @@ class TestNegativeExponentValues:
         assert capsys.readouterr().err == f"error: gate weight must be finite, got {expected}\n"
 
 
+class TestAmplitudeOverflow:
+    """``|c0|^2 + |c1|^2`` that overflows is refused as too large, by either route."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        ["gkp:1e154,1e154", "gkp:1e200,1", "gkp:1,1e200j", "p,gkp:1e154j,1e154"],
+        ids=["finite-squares-sum-to-inf", "square-overflows", "imaginary-square-overflows",
+             "second-mode"],
+    )
+    def test_too_large_to_normalize(self, nodes, capsys, tmp_path):
+        out = tmp_path / "g.json"
+        assert run("build", "--topology", "chain:2", "--nodes", nodes, "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: gkp amplitudes are too large to normalize\n"
+        assert not out.exists()
+
+    def test_underflowing_amplitudes_keep_their_message(self, capsys):
+        assert run("build", "--topology", "chain:2", "--nodes", "gkp:1e-200,1e-200") == 2
+        assert capsys.readouterr().err == "error: gkp amplitudes cannot both be zero\n"
+
+    def test_large_finite_amplitudes_are_normalized(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run("build", "--topology", "chain:2", "--nodes", "gkp:3e153,4e153j",
+                   "-o", str(out)) == 0
+        assert read_graph(out).modes[0].amplitudes == pytest.approx((0.6, 0.8j), abs=1e-15)
+
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _IMPORT_PROBE = """
@@ -408,12 +434,13 @@ import json, sys
 import hiddencluster
 from hiddencluster.cli import main
 code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
 class TestNumpyStaysUnloaded:
-    """Only ``verify`` needs the grid oracle, so only ``verify`` imports numpy."""
+    """Only ``verify`` needs the grid oracle, so only ``verify`` imports numpy;
+    no command but ``verify`` imports ``dataclasses`` either."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -448,11 +475,11 @@ class TestNumpyStaysUnloaded:
              "measure-refused", "run-wire", "render"],
     )
     def test_symbolic_commands_never_import_numpy(self, argv, exit_code, workdir):
-        assert self.probe(argv + ["-o", "out"], workdir) == [exit_code, False]
+        assert self.probe(argv + ["-o", "out"], workdir) == [exit_code, False, False]
 
     def test_verify_imports_numpy(self, workdir):
         argv = ["verify", "--max-modes", "2", "-o", "report.json"]
-        assert self.probe(argv, workdir) == [0, True]
+        assert self.probe(argv, workdir)[:2] == [0, True]
 
 
 # Flag values for the argv fuzz below, as (valid, malformed) spellings of each

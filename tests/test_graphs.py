@@ -23,6 +23,7 @@ from hiddencluster.graphs import (
     gkp_plus,
     logical_subgraph,
     momentum,
+    norm_sq,
     render_dot,
     structurally_equal,
     to_json,
@@ -153,6 +154,27 @@ class TestInvariants:
     def test_gkp_labeled_rejects_non_finite_or_unnormalized(self, c0, c1):
         with pytest.raises(DomainError):
             gkp_labeled(c0, c1)
+
+    @pytest.mark.parametrize(
+        "c0, c1",
+        [(0.6, 0.8j), (9e153, 9e153j), (3e-170, 0.0), (1.2e154 + 5e153j, 2.0), (0.0, 0.0)],
+    )
+    def test_norm_sq_is_the_plain_sum_when_finite(self, c0, c1):
+        expected = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
+        assert math.isfinite(expected)
+        assert norm_sq(complex(c0), complex(c1)) == expected
+
+    @pytest.mark.parametrize(
+        "c0, c1", [(1.34e154, 1.34e154), (1e200, 0.0), (0.0, 1e155j), (1e308, 1e308j)]
+    )
+    def test_norm_sq_is_inf_when_it_overflows(self, c0, c1):
+        assert norm_sq(complex(c0), complex(c1)) == math.inf
+
+    def test_overflowing_label_names_an_infinite_norm(self):
+        with pytest.raises(DomainError, match=r"got \|c\|\^2 = inf"):
+            gkp_labeled(1e154, 1e154)
+        with pytest.raises(DomainError, match=r"got \|c\|\^2 = inf"):
+            gkp_labeled(1e300, 0.0)
 
     def test_edge_normalizes_endpoint_order(self):
         edge = SubsystemEdge(a=5, b=2, multiplicity=1)

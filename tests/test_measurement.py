@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_reference import chain_adjacency, graph_shape
+from grid_reference import chain_adjacency, graph_shape, mixed_fidelity
 from hiddencluster.certify import direct_cluster_state, graph_state, sample_label
 from hiddencluster.errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
 from hiddencluster.graphs import (
@@ -268,4 +268,4 @@ class TestOracleAgreement:
         rho_symbolic = reduced_density(
             graph_state(grid, result.graph), [(neighbor_axis, SubsystemKind.LOGICAL)]
         )
-        assert fidelity(rho, rho_symbolic) >= 1 - 1e-10
+        assert mixed_fidelity(rho, rho_symbolic) >= 1 - 1e-10

@@ -10,6 +10,7 @@ from grid_reference import (
     apply_terms,
     chain_adjacency,
     dense_qubit_cluster_state,
+    mixed_fidelity,
     sequential_reference,
     tensor_product,
     term,
@@ -507,10 +508,18 @@ class TestFidelity:
     def test_symmetric_mixed_case(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         sigma = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        f_ab = fidelity(rho, sigma)
-        f_ba = fidelity(sigma, rho)
+        f_ab = mixed_fidelity(rho, sigma)
+        f_ba = mixed_fidelity(sigma, rho)
         assert f_ab == pytest.approx(f_ba)
         assert f_ab == pytest.approx(0.5)
+
+    def test_two_density_matrices_rejected(self):
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        sigma = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        with pytest.raises(DomainError, match="two density matrices"):
+            fidelity(rho, sigma)
+        with pytest.raises(DomainError, match="two density matrices"):
+            fidelity(rho, rho)
 
     def test_vector_against_density(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)

@@ -1,0 +1,216 @@
+"""The package's records behave as the frozen dataclasses they replace.
+
+Each record is compared with its frozen-dataclass copy in
+``record_reference``: ``repr``, ``==``, ``hash``, ``__match_args__``, the
+frozen guard, positional and keyword construction with defaults, the
+construction checks, ``copy`` and ``pickle``.
+"""
+
+import ast
+import copy
+import dataclasses
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import record_reference as ref
+from hiddencluster import certify, gates, graphs, measurement, oracle
+from hiddencluster.errors import DomainError
+from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hiddencluster"
+
+L, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR
+OP_A, OP_B = gates.SubsystemOperator(L, 0), gates.SubsystemOperator(U, 1)
+TERM = gates.CouplingTerm(OP_A, OP_B, 3.5)
+MODE = graphs.ModeRecord(0, graphs.CvType.GKP_LABELED, "psi", (0.6 + 0j, 0.8j))
+EDGE = graphs.SubsystemEdge(0, 3, 1)
+GRAPH = graphs.SubsystemGraph(1.5, (MODE,), ())
+FRAME = measurement.LogicalFrame(2, (0.6 + 0j, -0.8j))
+RECORD = measurement.MeasurementRecord(1, 0.0, (3, 4, 5), 2)
+GRID = oracle.GridSpec(2, 1.5)
+
+# (record, its reference copy, positional args, different args, the required
+# prefix of the args when later fields have defaults, else None)
+CASES = {
+    "SubsystemOperator": (gates.SubsystemOperator, ref.SubsystemOperator,
+                          (U, 4), (L, 4), None),
+    "CouplingTerm": (gates.CouplingTerm, ref.CouplingTerm,
+                     (OP_A, OP_B, 3.5), (OP_A, OP_B, -3.5), None),
+    "Topology": (gates.Topology, ref.Topology,
+                 (3, ((0, 1), (1, 2))), (3, ((0, 1),)), None),
+    "MultimodeDecomposition": (gates.MultimodeDecomposition, ref.MultimodeDecomposition,
+                               ((TERM,), (), (TERM,)), ((TERM,), (), ()), None),
+    "Node": (graphs.Node, ref.Node,
+             (7, 2, U, graphs.NodeState.MODULAR_ZERO),
+             (7, 2, U, graphs.NodeState.UNIFORM_MODULAR), None),
+    "ModeRecord": (graphs.ModeRecord, ref.ModeRecord,
+                   (3, graphs.CvType.GKP_LABELED, "phi", (0.6 + 0j, 0.8j)),
+                   (3, graphs.CvType.GKP_LABELED, "phi", (0.8 + 0j, 0.6j)),
+                   (3, graphs.CvType.MOMENTUM)),
+    "ModeSpec": (graphs.ModeSpec, ref.ModeSpec,
+                 (graphs.CvType.GKP_LABELED, "phi", (0.6 + 0j, 0.8j)),
+                 (graphs.CvType.GKP_LABELED, "chi", (0.6 + 0j, 0.8j)),
+                 (graphs.CvType.GKP_PLUS,)),
+    "SubsystemEdge": (graphs.SubsystemEdge, ref.SubsystemEdge,
+                      (2, 5, 2), (2, 5, 1), None),
+    "SubsystemGraph": (graphs.SubsystemGraph, ref.SubsystemGraph,
+                       (1.5, (MODE,), (EDGE,)), (1.5, (MODE,), ()), None),
+    "LogicalFrame": (measurement.LogicalFrame, ref.LogicalFrame,
+                     (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), ()),
+    "MeasurementRecord": (measurement.MeasurementRecord, ref.MeasurementRecord,
+                          (1, 0.0, (3, 4, 5), 2), (1, 0.0, (3, 4, 5), 8), None),
+    "MeasurementResult": (measurement.MeasurementResult, ref.MeasurementResult,
+                          (GRAPH, FRAME, RECORD), (GRAPH, measurement.LogicalFrame(), RECORD),
+                          None),
+    "WireRun": (measurement.WireRun, ref.WireRun,
+                (GRAPH, FRAME, (RECORD,), (FRAME,)), (GRAPH, FRAME, (RECORD,), ()),
+                (GRAPH, FRAME, (RECORD,))),
+    "GridSpec": (oracle.GridSpec, ref.GridSpec, (2, 1.5), (3, 1.5), None),
+    # zero modes hold one amplitude, so comparing the arrays gives one bool
+    "DiscretizedState": (oracle.DiscretizedState, ref.DiscretizedState,
+                         (GRID, 0, np.array([0.5 + 0.5j])), (GRID, 0, np.array([1.0 + 0j])),
+                         None),
+    "CheckResult": (certify.CheckResult, ref.CheckResult,
+                    ("gkp_cluster_product", True, 3e-16, 1e-12),
+                    ("gkp_cluster_product", False, 3e-11, 1e-12), None),
+}
+
+# arguments each record refuses, with the reference's message
+REFUSED = [
+    ("Topology", (-1, ())),
+    ("Topology", (3, ((1, 1),))),
+    ("Topology", (3, ((0, 3),))),
+    ("Topology", (3, ((1, 2), (0, 1)))),
+    ("Topology", (3, ((0, 1), (0, 1)))),
+    ("SubsystemEdge", (4, 4, 1)),
+    ("SubsystemEdge", (5, 4, 0)),
+    ("GridSpec", (0, 1.5)),
+    ("GridSpec", (2.0, 1.5)),
+    ("GridSpec", (2, -1.0)),
+    ("GridSpec", (2, float("nan"))),
+    ("DiscretizedState", (GRID, -1, np.ones(1))),
+    ("DiscretizedState", (GRID, 1, np.ones(3))),
+]
+
+
+def field_names(reference):
+    return tuple(f.name for f in dataclasses.fields(reference))
+
+
+def hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as err:
+        return type(err)
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+class TestRecordsMatchTheirDataclasses:
+    def test_all_sixteen_records_are_covered(self):
+        assert len(CASES) == 16
+
+    def test_repr_and_field_order(self, case):
+        cls, reference, args, _, _ = case
+        assert repr(cls(*args)) == repr(reference(*args))
+        assert cls._fields == field_names(reference)
+        assert cls.__match_args__ == reference.__match_args__
+
+    def test_equality(self, case):
+        cls, reference, args, other, _ = case
+        record = cls(*args)
+        assert record == cls(*args) and not record != cls(*args)
+        assert record != cls(*other) and not record == cls(*other)
+        assert record.__eq__(reference(*args)) is NotImplemented
+        assert record != reference(*args)
+        assert record != args
+
+    def test_hash(self, case):
+        cls, reference, args, _, _ = case
+        assert hash_or_error(cls(*args)) == hash_or_error(reference(*args))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, case):
+        cls, reference, args, other, _ = case
+        record = cls(*args)
+        for name in field_names(reference) + ("extra",):
+            for target in (record, reference(*args)):
+                with pytest.raises(AttributeError):
+                    setattr(target, name, other[0])
+                with pytest.raises(AttributeError):
+                    delattr(target, name)
+        assert repr(record) == repr(cls(*args))
+
+    def test_keyword_construction_and_defaults(self, case):
+        cls, reference, args, _, required = case
+        keywords = dict(zip(field_names(reference), args))
+        assert cls(**keywords) == cls(*args)
+        assert repr(cls(**keywords)) == repr(reference(**keywords))
+        if required is not None:
+            assert repr(cls(*required)) == repr(reference(*required))
+
+    def test_copy_and_pickle(self, case):
+        cls, _, args, _, _ = case
+        record = cls(*args)
+        for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is cls
+            assert clone == record and repr(clone) == repr(record)
+
+    @pytest.mark.parametrize("name, args", REFUSED, ids=[f"{n}-{a!r}" for n, a in REFUSED])
+    def test_construction_checks_match(self, name, args):
+        cls, reference, _, _, _ = CASES[name]
+        with pytest.raises(DomainError) as expected:
+            reference(*args)
+        with pytest.raises(DomainError) as refused:
+            cls(*args)
+        assert str(refused.value) == str(expected.value)
+
+    def test_construction_normalizes_as_the_dataclass_did(self):
+        assert repr(graphs.SubsystemEdge(5, 2, 1)) == repr(ref.SubsystemEdge(5, 2, 1))
+        assert oracle.GridSpec(2, 3).alpha == ref.GridSpec(2, 3).alpha == 3.0
+        state = oracle.DiscretizedState(GRID, 0, [1])
+        assert state.amplitudes.dtype == complex and state.amplitudes.shape == (1,)
+
+    def test_match_statement_reads_fields_in_order(self):
+        match graphs.SubsystemEdge(5, 2, 1):
+            case graphs.SubsystemEdge(low, high, multiplicity=1):
+                assert (low, high) == (2, 5)
+            case _:
+                pytest.fail("edge did not match")
+
+
+class TestSubsystemGraphCache:
+    def test_equal_after_cached_properties_are_read(self):
+        topology = gates.chain_topology(4)
+        specs = [graphs.momentum(), graphs.gkp_plus(), graphs.momentum(),
+                 graphs.gkp_labeled(0.6, 0.8j)]
+        graph = graphs.build_cluster(topology, specs, DEFAULT_ALPHA)
+        fresh = graphs.build_cluster(topology, specs, DEFAULT_ALPHA)
+        assert len(graph.nodes) == 12 and graph.node_by_id(4).mode == 1
+        assert "nodes" in vars(graph) and "nodes" not in vars(fresh)
+        assert graph == fresh and hash(graph) == hash(fresh)
+        assert repr(graph) == repr(fresh)
+        assert repr(graph) == repr(ref.SubsystemGraph(graph.alpha, graph.modes, graph.edges))
+        for clone in (copy.copy(graph), pickle.loads(pickle.dumps(graph))):
+            assert clone == fresh and clone.nodes == fresh.nodes
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(path.name)
+    assert len(list(SRC.glob("*.py"))) >= 9
+    assert importers == []
