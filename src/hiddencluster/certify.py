@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from ._record import Record, set_field
 from .errors import DomainError
 from .gates import (
     Topology,
@@ -54,20 +53,24 @@ from .oracle import (
     reduced_density,
 )
 
-_ALL_KINDS = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR)
-
-
 # --- evaluating symbolic objects on the grid ---------------------------------
 
 
-def _kind_values(grid: GridSpec) -> dict:
-    return {kind: grid.basis_values(kind) for kind in _ALL_KINDS}
+def _kind_values(grid: GridSpec) -> list[np.ndarray]:
+    """Each kind's basis values, indexed by its offset."""
+    return [grid.basis_values(kind) for kind in SubsystemKind]
 
 
 def _term_couplings(grid: GridSpec, terms) -> list:
     values = _kind_values(grid)
     return [
-        (t.op_a.mode, values[t.op_a.kind], t.op_b.mode, values[t.op_b.kind], t.coefficient)
+        (
+            t.op_a.mode,
+            values[t.op_a.kind.offset],
+            t.op_b.mode,
+            values[t.op_b.kind.offset],
+            t.coefficient,
+        )
         for t in terms
     ]
 
@@ -122,21 +125,23 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
 
     Node states become per-subsystem vectors (uniform, pinned, or labeled)
     and each edge applies its coupling phase; mode axes follow the graph's
-    mode list order.
+    mode list order.  An edge end ``id`` is kind offset ``id % 3`` of mode
+    ``id // 3``, and ``graph.nodes`` lists each mode's three nodes in that
+    order.
     """
     if grid.alpha != graph.alpha:
         raise DomainError("grid and graph disagree on the bin size")
     n = grid.n
+    nodes = graph.nodes
     axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
     vectors = []
-    for record in graph.modes:
-        logical_node = graph.node_of(record.index, SubsystemKind.LOGICAL)
+    for axis, record in enumerate(graph.modes):
+        logical_node, _, modular_node = nodes[3 * axis : 3 * axis + 3]
         if logical_node.state is NodeState.LOGICAL_LABELED:
             logical = np.array(graph.mode_amplitudes(record.index), dtype=complex)
         else:
             logical = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
         bins = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        modular_node = graph.node_of(record.index, SubsystemKind.GAUGE_MODULAR)
         if modular_node.state is NodeState.MODULAR_ZERO:
             modular = np.zeros(n, dtype=complex)
             modular[grid.zero_u_index] = 1.0
@@ -144,18 +149,19 @@ def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
             modular = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
         vectors.append(np.kron(np.kron(logical, bins), modular))
     values = _kind_values(grid)
-    couplings = []
-    for edge in graph.edges:
-        node_a, node_b = graph.node_by_id(edge.a), graph.node_by_id(edge.b)
-        couplings.append(
+    try:
+        couplings = [
             (
-                axis_of[node_a.mode],
-                values[node_a.kind],
-                axis_of[node_b.mode],
-                values[node_b.kind],
+                axis_of[edge.a // 3],
+                values[edge.a % 3],
+                axis_of[edge.b // 3],
+                values[edge.b % 3],
                 edge_coefficient(graph, edge),
             )
-        )
+            for edge in graph.edges
+        ]
+    except KeyError as err:
+        raise DomainError(f"an edge names mode {err.args[0]}, which the graph lacks") from None
     return coupled_product(grid, vectors, couplings)
 
 
@@ -214,8 +220,8 @@ def _phase_deviation(edges, alpha: float, terms, samples) -> float:
     lhs = np.exp(1j * exponent)
     product = np.ones_like(lhs)
     for term in terms:
-        va = samples[term.op_a.mode][_ALL_KINDS.index(term.op_a.kind)]
-        vb = samples[term.op_b.mode][_ALL_KINDS.index(term.op_b.kind)]
+        va = samples[term.op_a.mode][term.op_a.kind.offset]
+        vb = samples[term.op_b.mode][term.op_b.kind.offset]
         product = product * np.exp(1j * term.coefficient * va * vb)
     return float(np.max(np.abs(lhs - product)))
 
@@ -240,44 +246,28 @@ def multimode_phase_deviation(
 # --- verification suite -------------------------------------------------------
 
 
-class CheckResult(Record):
-    name: str
-    passed: bool
-    max_deviation: float
-    tolerance: float
-
-    def __init__(self, name: str, passed: bool, max_deviation: float, tolerance: float) -> None:
-        set_field(self, "name", name)
-        set_field(self, "passed", passed)
-        set_field(self, "max_deviation", max_deviation)
-        set_field(self, "tolerance", tolerance)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-        }
-
-
-def _check(name: str, deviation: float, tolerance: float) -> CheckResult:
-    return CheckResult(name, bool(deviation <= tolerance), float(deviation), tolerance)
+def _check(name: str, deviation: float, tolerance: float) -> dict:
+    """One report entry: the check passes when its deviation is within tolerance."""
+    return {
+        "name": name,
+        "passed": bool(deviation <= tolerance),
+        "max_deviation": float(deviation),
+        "tolerance": tolerance,
+    }
 
 
 def all_subsystem_pairs(n_modes: int):
-    subsystems = [(mode, kind) for mode in range(n_modes) for kind in _ALL_KINDS]
+    subsystems = [(mode, kind) for mode in range(n_modes) for kind in SubsystemKind]
     return itertools.combinations(subsystems, 2)
 
 
 def graph_edge_pairs(graph: SubsystemGraph) -> set:
     """Subsystem pairs joined by an edge, as unordered (mode, kind) pairs."""
-    pairs = set()
-    for edge in graph.edges:
-        node_a, node_b = graph.node_by_id(edge.a), graph.node_by_id(edge.b)
-        pair = frozenset(((node_a.mode, node_a.kind), (node_b.mode, node_b.kind)))
-        pairs.add(pair)
-    return pairs
+    kinds = tuple(SubsystemKind)
+    return {
+        frozenset(((edge.a // 3, kinds[edge.a % 3]), (edge.b // 3, kinds[edge.b % 3])))
+        for edge in graph.edges
+    }
 
 
 def random_topology(rng: np.random.Generator, n_modes: int) -> Topology:
@@ -342,7 +332,7 @@ def _wire_unzip_deviation(
         result = measure_p0(graph, current, frame)
         graph, frame = result.graph, result.frame
         expected_label = HADAMARD @ expected_label
-        neighbor = result.graph.node_by_id(result.record.converted_node).mode
+        neighbor = result.record.converted_node // 3
 
         worst = max(worst, 1.0 - fidelity(state, graph_state(grid, graph)))
 
@@ -409,7 +399,7 @@ def run_verification(
         raise DomainError(f"g_scale must be finite, got {g_scale!r}")
     rng = np.random.default_rng(seed)
     grid = GridSpec(n=grid_n, alpha=alpha)
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
 
     # Phase identities for the two-mode gate at random and tuned weights.
     tuples = (
@@ -531,7 +521,7 @@ def run_verification(
             "seed": int(seed),
             "g_scale": float(g_scale),
         },
-        "checks": [c.as_dict() for c in checks],
-        "passed": all(c.passed for c in checks),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
     }
     return report

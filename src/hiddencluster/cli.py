@@ -113,9 +113,14 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
             total = norm_sq(c0, c1)
             if total == math.inf:
                 raise UsageError("gkp amplitudes are too large to normalize")
+            if total < sys.float_info.min:
+                # the squares are subnormal or underflow to 0: rescale the pair first
+                scale = max(abs(c0), abs(c1))
+                if scale == 0.0:
+                    raise UsageError("gkp amplitudes cannot both be zero")
+                c0, c1 = c0 / scale, c1 / scale
+                total = norm_sq(c0, c1)
             norm = math.sqrt(total)
-            if norm == 0.0:
-                raise UsageError("gkp amplitudes cannot both be zero")
             specs.append(gkp_labeled(c0 / norm, c1 / norm))
         else:
             raise UsageError(f"unknown node type {token!r} (expected p, gkp+ or gkp:c0,c1)")
@@ -141,7 +146,8 @@ def _require_topology_size(n_modes: int, text: str) -> None:
 def parse_topology(text: str) -> Topology:
     """chain:N, grid:RxC, or a path to a JSON edge-list file.
 
-    An edge file's reversed and repeated pairs name one edge.
+    An edge file's reversed and repeated pairs name one edge; the rest of
+    its checks are :class:`Topology`'s, reported with the file name.
     """
     if text.startswith("chain:"):
         n_modes = _positive_int(text[6:], "chain length")
@@ -165,25 +171,21 @@ def parse_topology(text: str) -> Topology:
             n_modes = require_json_int(doc["n_modes"], "n_modes") if "n_modes" in doc else None
         else:
             edges, n_modes = doc, None
-        pairs = []
+        pairs = set()
         for pair in edges:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise UsageError(f"{text}: edges must be [i, j] pairs")
             i, j = (require_json_int(end, "edge end") for end in pair)
-            if i == j or i < 0 or j < 0:
-                raise UsageError(f"{text}: invalid edge [{i}, {j}]")
-            pairs.append((i, j))
+            pairs.add((min(i, j), max(i, j)))
     except (TypeError, GraphParseError) as err:
         raise UsageError(f"{text}: malformed edge list: {err}") from err
     if n_modes is None:
-        n_modes = 1 + max((max(p) for p in pairs), default=0)
-    if n_modes < 0:
-        raise UsageError(f"{text}: n_modes must be nonnegative, got {n_modes}")
+        n_modes = 1 + max([0, *(j for _, j in pairs)])
     _require_topology_size(n_modes, text)
-    for i, j in pairs:
-        if max(i, j) >= n_modes:
-            raise UsageError(f"{text}: edge [{i}, {j}] exceeds n_modes={n_modes}")
-    return Topology(n_modes, tuple(sorted({(min(p), max(p)) for p in pairs})))
+    try:
+        return Topology(n_modes, tuple(sorted(pairs)))
+    except DomainError as err:
+        raise UsageError(f"{text}: {err}") from err
 
 
 def _positive_int(text: str, what: str) -> int:
@@ -266,12 +268,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.topology is not None:
         topology = parse_topology(args.topology)
         decomposition = decompose_cz_multimode(topology, alpha)
-        adjacency = [[0] * topology.n_modes for _ in range(topology.n_modes)]
-        for i, j in topology.edges:
-            adjacency[i][j] = adjacency[j][i] = 1
         doc = {
             "alpha": alpha,
-            "adjacency": adjacency,
+            # the edge-file format, so the document is itself a valid --topology
+            "n_modes": topology.n_modes,
+            "edges": [list(edge) for edge in topology.edges],
             "logical_terms": [_term_dict(t) for t in decomposition.logical_terms],
             "gauge_terms": [_term_dict(t) for t in decomposition.gauge_terms],
             "interaction_terms": [_term_dict(t) for t in decomposition.interaction_terms],
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     decompose = sub.add_parser("decompose", help="decompose a controlled-Z into couplings")
     decompose.add_argument("--g", type=float, help="two-mode gate weight")
-    decompose.add_argument("--topology", help="binary adjacency for the tuned multimode gate")
+    decompose.add_argument("--topology", help="chain:N, grid:RxC, or edge-list file")
     decompose.add_argument("--alpha", default="sqrt_pi")
     decompose.add_argument("-o", "--output", default="-")
     decompose.set_defaults(func=cmd_decompose)

@@ -1,14 +1,14 @@
 """Typed subsystem graphs for CV, GKP and hybrid cluster states.
 
 Every physical mode contributes three nodes (logical qubit, gauge bin
-number, gauge modular position).  Node ``3*i + k`` is the kind-``k`` node
-(0 logical, 1 gauge bin, 2 gauge modular) of the mode with index ``i``, and
-its state follows from that mode's input type, so a graph stores only its
-modes and edges.  Edges carry a small integer multiplicity;
-under the node-operator normalization (circle = u/alpha, square = m,
-diamond = ell) every single line is a coupling of strength pi, so the
-physical coefficient of an edge is ``pi * multiplicity / alpha**k`` with
-``k`` the number of modular endpoints.
+number, gauge modular position).  Node ``3*i + kind.offset`` (0 logical,
+1 gauge bin, 2 gauge modular; see :class:`SubsystemKind`) is that kind's
+node of the mode with index ``i``, and its state follows from that mode's
+input type, so a graph stores only its modes and edges.  Edges carry a
+small integer multiplicity; under the node-operator normalization
+(circle = u/alpha, square = m, diamond = ell) every single line is a
+coupling of strength pi, so the physical coefficient of an edge is
+``pi * multiplicity / alpha**k`` with ``k`` the number of modular endpoints.
 
 Building a cluster graph expands the tuned multimode gate into coupling
 terms, materializes them as edges, and then deletes every edge incident to
@@ -35,8 +35,7 @@ if TYPE_CHECKING:
 
 EDGE_UNIT_PHASE = math.pi
 
-_KIND_ORDER = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR)
-_KIND_OFFSET = {kind: offset for offset, kind in enumerate(_KIND_ORDER)}
+_LOGICAL, _MODULAR = SubsystemKind.LOGICAL.offset, SubsystemKind.GAUGE_MODULAR.offset
 
 
 class CvType(enum.Enum):
@@ -187,8 +186,8 @@ def _mode_nodes(record: ModeRecord) -> tuple[Node, ...]:
     """The three nodes of a mode: ids 3*index + kind offset, states from its cv_type."""
     states = _node_states_for(record.cv_type)
     return tuple(
-        Node(id=3 * record.index + offset, mode=record.index, kind=kind, state=state)
-        for offset, (kind, state) in enumerate(zip(_KIND_ORDER, states))
+        Node(id=3 * record.index + kind.offset, mode=record.index, kind=kind, state=state)
+        for kind, state in zip(SubsystemKind, states)
     )
 
 
@@ -231,12 +230,6 @@ class SubsystemGraph(Record):
             raise DomainError(f"no mode with index {index}")
         return record
 
-    def node_of(self, mode_index: int, kind: SubsystemKind) -> Node:
-        record = self._mode_index.get(mode_index)
-        if record is None:
-            raise DomainError(f"no {kind.value} node for mode {mode_index}")
-        return _mode_nodes(record)[_KIND_OFFSET[kind]]
-
     def mode_amplitudes(self, index: int) -> tuple[complex, complex]:
         """Logical amplitudes of a mode; plus-type modes are (1,1)/sqrt(2)."""
         record = self.mode_by_index(index)
@@ -251,9 +244,9 @@ def absorb_modular_zero_edges(
 ) -> tuple[SubsystemEdge, ...]:
     """Delete every edge incident to a modular-position node pinned at u = 0.
 
-    Every GKP-type mode has its modular-position node (id ``3*index + 2``) pinned.
+    Every GKP-type mode has its modular-position node pinned.
     """
-    pinned = {3 * m.index + 2 for m in modes if m.cv_type.is_gkp}
+    pinned = {3 * m.index + _MODULAR for m in modes if m.cv_type.is_gkp}
     return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
@@ -264,8 +257,8 @@ def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
     if multiplicity not in (1, 2) or abs(units - multiplicity) > 1e-9:
         raise DomainError(f"term {term} has non-integral edge strength {units}")
     return SubsystemEdge(
-        a=3 * term.op_a.mode + _KIND_OFFSET[term.op_a.kind],
-        b=3 * term.op_b.mode + _KIND_OFFSET[term.op_b.kind],
+        a=3 * term.op_a.mode + term.op_a.kind.offset,
+        b=3 * term.op_b.mode + term.op_b.kind.offset,
         multiplicity=multiplicity,
     )
 
@@ -308,7 +301,7 @@ def logical_neighbors(graph: SubsystemGraph) -> dict[int, set[int]]:
     """Mode-level adjacency from the logical-logical edges: index -> neighbor indices."""
     neighbors: dict[int, set[int]] = {record.index: set() for record in graph.modes}
     for edge in graph.edges:
-        if edge.a % 3 == 0 and edge.b % 3 == 0:
+        if edge.a % 3 == _LOGICAL and edge.b % 3 == _LOGICAL:
             neighbors[edge.a // 3].add(edge.b // 3)
             neighbors[edge.b // 3].add(edge.a // 3)
     return neighbors
@@ -329,9 +322,7 @@ def logical_subgraph(graph: SubsystemGraph) -> np.ndarray:
 
 def edge_coefficient(graph: SubsystemGraph, edge: SubsystemEdge) -> float:
     """Physical coupling coefficient of an edge, undoing the normalization."""
-    modular_ends = sum(
-        graph.node_by_id(i).kind is SubsystemKind.GAUGE_MODULAR for i in (edge.a, edge.b)
-    )
+    modular_ends = (edge.a % 3 == _MODULAR) + (edge.b % 3 == _MODULAR)
     return EDGE_UNIT_PHASE * edge.multiplicity / graph.alpha**modular_ends
 
 

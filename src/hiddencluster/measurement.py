@@ -22,6 +22,7 @@ from .graphs import (
     absorb_modular_zero_edges,
     logical_neighbors,
 )
+from .modular import SubsystemKind
 
 _S = 1.0 / math.sqrt(2.0)
 
@@ -177,7 +178,7 @@ def _walk(
                 measured_mode=mode,
                 outcome=0.0,
                 removed_nodes=(3 * mode, 3 * mode + 1, 3 * mode + 2),
-                converted_node=3 * neighbor + 2,
+                converted_node=3 * neighbor + SubsystemKind.GAUGE_MODULAR.offset,
             )
         )
         frames.append(frame)

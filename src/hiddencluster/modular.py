@@ -28,11 +28,20 @@ class SubsystemKind(enum.Enum):
 
     LOGICAL has spectrum {0, 1}, GAUGE_BIN has integer spectrum, and
     GAUGE_MODULAR has continuous spectrum [-alpha/2, alpha/2).
+
+    The declaration order is the package's one (ell, m, u) layout of a mode:
+    ``offset`` is 0, 1, 2 in this order, so kind ``k`` of mode ``i`` is node
+    ``3*i + k.offset``, oracle axis ``3*i + k.offset`` and sample column
+    ``k.offset``, and iterating the class lists the kinds in that order.
     """
 
     LOGICAL = "logical"
     GAUGE_BIN = "gauge_m"
     GAUGE_MODULAR = "gauge_u"
+
+    def __init__(self, value: str) -> None:
+        # members are made in declaration order, each before it is registered
+        self.offset = len(type(self).__members__)
 
     @property
     def integer_spectrum(self) -> bool:

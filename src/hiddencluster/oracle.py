@@ -12,7 +12,8 @@ vectors here, and all in-scope gate and measurement identities hold on the
 grid to floating round-off.
 
 States are dense complex vectors ordered mode-major, then (ell, m-index,
-u-index) within a mode.  Operations never mutate their inputs.
+u-index) within a mode, the order of ``SubsystemKind.offset``.  Operations
+never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ import numpy as np
 from ._record import Record, set_field
 from .errors import DomainError
 from .modular import SubsystemKind, require_bin_size
-
-_KIND_AXIS = {
-    SubsystemKind.LOGICAL: 0,
-    SubsystemKind.GAUGE_BIN: 1,
-    SubsystemKind.GAUGE_MODULAR: 2,
-}
 
 #: A subsystem address on the grid: (mode index, subsystem kind).
 Subsystem = tuple[int, SubsystemKind]
@@ -326,7 +321,7 @@ def reduced_density(
     axes = []
     for mode, kind in subsystems:
         _require_mode(mode, state.n_modes)
-        axes.append(3 * mode + _KIND_AXIS[kind])
+        axes.append(3 * mode + kind.offset)
     tensor = state.amplitudes.reshape((2, n, n) * state.n_modes)
     rest = [ax for ax in range(3 * state.n_modes) if ax not in axes]
     moved = np.transpose(tensor, axes + rest)
@@ -423,8 +418,8 @@ def coupling_strength(
         raise DomainError("coupling strength needs two distinct subsystems")
     n = state.grid.n
     tensor = state.amplitudes.reshape((2, n, n) * state.n_modes)
-    axis_a = 3 * mode_a + _KIND_AXIS[kind_a]
-    axis_b = 3 * mode_b + _KIND_AXIS[kind_b]
+    axis_a = 3 * mode_a + kind_a.offset
+    axis_b = 3 * mode_b + kind_b.offset
 
     def view(shift_a: bool, shift_b: bool) -> np.ndarray:
         index: list[slice] = [slice(None)] * tensor.ndim

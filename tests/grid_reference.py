@@ -5,8 +5,11 @@ products for a product state, then one full-tensor phase per coupling in
 the order given, and the qubit cluster state by a scan of a dense matrix.
 The tests compare ``oracle.coupled_product``, ``oracle.qubit_cluster_state``
 and the ``certify`` routes against these, build dense adjacency matrices
-here, and compare two density matrices with ``mixed_fidelity``; the
-package itself never imports them.
+here, and compare two density matrices with ``mixed_fidelity``.  A graph's
+grid state, edge coefficients and edge pairs are read here node record by
+node record through ``node_by_id``, the form ``certify`` and ``graphs``
+used before they read an edge end's mode and kind from ``id // 3`` and
+``id % 3``.  The package itself never imports this module.
 """
 
 import math
@@ -16,8 +19,9 @@ import numpy as np
 from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import CouplingTerm, SubsystemOperator, chain_topology
-from hiddencluster.graphs import canonical
-from hiddencluster.oracle import DiscretizedState
+from hiddencluster.graphs import EDGE_UNIT_PHASE, NodeState, canonical
+from hiddencluster.modular import SubsystemKind
+from hiddencluster.oracle import DiscretizedState, coupled_product
 
 
 def tensor_product(states):
@@ -148,3 +152,62 @@ def mixed_fidelity(rho, sigma):
     eigenvalues = np.linalg.eigvalsh(sq @ y @ sq)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     return float(np.sqrt(eigenvalues).sum() ** 2)
+
+
+def node_of(graph, mode, kind):
+    """A mode's node of one kind, as a ``Node`` record."""
+    return graph.node_by_id(3 * mode + kind.offset)
+
+
+def reference_edge_coefficient(graph, edge):
+    """Physical coupling coefficient of an edge, its ends' kinds read from node records."""
+    modular_ends = sum(
+        graph.node_by_id(i).kind is SubsystemKind.GAUGE_MODULAR for i in (edge.a, edge.b)
+    )
+    return EDGE_UNIT_PHASE * edge.multiplicity / graph.alpha**modular_ends
+
+
+def reference_edge_pairs(graph):
+    """Subsystem pairs joined by an edge, as unordered (mode, kind) pairs of node records."""
+    pairs = set()
+    for edge in graph.edges:
+        node_a, node_b = graph.node_by_id(edge.a), graph.node_by_id(edge.b)
+        pairs.add(frozenset(((node_a.mode, node_a.kind), (node_b.mode, node_b.kind))))
+    return pairs
+
+
+def reference_graph_state(grid, graph):
+    """A subsystem graph's grid state, each node and edge end read as a ``Node`` record."""
+    if grid.alpha != graph.alpha:
+        raise DomainError("grid and graph disagree on the bin size")
+    n = grid.n
+    axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
+    vectors = []
+    for record in graph.modes:
+        logical_node = node_of(graph, record.index, SubsystemKind.LOGICAL)
+        if logical_node.state is NodeState.LOGICAL_LABELED:
+            logical = np.array(graph.mode_amplitudes(record.index), dtype=complex)
+        else:
+            logical = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
+        bins = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+        modular_node = node_of(graph, record.index, SubsystemKind.GAUGE_MODULAR)
+        if modular_node.state is NodeState.MODULAR_ZERO:
+            modular = np.zeros(n, dtype=complex)
+            modular[grid.zero_u_index] = 1.0
+        else:
+            modular = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+        vectors.append(np.kron(np.kron(logical, bins), modular))
+    values = {kind: grid.basis_values(kind) for kind in SubsystemKind}
+    couplings = []
+    for edge in graph.edges:
+        node_a, node_b = graph.node_by_id(edge.a), graph.node_by_id(edge.b)
+        couplings.append(
+            (
+                axis_of[node_a.mode],
+                values[node_a.kind],
+                axis_of[node_b.mode],
+                values[node_b.kind],
+                reference_edge_coefficient(graph, edge),
+            )
+        )
+    return coupled_product(grid, vectors, couplings)

@@ -161,11 +161,3 @@ class DiscretizedState:
             raise DomainError(
                 f"amplitude vector has length {self.amplitudes.shape}, expected ({expected},)"
             )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    max_deviation: float
-    tolerance: float

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grid_reference import chain_adjacency, product_state, topology_matrix
+from grid_reference import (
+    chain_adjacency,
+    product_state,
+    reference_edge_coefficient,
+    reference_edge_pairs,
+    reference_graph_state,
+    topology_matrix,
+)
 from hiddencluster.certify import (
     align_global_phase,
     decomposed_cluster_state,
     direct_cluster_state,
+    graph_edge_pairs,
     graph_state,
     max_amplitude_deviation,
     mode_state,
@@ -18,8 +28,18 @@ from hiddencluster.certify import (
     sample_quantum_numbers,
 )
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import chain_topology, grid_topology
-from hiddencluster.graphs import build_cluster, gkp_labeled, gkp_plus, momentum
+from hiddencluster.gates import Topology, chain_topology, grid_topology
+from hiddencluster.graphs import (
+    SubsystemEdge,
+    SubsystemGraph,
+    build_cluster,
+    edge_coefficient,
+    gkp_labeled,
+    gkp_plus,
+    logical_neighbors,
+    momentum,
+)
+from hiddencluster.measurement import LogicalFrame, measure_p0, run_wire
 from hiddencluster.modular import DEFAULT_ALPHA
 from hiddencluster.oracle import GridSpec, fidelity, prepare_gkp_state, qubit_cluster_state
 
@@ -62,6 +82,113 @@ class TestGraphStateSemantics:
         graph = build_cluster(chain_adjacency(2), [momentum()] * 2, 1.0)
         with pytest.raises(DomainError):
             graph_state(GridSpec(n=2, alpha=2.0), graph)
+
+    def test_edge_to_a_missing_mode_rejected(self):
+        graph = build_cluster(chain_adjacency(2), [momentum()] * 2, ALPHA)
+        broken = SubsystemGraph(ALPHA, graph.modes, graph.edges + (SubsystemEdge(0, 7, 1),))
+        with pytest.raises(DomainError, match="names mode 2, which the graph lacks"):
+            graph_state(GridSpec(n=1, alpha=ALPHA), broken)
+
+
+def assert_matches_node_record_reference(grid, graph):
+    """graph_state, graph_edge_pairs and edge_coefficient equal their node-record
+    references in ``grid_reference`` bit for bit."""
+    state, reference = graph_state(grid, graph), reference_graph_state(grid, graph)
+    assert state.n_modes == reference.n_modes == len(graph.modes)
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+    assert graph_edge_pairs(graph) == reference_edge_pairs(graph)
+    for edge in graph.edges:
+        assert edge_coefficient(graph, edge) == reference_edge_coefficient(graph, edge)
+
+
+@st.composite
+def mode_specs(draw, n_modes):
+    """Momentum, plus and labeled GKP modes, the labels away from the poles."""
+    specs = []
+    for _ in range(n_modes):
+        kind = draw(st.sampled_from(["p", "gkp+", "gkp"]))
+        if kind == "p":
+            specs.append(momentum())
+        elif kind == "gkp+":
+            specs.append(gkp_plus())
+        else:
+            weight = draw(st.floats(0.05, 0.95))
+            phase = draw(st.floats(0.0, 2.0 * math.pi))
+            c1 = math.sqrt(1.0 - weight) * complex(math.cos(phase), math.sin(phase))
+            specs.append(gkp_labeled(math.sqrt(weight), c1))
+    return specs
+
+
+@st.composite
+def grid_and_graph(draw, max_modes):
+    """A grid of size 1..3, and a graph built on a random topology of at most
+    ``max_modes`` modes (3 at grid size 3, so a state stays below 6000 amplitudes)."""
+    alpha = draw(st.sampled_from([ALPHA, 1.0, 2.5]))
+    grid = GridSpec(n=draw(st.integers(1, 3)), alpha=alpha)
+    n_modes = draw(st.integers(1, max_modes if grid.n < 3 else 3))
+    pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    specs = draw(mode_specs(n_modes))
+    return grid, build_cluster(Topology(n_modes, tuple(sorted(edges))), specs, alpha)
+
+
+class TestGraphStateMatchesNodeRecordReference:
+    """Reading an edge end's mode and kind from its id gives the same state,
+    edge pairs and coefficients as reading its node record."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(drawn=grid_and_graph(max_modes=4))
+    def test_built_graphs(self, drawn):
+        assert_matches_node_record_reference(*drawn)
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(drawn=grid_and_graph(max_modes=5), data=st.data())
+    def test_residual_graphs_of_measure_p0(self, drawn, data):
+        """Measured degree-1 GKP-type modes leave gaps in the mode indices."""
+        grid, graph = drawn
+        for _ in range(data.draw(st.integers(1, 3), label="measurements")):
+            neighbors = logical_neighbors(graph)
+            candidates = [
+                record.index
+                for record in graph.modes
+                if record.cv_type.is_gkp and len(neighbors[record.index]) == 1
+            ]
+            if not candidates:
+                break
+            mode = data.draw(st.sampled_from(candidates), label="measured mode")
+            graph = measure_p0(graph, mode, LogicalFrame(0, graph.mode_amplitudes(mode))).graph
+            assert_matches_node_record_reference(grid, graph)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_residual_graphs_of_run_wire(self, data):
+        """A wire whose input is mode 0 keeps only its high mode indices."""
+        grid = GridSpec(n=data.draw(st.integers(1, 3), label="grid n"), alpha=ALPHA)
+        n_modes = data.draw(st.integers(2, 5), label="n_modes")
+        specs = data.draw(mode_specs(n_modes), label="specs")
+        input_mode = data.draw(st.sampled_from([0, n_modes - 1]), label="input")
+        specs[input_mode] = gkp_labeled(0.6, 0.8j)
+        graph = build_cluster(chain_topology(n_modes), specs, ALPHA)
+        steps = data.draw(st.integers(1, n_modes - 1), label="steps")
+        run = run_wire(graph, steps)
+        kept = n_modes - steps
+        assert len(run.graph.modes) == kept
+        if grid.n < 3 or kept <= 3:
+            assert_matches_node_record_reference(grid, run.graph)
+
+    def test_residual_graphs_with_gaps(self):
+        """A measured star leaf and a wire walked from mode 0 leave gaps."""
+        star = Topology(4, ((0, 1), (0, 2), (0, 3)))
+        specs = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j), gkp_plus()]
+        graph = build_cluster(star, specs, ALPHA)
+        measured = measure_p0(graph, 2, LogicalFrame(0, (0.6, 0.8j))).graph
+        assert [record.index for record in measured.modes] == [0, 1, 3]
+        wire = build_cluster(chain_topology(4), [gkp_plus()] + [momentum()] * 3, ALPHA)
+        walked = run_wire(wire, 2).graph
+        assert [record.index for record in walked.modes] == [2, 3]
+        for residual in (measured, walked):
+            assert residual.edges
+            assert_matches_node_record_reference(GridSpec(n=2, alpha=ALPHA), residual)
 
 
 class TestGridEqualitiesUpToN4:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -84,6 +85,32 @@ class TestParsers:
         assert topology.n_modes == 3
         assert topology.edges == ((0, 2), (1, 2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_modes": 3, "edges": [[0, 1], [2, 2]]}', "self-loop at mode 2"),
+            ('{"n_modes": 3, "edges": [[0, -1]]}', "edge (-1, 0) must have ends"),
+            ("[[-3, -2]]", "edge (-3, -2) must have ends"),
+            ('{"n_modes": 3, "edges": [[1, 3]]}', "edge (1, 3) must have ends"),
+            ('{"n_modes": -1, "edges": []}', "n_modes must be nonnegative, got -1"),
+        ],
+        ids=["self-loop", "negative-end", "implied-count-negative-ends", "end-past-n-modes",
+             "negative-n-modes"],
+    )
+    @pytest.mark.parametrize("command", ["build", "decompose"])
+    def test_invalid_edge_file_exits_2_naming_the_file(
+        self, command, text, message, tmp_path, capsys
+    ):
+        path = tmp_path / "bad-edges.json"
+        path.write_text(text)
+        with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: "):
+            parse_topology(str(path))
+        argv = [command, "--topology", str(path)]
+        argv += ["--nodes", "p"] if command == "build" else []
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1
+
 
 class TestBuild:
     def test_chain_five(self, tmp_path):
@@ -153,6 +180,25 @@ class TestDecompose:
 
     def test_rejects_both_g_and_topology(self, capsys):
         assert run("decompose", "--g", "1.0", "--topology", "chain:2") == 2
+
+    @pytest.mark.parametrize("topology", ["chain:3", "grid:3x4", "edges.json"])
+    def test_topology_document_is_a_topology_input(self, topology, tmp_path, monkeypatch):
+        """The document names its topology in the edge-file format, so passing it
+        back as --topology decomposes the same gate, byte for byte."""
+        monkeypatch.chdir(tmp_path)
+        # reversed and repeated pairs, and a mode (4) that no edge touches
+        edges = [[2, 0], [0, 2], [3, 1], [1, 3], [1, 2]]
+        Path("edges.json").write_text(json.dumps({"n_modes": 5, "edges": edges}))
+        assert run("decompose", "--topology", topology, "-o", "first.json") == 0
+        doc = json.loads(Path("first.json").read_text())
+        assert sorted(doc) == ["alpha", "edges", "gauge_terms", "interaction_terms",
+                               "logical_terms", "n_modes"]
+        expected = parse_topology(topology)
+        assert doc["n_modes"] == expected.n_modes
+        assert doc["edges"] == [list(edge) for edge in expected.edges]
+        assert parse_topology("first.json") == expected
+        assert run("decompose", "--topology", "first.json", "-o", "second.json") == 0
+        assert Path("second.json").read_bytes() == Path("first.json").read_bytes()
 
 
 class TestMeasureAndWire:
@@ -416,9 +462,29 @@ class TestAmplitudeOverflow:
         assert capsys.readouterr().err == "error: gkp amplitudes are too large to normalize\n"
         assert not out.exists()
 
-    def test_underflowing_amplitudes_keep_their_message(self, capsys):
-        assert run("build", "--topology", "chain:2", "--nodes", "gkp:1e-200,1e-200") == 2
+    @pytest.mark.parametrize(
+        "nodes, expected",
+        [
+            ("gkp:1e-200,1e-200", (1 / math.sqrt(2), 1 / math.sqrt(2))),
+            ("gkp:1e-160,1e-160", (1 / math.sqrt(2), 1 / math.sqrt(2))),
+            ("gkp:0,1e-170", (0.0, 1.0)),
+        ],
+        ids=["squares-underflow", "squares-subnormal", "one-amplitude-zero"],
+    )
+    def test_tiny_amplitudes_are_rescaled_before_normalizing(self, nodes, expected, tmp_path):
+        out = tmp_path / "g.json"
+        assert run("build", "--topology", "chain:1", "--nodes", nodes, "-o", str(out)) == 0
+        assert read_graph(out).modes[0].amplitudes == tuple(complex(c) for c in expected)
+
+    def test_zero_amplitudes_are_refused(self, capsys):
+        assert run("build", "--topology", "chain:2", "--nodes", "gkp:0,0") == 2
         assert capsys.readouterr().err == "error: gkp amplitudes cannot both be zero\n"
+
+    def test_normal_pairs_normalize_as_before(self):
+        # a pair whose squares are normal floats takes the unscaled path
+        (spec,) = parse_node_specs("gkp:3e-150,4e-150j", 1)
+        norm = math.sqrt(abs(3e-150) ** 2 + abs(4e-150j) ** 2)
+        assert spec.amplitudes == (3e-150 / norm + 0j, 4e-150j / norm)
 
     def test_large_finite_amplitudes_are_normalized(self, tmp_path):
         out = tmp_path / "g.json"

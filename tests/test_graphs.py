@@ -34,6 +34,13 @@ from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
 
 
+def node_of(graph, mode, kind):
+    """A mode's node of one kind, looked up by its id in the (ell, m, u) layout."""
+    node = graph.node_by_id(3 * mode + kind.offset)
+    assert (node.mode, node.kind) == (mode, kind)
+    return node
+
+
 def edge_kinds(graph):
     """Multiset of (kind, kind, multiplicity) per edge, kinds sorted."""
     out = []
@@ -63,7 +70,7 @@ class TestBuildCluster:
         graph = build_cluster(chain_adjacency(2), [momentum(), momentum()], DEFAULT_ALPHA)
         assert len(graph.nodes) == 6
         ids = {
-            (mode, kind): graph.node_of(mode, kind).id
+            (mode, kind): node_of(graph, mode, kind).id
             for mode in (0, 1)
             for kind in (L, M, U)
         }
@@ -87,10 +94,10 @@ class TestBuildCluster:
     def test_hybrid_two_mode_has_three_edges(self):
         specs = [momentum(), gkp_labeled(0.6, 0.8)]
         graph = build_cluster(chain_adjacency(2), specs, DEFAULT_ALPHA)
-        logical_0 = graph.node_of(0, L).id
-        logical_1 = graph.node_of(1, L).id
-        bin_1 = graph.node_of(1, M).id
-        modular_0 = graph.node_of(0, U).id
+        logical_0 = node_of(graph, 0, L).id
+        logical_1 = node_of(graph, 1, L).id
+        bin_1 = node_of(graph, 1, M).id
+        modular_0 = node_of(graph, 0, U).id
         got = {(e.a, e.b, e.multiplicity) for e in graph.edges}
         assert got == {
             (logical_0, logical_1, 1),
@@ -393,7 +400,6 @@ def test_from_json_mutations_parse_or_reject(data):
 
 
 _SPECS = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j, "psi")]
-_KIND_OFFSET = {L: 0, M: 1, U: 2}
 
 
 def _edges_from_terms(terms, alpha, specs):
@@ -401,8 +407,8 @@ def _edges_from_terms(terms, alpha, specs):
     pinned = {3 * i + 2 for i, spec in enumerate(specs) if spec.cv_type.is_gkp}
     edges = []
     for t in terms:
-        a = 3 * t.op_a.mode + _KIND_OFFSET[t.op_a.kind]
-        b = 3 * t.op_b.mode + _KIND_OFFSET[t.op_b.kind]
+        a = 3 * t.op_a.mode + t.op_a.kind.offset
+        b = 3 * t.op_b.mode + t.op_b.kind.offset
         modular = (t.op_a.kind is U) + (t.op_b.kind is U)
         if a not in pinned and b not in pinned:
             edges.append(SubsystemEdge(a, b, round(t.coefficient * alpha**modular / math.pi)))

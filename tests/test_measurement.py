@@ -64,7 +64,7 @@ class TestMeasureP0:
         expected = HADAMARD @ np.array(label)
         assert np.allclose(new_terminal.amplitudes, expected, atol=1e-12)
         # the neighbor's circle is now open and edge-free
-        u_node = result.graph.node_of(3, SubsystemKind.GAUGE_MODULAR)
+        u_node = result.graph.node_by_id(3 * 3 + SubsystemKind.GAUGE_MODULAR.offset)
         assert u_node.state is NodeState.MODULAR_ZERO
         assert not any(u_node.id in (e.a, e.b) for e in result.graph.edges)
         assert result.frame.hadamard_count == 1

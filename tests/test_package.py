@@ -1,12 +1,16 @@
-"""The package's public surface: every exported name resolves, and the
-README's library quick start runs as written."""
+"""The package's public surface and layout: every exported name resolves,
+the README's library quick start runs as written, and only ``modular``
+defines the (ell, m, u) order of a mode's subsystems."""
 
+import ast
 import re
 from pathlib import Path
 
 import hiddencluster
+from hiddencluster.modular import SubsystemKind
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src" / "hiddencluster"
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +26,87 @@ def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), f"{README.name} quick start", "exec"), {})
+
+
+def _member(node) -> str | None:
+    """The member name of a ``SubsystemKind.<MEMBER>`` expression, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "SubsystemKind"
+        and node.attr in SubsystemKind.__members__
+    ):
+        return node.attr
+    return None
+
+
+def _is_layout_table(value) -> bool:
+    """A sequence spelling all three kinds, or a dict from kinds to integers."""
+    if isinstance(value, (ast.Tuple, ast.List)):
+        return {_member(e) for e in value.elts} >= set(SubsystemKind.__members__)
+    if isinstance(value, ast.Dict):
+        return any(_member(k) for k in value.keys) and all(
+            isinstance(v, ast.Constant) and type(v.value) is int for v in value.values
+        )
+    if isinstance(value, ast.DictComp):
+        # {kind: offset for offset, kind in enumerate(...)}
+        for generator in value.generators:
+            iterable, target = generator.iter, generator.target
+            if (
+                isinstance(iterable, ast.Call)
+                and isinstance(iterable.func, ast.Name)
+                and iterable.func.id == "enumerate"
+                and isinstance(target, ast.Tuple)
+                and isinstance(target.elts[0], ast.Name)
+                and isinstance(value.value, ast.Name)
+                and value.value.id == target.elts[0].id
+            ):
+                return True
+    return False
+
+
+def layout_tables(source: str) -> list[int]:
+    """Line numbers of module-level assignments that define a kind layout table."""
+    return [
+        statement.lineno
+        for statement in ast.parse(source).body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        and statement.value is not None
+        and _is_layout_table(statement.value)
+    ]
+
+
+def test_the_guard_finds_the_tables_it_forbids():
+    forbidden = [
+        "_KIND_ORDER = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, "
+        "SubsystemKind.GAUGE_MODULAR)",
+        "ALL = [SubsystemKind.GAUGE_BIN, SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR]",
+        "_KIND_OFFSET = {kind: offset for offset, kind in enumerate(_KIND_ORDER)}",
+        "_KIND_AXIS = {SubsystemKind.LOGICAL: 0, SubsystemKind.GAUGE_BIN: 1}",
+        "AXIS: dict = {SubsystemKind.GAUGE_MODULAR: 2}",
+    ]
+    allowed = [
+        '_DOT_SHAPE = {SubsystemKind.LOGICAL: "diamond", SubsystemKind.GAUGE_BIN: "box"}',
+        "_MODULAR = SubsystemKind.GAUGE_MODULAR.offset",
+        "def f():\n    KINDS = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, "
+        "SubsystemKind.GAUGE_MODULAR)",
+        "PAIR = (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR)",
+    ]
+    assert [layout_tables(source) for source in forbidden] == [[1]] * len(forbidden)
+    assert [layout_tables(source) for source in allowed] == [[]] * len(allowed)
+
+
+def test_only_modular_defines_the_kind_layout():
+    """``SubsystemKind.offset`` is the one (ell, m, u) layout; no other module
+    may keep its own table of the three kinds or of their offsets."""
+    assert [(kind.name, kind.offset) for kind in SubsystemKind] == [
+        ("LOGICAL", 0), ("GAUGE_BIN", 1), ("GAUGE_MODULAR", 2)
+    ]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "modular.py"
+        and (lines := layout_tables(path.read_text(encoding="utf-8")))
+    }
+    assert len(list(SRC.glob("*.py"))) >= 9
+    assert found == {}
