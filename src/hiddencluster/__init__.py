@@ -11,7 +11,6 @@ from .errors import (
 from .gates import (
     CouplingTerm,
     MultimodeDecomposition,
-    SubsystemOperator,
     Topology,
     chain_topology,
     decompose_cz_multimode,

@@ -26,7 +26,6 @@ from .gates import (
 from .graphs import (
     CvType,
     ModeSpec,
-    NodeState,
     SubsystemGraph,
     build_cluster,
     edge_coefficient,
@@ -63,16 +62,13 @@ def _kind_values(grid: GridSpec) -> list[np.ndarray]:
 
 def _term_couplings(grid: GridSpec, terms) -> list:
     values = _kind_values(grid)
-    return [
-        (
-            t.op_a.mode,
-            values[t.op_a.kind.offset],
-            t.op_b.mode,
-            values[t.op_b.kind.offset],
-            t.coefficient,
+    couplings = []
+    for t in terms:
+        (mode_a, kind_a), (mode_b, kind_b) = t.op_a, t.op_b
+        couplings.append(
+            (mode_a, values[kind_a.offset], mode_b, values[kind_b.offset], t.coefficient)
         )
-        for t in terms
-    ]
+    return couplings
 
 
 def mode_state(grid: GridSpec, spec: ModeSpec) -> DiscretizedState:
@@ -123,26 +119,21 @@ def decomposed_cluster_state(
 def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
     """Evaluate a subsystem graph as a grid state.
 
-    Node states become per-subsystem vectors (uniform, pinned, or labeled)
-    and each edge applies its coupling phase; mode axes follow the graph's
-    mode list order.  An edge end ``id`` is kind offset ``id % 3`` of mode
-    ``id // 3``, and ``graph.nodes`` lists each mode's three nodes in that
-    order.
+    Each mode becomes the product of its logical amplitudes (``|+>`` unless
+    labeled), a uniform bin vector, and a modular vector that is pinned at
+    u = 0 for GKP-type modes and uniform otherwise; each edge applies its
+    coupling phase.  Mode axes follow the graph's mode list order, and an
+    edge end ``id`` is kind offset ``id % 3`` of mode ``id // 3``.
     """
     if grid.alpha != graph.alpha:
         raise DomainError("grid and graph disagree on the bin size")
     n = grid.n
-    nodes = graph.nodes
     axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
     vectors = []
-    for axis, record in enumerate(graph.modes):
-        logical_node, _, modular_node = nodes[3 * axis : 3 * axis + 3]
-        if logical_node.state is NodeState.LOGICAL_LABELED:
-            logical = np.array(graph.mode_amplitudes(record.index), dtype=complex)
-        else:
-            logical = np.full(2, 1.0 / math.sqrt(2.0), dtype=complex)
+    for record in graph.modes:
+        logical = np.array(graph.mode_amplitudes(record.index), dtype=complex)
         bins = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        if modular_node.state is NodeState.MODULAR_ZERO:
+        if record.cv_type.is_gkp:
             modular = np.zeros(n, dtype=complex)
             modular[grid.zero_u_index] = 1.0
         else:
@@ -220,8 +211,9 @@ def _phase_deviation(edges, alpha: float, terms, samples) -> float:
     lhs = np.exp(1j * exponent)
     product = np.ones_like(lhs)
     for term in terms:
-        va = samples[term.op_a.mode][term.op_a.kind.offset]
-        vb = samples[term.op_b.mode][term.op_b.kind.offset]
+        (mode_a, kind_a), (mode_b, kind_b) = term.op_a, term.op_b
+        va = samples[mode_a][kind_a.offset]
+        vb = samples[mode_b][kind_b.offset]
         product = product * np.exp(1j * term.coefficient * va * vb)
     return float(np.max(np.abs(lhs - product)))
 

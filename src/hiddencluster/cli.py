@@ -214,9 +214,10 @@ def _read_graph(path: str):
 
 
 def _term_dict(term) -> dict:
+    (mode_a, kind_a), (mode_b, kind_b) = term.op_a, term.op_b
     return {
-        "op_a": {"kind": term.op_a.kind.value, "mode": term.op_a.mode},
-        "op_b": {"kind": term.op_b.kind.value, "mode": term.op_b.mode},
+        "op_a": {"kind": kind_a.value, "mode": mode_a},
+        "op_b": {"kind": kind_b.value, "mode": mode_b},
         "coefficient": term.coefficient,
     }
 

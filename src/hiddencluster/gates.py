@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
 from .errors import DomainError
-from .modular import SubsystemKind, require_bin_size
+from .modular import Subsystem, SubsystemKind, require_bin_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,37 +28,25 @@ _TWO_PI = 2.0 * math.pi
 COEFFICIENT_TOLERANCE = 1e-9
 
 
-class SubsystemOperator(Record):
-    """One diagonal subsystem operator (kind) acting on one mode."""
-
-    kind: SubsystemKind
-    mode: int
-
-    def __init__(self, kind: SubsystemKind, mode: int) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "mode", mode)
-
-
 class CouplingTerm(Record):
     """One factor exp(i * coefficient * op_a (x) op_b) of a decomposed gate.
 
-    All such factors commute, so the order of a term list never matters.
+    Each operand is a ``(mode, kind)`` :data:`Subsystem` address.  All such
+    factors commute, so the order of a term list never matters.
     """
 
-    op_a: SubsystemOperator
-    op_b: SubsystemOperator
+    op_a: Subsystem
+    op_b: Subsystem
     coefficient: float
 
-    def __init__(
-        self, op_a: SubsystemOperator, op_b: SubsystemOperator, coefficient: float
-    ) -> None:
+    def __init__(self, op_a: Subsystem, op_b: Subsystem, coefficient: float) -> None:
         set_field(self, "op_a", op_a)
         set_field(self, "op_b", op_b)
         set_field(self, "coefficient", coefficient)
 
     @property
     def kinds(self) -> tuple[SubsystemKind, SubsystemKind]:
-        return (self.op_a.kind, self.op_b.kind)
+        return (self.op_a[1], self.op_b[1])
 
     @property
     def modular_operand_count(self) -> int:
@@ -73,18 +61,18 @@ def _phase_is_identity(term: CouplingTerm) -> bool:
     """
     if term.coefficient == 0.0:
         return True
-    if not (term.op_a.kind.integer_spectrum and term.op_b.kind.integer_spectrum):
+    kind_a, kind_b = term.kinds
+    if not (kind_a.integer_spectrum and kind_b.integer_spectrum):
         return False
     turns = term.coefficient / _TWO_PI
     return abs(turns - round(turns)) <= COEFFICIENT_TOLERANCE * max(1.0, abs(turns))
 
 
-def decompose_cz_two_mode(
-    g: float, alpha: float, modes: tuple[int, int] = (0, 1)
-) -> list[CouplingTerm]:
-    """Expand exp(i g q_i q_j) into its surviving subsystem couplings.
+def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
+    """Expand exp(i g q_0 q_1) into its surviving subsystem couplings.
 
-    Returns the cross-mode terms of the full nine-term expansion, with
+    Returns the cross-mode terms of the full nine-term expansion, on modes
+    0 and 1 (:func:`decompose_cz_multimode` re-addresses them per edge), with
     factors that are identically 1 removed.  For ``g = pi/alpha**2`` exactly
     six terms survive: ell-ell (pi), u-u (pi/alpha**2), the two m-u pairs
     (2*pi/alpha each), and the two ell-u pairs (pi/alpha each).
@@ -93,9 +81,6 @@ def decompose_cz_two_mode(
     g = float(g)
     if not math.isfinite(g):
         raise DomainError(f"gate weight must be finite, got {g!r}")
-    i, j = modes
-    if i == j:
-        raise DomainError("controlled-Z couples two distinct modes")
 
     ell, m, u = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
     a2 = alpha * alpha
@@ -114,10 +99,7 @@ def decompose_cz_two_mode(
         raise DomainError(
             f"gate weight {g!r} at bin size {alpha!r} overflows a coupling coefficient"
         )
-    terms = [
-        CouplingTerm(SubsystemOperator(ka, i), SubsystemOperator(kb, j), c)
-        for ka, kb, c in layout
-    ]
+    terms = [CouplingTerm((0, ka), (1, kb), c) for ka, kb, c in layout]
     return [t for t in terms if not _phase_is_identity(t)]
 
 
@@ -287,12 +269,11 @@ def decompose_cz_multimode(
             raise AssertionError(f"unexpected surviving term {term}")
 
     def stamp(template: list[CouplingTerm]) -> tuple[CouplingTerm, ...]:
+        kinds = [(t.kinds, t.coefficient) for t in template]
         return tuple(
-            CouplingTerm(
-                SubsystemOperator(t.op_a.kind, i), SubsystemOperator(t.op_b.kind, j), t.coefficient
-            )
+            CouplingTerm((i, kind_a), (j, kind_b), c)
             for i, j in edges
-            for t in template
+            for (kind_a, kind_b), c in kinds
         )
 
     return MultimodeDecomposition(stamp(logical), stamp(gauge), stamp(interaction))

@@ -102,7 +102,13 @@ class ModeRecord(Record):
 
 
 class ModeSpec(Record):
-    """Input description of one mode, before indices are assigned."""
+    """Input description of one mode, before indices are assigned.
+
+    Construction checks what :func:`from_json` checks of a mode, so every
+    spec builds a graph whose document reads back: ``label`` is a string or
+    None, and ``amplitudes`` are given exactly for ``GKP_LABELED``, as a
+    finite unit-norm pair (stored as complex numbers).
+    """
 
     cv_type: CvType
     label: str | None
@@ -114,6 +120,20 @@ class ModeSpec(Record):
         label: str | None = None,
         amplitudes: tuple[complex, complex] | None = None,
     ) -> None:
+        if label is not None and not isinstance(label, str):
+            raise DomainError(f"mode label must be a string or None, got {label!r}")
+        if cv_type is CvType.GKP_LABELED:
+            if amplitudes is None:
+                raise DomainError("a gkp_labeled mode needs logical amplitudes")
+            c0, c1 = (complex(c) for c in amplitudes)
+            if not _is_finite((c0, c1)):
+                raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
+            total = norm_sq(c0, c1)
+            if abs(total - 1.0) > 1e-12:
+                raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
+            amplitudes = (c0, c1)
+        elif amplitudes is not None:
+            raise DomainError(f"a {cv_type.value} mode cannot carry amplitudes")
         set_field(self, "cv_type", cv_type)
         set_field(self, "label", label)
         set_field(self, "amplitudes", amplitudes)
@@ -144,15 +164,9 @@ def _is_finite(values: tuple[complex, complex]) -> bool:
     return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values)
 
 
-def gkp_labeled(c0: complex, c1: complex, label: str = "psi") -> ModeSpec:
-    """A GKP mode encoding the qubit c0|0> + c1|1>; amplitudes must be unit norm."""
-    c0, c1 = complex(c0), complex(c1)
-    if not _is_finite((c0, c1)):
-        raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
-    total = norm_sq(c0, c1)
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
-    return ModeSpec(CvType.GKP_LABELED, label=label, amplitudes=(c0, c1))
+def gkp_labeled(c0: complex, c1: complex) -> ModeSpec:
+    """A GKP mode labeled "psi" encoding the qubit c0|0> + c1|1>; see :class:`ModeSpec`."""
+    return ModeSpec(CvType.GKP_LABELED, "psi", (c0, c1))
 
 
 class SubsystemEdge(Record):
@@ -256,11 +270,8 @@ def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
     multiplicity = round(units)
     if multiplicity not in (1, 2) or abs(units - multiplicity) > 1e-9:
         raise DomainError(f"term {term} has non-integral edge strength {units}")
-    return SubsystemEdge(
-        a=3 * term.op_a.mode + term.op_a.kind.offset,
-        b=3 * term.op_b.mode + term.op_b.kind.offset,
-        multiplicity=multiplicity,
-    )
+    (mode_a, kind_a), (mode_b, kind_b) = term.op_a, term.op_b
+    return SubsystemEdge(3 * mode_a + kind_a.offset, 3 * mode_b + kind_b.offset, multiplicity)
 
 
 def build_cluster(

@@ -48,6 +48,11 @@ class SubsystemKind(enum.Enum):
         return self is not SubsystemKind.GAUGE_MODULAR
 
 
+#: One subsystem address, (mode index, kind): the operand of a coupling term
+#: and the argument of the oracle's reduced-state and correlation routines.
+Subsystem = tuple[int, SubsystemKind]
+
+
 class QuantumNumbers(Record):
     """The triple (ell, m, u) describing one position eigenvalue.
 

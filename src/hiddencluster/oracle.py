@@ -25,10 +25,7 @@ import numpy as np
 
 from ._record import Record, set_field
 from .errors import DomainError
-from .modular import SubsystemKind, require_bin_size
-
-#: A subsystem address on the grid: (mode index, subsystem kind).
-Subsystem = tuple[int, SubsystemKind]
+from .modular import Subsystem, SubsystemKind, require_bin_size
 
 
 class GridSpec(Record):

@@ -18,7 +18,7 @@ import numpy as np
 
 from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import CouplingTerm, SubsystemOperator, chain_topology
+from hiddencluster.gates import CouplingTerm, chain_topology
 from hiddencluster.graphs import EDGE_UNIT_PHASE, NodeState, canonical
 from hiddencluster.modular import SubsystemKind
 from hiddencluster.oracle import DiscretizedState, coupled_product
@@ -65,20 +65,15 @@ def sequential_reference(state, couplings):
     return tensor.reshape(-1)
 
 
-def term(sub_a, sub_b, coefficient):
-    """The coupling term exp(i c a (x) b) between two (mode, kind) subsystems."""
-    (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
-    op_a, op_b = SubsystemOperator(kind_a, mode_a), SubsystemOperator(kind_b, mode_b)
-    return CouplingTerm(op_a, op_b, coefficient)
-
-
 def term_couplings(grid, terms):
     """Symbolic coupling terms as oracle couplings on ``grid``."""
-    values = grid.basis_values
-    return [
-        (t.op_a.mode, values(t.op_a.kind), t.op_b.mode, values(t.op_b.kind), t.coefficient)
-        for t in terms
-    ]
+    couplings = []
+    for t in terms:
+        (mode_a, kind_a), (mode_b, kind_b) = t.op_a, t.op_b
+        couplings.append(
+            (mode_a, grid.basis_values(kind_a), mode_b, grid.basis_values(kind_b), t.coefficient)
+        )
+    return couplings
 
 
 def apply_terms(state, terms):

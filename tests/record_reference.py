@@ -3,23 +3,19 @@ declared before they became plain ``Record`` classes: the same field names,
 order, defaults and construction checks.  ``test_records`` compares each
 record's behaviour against its copy here; the package never imports this.
 ``DiscretizedState`` was a mutable dataclass; its copy is frozen, as the
-record now is.
+record now is.  ``ModeSpec`` had no checks; its copy carries the ones the
+record has now, so the two refuse the same specs with the same messages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hiddencluster.errors import DomainError
 from hiddencluster.modular import require_bin_size
-
-
-@dataclass(frozen=True)
-class SubsystemOperator:
-    kind: object
-    mode: int
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,25 @@ class ModeSpec:
     cv_type: object
     label: str | None = None
     amplitudes: tuple | None = None
+
+    def __post_init__(self) -> None:
+        if self.label is not None and not isinstance(self.label, str):
+            raise DomainError(f"mode label must be a string or None, got {self.label!r}")
+        if self.cv_type.value == "gkp_labeled":
+            if self.amplitudes is None:
+                raise DomainError("a gkp_labeled mode needs logical amplitudes")
+            c0, c1 = (complex(c) for c in self.amplitudes)
+            if not all(math.isfinite(x) for x in (c0.real, c0.imag, c1.real, c1.imag)):
+                raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
+            try:
+                total = abs(c0) ** 2 + abs(c1) ** 2
+            except OverflowError:
+                total = math.inf
+            if abs(total - 1.0) > 1e-12:
+                raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
+            object.__setattr__(self, "amplitudes", (c0, c1))
+        elif self.amplitudes is not None:
+            raise DomainError(f"a {self.cv_type.value} mode cannot carry amplitudes")
 
 
 @dataclass(frozen=True)

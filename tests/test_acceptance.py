@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from grid_reference import apply_terms, chain_adjacency, product_state, term
+from grid_reference import apply_terms, chain_adjacency, product_state
 from hiddencluster.certify import (
     all_subsystem_pairs,
     direct_cluster_state,
@@ -22,6 +22,7 @@ from hiddencluster.certify import (
 )
 from hiddencluster.cli import main as cli_main
 from hiddencluster.gates import (
+    CouplingTerm,
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
@@ -165,11 +166,11 @@ def test_criterion_5_hybrid_asymmetric_coupling():
             lhs = direct_cluster_state(grid, adjacency, specs)
             # CS (x) Phi, then the single asymmetric interaction factor
             terms = [
-                term((0, L), (1, L), PI),
-                term((0, U), (1, U), PI / alpha**2),
-                term((0, M), (1, U), 2 * PI / alpha),
-                term((0, U), (1, M), 2 * PI / alpha),
-                term((0, U), (1, L), PI / alpha),
+                CouplingTerm((0, L), (1, L), PI),
+                CouplingTerm((0, U), (1, U), PI / alpha**2),
+                CouplingTerm((0, M), (1, U), 2 * PI / alpha),
+                CouplingTerm((0, U), (1, M), 2 * PI / alpha),
+                CouplingTerm((0, U), (1, L), PI / alpha),
             ]
             rhs = apply_terms(product_state(grid, specs), terms)
             worst = max(worst, max_amplitude_deviation(lhs, rhs))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -174,6 +175,25 @@ class TestDecompose:
         assert len(doc["logical_terms"]) == 2
         assert len(doc["gauge_terms"]) == 6
         assert len(doc["interaction_terms"]) == 4
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--g", "-2.5", "--alpha", "1.0"],
+             "6722d955463e5cdd7c7af7774ea91701e202a0cb791b0f28fb7e7695e396a994"),
+            (["--g", "1.7"],
+             "d7689c0c51517d3a4d10fe5130607e3f57f765e1edcf465930ddce518b0c1e18"),
+            (["--topology", "grid:2x3"],
+             "4a0ced9b33ca404904c509004b15a9a813ddcf56255ae70ded096e11df0c7a85"),
+        ],
+        ids=["g-detuned", "g-generic", "grid-2x3"],
+    )
+    def test_document_bytes_are_pinned(self, argv, digest, tmp_path):
+        """Each document's SHA-256: a change to the term record or to its
+        encoding that moves any byte fails here."""
+        out = tmp_path / "terms.json"
+        assert run("decompose", *argv, "-o", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_requires_g_or_topology(self, capsys):
         assert run("decompose") == 2

@@ -13,7 +13,6 @@ from hiddencluster.certify import (
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
     CouplingTerm,
-    SubsystemOperator,
     Topology,
     as_topology,
     chain_topology,
@@ -31,14 +30,12 @@ L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MO
 PI = math.pi
 
 
-def term(kind_a, kind_b, coefficient, modes=(0, 1)):
-    return CouplingTerm(
-        SubsystemOperator(kind_a, modes[0]), SubsystemOperator(kind_b, modes[1]), coefficient
-    )
+def term(kind_a, kind_b, coefficient):
+    return CouplingTerm((0, kind_a), (1, kind_b), coefficient)
 
 
 def kinds_and_coeffs(terms):
-    return {(t.op_a.kind, t.op_b.kind): t.coefficient for t in terms}
+    return {t.kinds: t.coefficient for t in terms}
 
 
 class TestTwoModeDecomposition:
@@ -46,6 +43,7 @@ class TestTwoModeDecomposition:
         alpha = DEFAULT_ALPHA
         terms = decompose_cz_two_mode(PI / alpha**2, alpha)
         assert len(terms) == 6
+        assert all((t.op_a[0], t.op_b[0]) == (0, 1) for t in terms)
         got = kinds_and_coeffs(terms)
         assert got[(L, L)] == pytest.approx(PI)
         assert got[(U, U)] == pytest.approx(PI / alpha**2)
@@ -69,10 +67,6 @@ class TestTwoModeDecomposition:
 
     def test_generic_weight_keeps_all_nine(self):
         assert len(decompose_cz_two_mode(0.37, 1.1)) == 9
-
-    def test_rejects_same_mode(self):
-        with pytest.raises(DomainError):
-            decompose_cz_two_mode(1.0, 1.0, modes=(2, 2))
 
     @pytest.mark.parametrize("g, alpha", [(1e308, 1e10), (1e300, 1e5), (-1e308, 10.0)])
     def test_rejects_overflowing_coefficient(self, g, alpha):
@@ -196,7 +190,8 @@ class TestMultimodeDecomposition:
 
     def test_partition_matches_prune_pipeline(self):
         # independent route: prune the raw nine-term expansion pair by pair,
-        # appending each edge's terms to their family in layout order
+        # appending each edge's terms to their family in layout order, each
+        # (0, 1) template term re-addressed here to the edge's modes (i, j)
         alpha = DEFAULT_ALPHA
         rng = np.random.default_rng(21)
         cases = [chain_adjacency(5), topology_matrix(grid_topology(2, 3))] + [
@@ -208,7 +203,9 @@ class TestMultimodeDecomposition:
             for i in range(n):
                 for j in range(i + 1, n):
                     if adjacency[i, j]:
-                        for t in decompose_cz_two_mode(PI / alpha**2, alpha, modes=(i, j)):
+                        for template in decompose_cz_two_mode(PI / alpha**2, alpha):
+                            (_, kind_a), (_, kind_b) = template.op_a, template.op_b
+                            t = CouplingTerm((i, kind_a), (j, kind_b), template.coefficient)
                             if set(t.kinds) == {L}:
                                 logical.append(t)
                             elif L not in t.kinds:
@@ -223,7 +220,8 @@ class TestMultimodeDecomposition:
                 assert set(t.kinds) == {L, U}
             # modes reach the CLI's JSON output, which refuses numpy integers
             for t in result.all_terms:
-                assert type(t.op_a.mode) is int and type(t.op_b.mode) is int
+                (mode_a, _), (mode_b, _) = t.op_a, t.op_b
+                assert type(mode_a) is int and type(mode_b) is int
 
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):

@@ -13,6 +13,8 @@ from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
 from hiddencluster.gates import decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
+    CvType,
+    ModeSpec,
     NodeState,
     SubsystemEdge,
     SubsystemGraph,
@@ -177,6 +179,19 @@ class TestInvariants:
     def test_norm_sq_is_inf_when_it_overflows(self, c0, c1):
         assert norm_sq(complex(c0), complex(c1)) == math.inf
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModeSpec(CvType.MOMENTUM, "in"),
+            ModeSpec(CvType.GKP_PLUS),
+            ModeSpec(CvType.GKP_LABELED, "", (0.6, -0.8j)),
+            ModeSpec(CvType.GKP_LABELED, None, (1, 0)),
+        ],
+    )
+    def test_hand_built_spec_document_reads_back(self, spec):
+        graph = build_cluster(chain_adjacency(2), [momentum(), spec], DEFAULT_ALPHA)
+        assert from_json(to_json(graph)) == graph
+
     def test_overflowing_label_names_an_infinite_norm(self):
         with pytest.raises(DomainError, match=r"got \|c\|\^2 = inf"):
             gkp_labeled(1e154, 1e154)
@@ -233,7 +248,7 @@ def hybrid_grid():
         momentum(),
         gkp_plus(),
         momentum(),
-        gkp_labeled(1 / math.sqrt(2), 1j / math.sqrt(2), label="in"),
+        ModeSpec(CvType.GKP_LABELED, "in", (1 / math.sqrt(2), 1j / math.sqrt(2))),
         momentum(),
         gkp_plus(),
     ]
@@ -399,7 +414,7 @@ def test_from_json_mutations_parse_or_reject(data):
     assert from_json(text) == graph
 
 
-_SPECS = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j, "psi")]
+_SPECS = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j)]
 
 
 def _edges_from_terms(terms, alpha, specs):
@@ -407,9 +422,10 @@ def _edges_from_terms(terms, alpha, specs):
     pinned = {3 * i + 2 for i, spec in enumerate(specs) if spec.cv_type.is_gkp}
     edges = []
     for t in terms:
-        a = 3 * t.op_a.mode + t.op_a.kind.offset
-        b = 3 * t.op_b.mode + t.op_b.kind.offset
-        modular = (t.op_a.kind is U) + (t.op_b.kind is U)
+        (mode_a, kind_a), (mode_b, kind_b) = t.op_a, t.op_b
+        a = 3 * mode_a + kind_a.offset
+        b = 3 * mode_b + kind_b.offset
+        modular = (kind_a is U) + (kind_b is U)
         if a not in pinned and b not in pinned:
             edges.append(SubsystemEdge(a, b, round(t.coefficient * alpha**modular / math.pi)))
     return tuple(sorted(edges, key=lambda e: (e.a, e.b)))
@@ -472,8 +488,9 @@ class TestStructuralComparison:
         assert canonical(graph) == graph
 
     def test_structural_equality_ignores_labels(self):
-        a = build_cluster(chain_adjacency(2), [momentum(), gkp_labeled(0.6, 0.8, "x")], 1.0)
-        b = build_cluster(chain_adjacency(2), [momentum(), gkp_labeled(0.6, 0.8, "y")], 1.0)
+        x, y = (ModeSpec(CvType.GKP_LABELED, label, (0.6, 0.8)) for label in "xy")
+        a = build_cluster(chain_adjacency(2), [momentum(), x], 1.0)
+        b = build_cluster(chain_adjacency(2), [momentum(), y], 1.0)
         assert structurally_equal(a, b)
 
     def test_structural_inequality_on_amplitudes(self):

@@ -13,13 +13,12 @@ from grid_reference import (
     mixed_fidelity,
     sequential_reference,
     tensor_product,
-    term,
     term_couplings,
     topology_matrix,
 )
 from hiddencluster.certify import direct_cluster_state
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import Topology, chain_topology, decompose_cz_two_mode
+from hiddencluster.gates import CouplingTerm, Topology, chain_topology, decompose_cz_two_mode
 from hiddencluster.graphs import gkp_labeled, gkp_plus, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 from hiddencluster.oracle import (
@@ -165,7 +164,8 @@ class TestApplyCz:
         with pytest.raises(DomainError):
             coupled_product(grid, vectors, [cz(grid, 1, 1, 1.0)])
         with pytest.raises(DomainError):
-            coupled_product(grid, vectors, term_couplings(grid, [term((0, L), (0, U), 1.0)]))
+            same_mode = CouplingTerm((0, L), (0, U), 1.0)
+            coupled_product(grid, vectors, term_couplings(grid, [same_mode]))
 
 
 class TestSubsystemCoupling:
@@ -175,7 +175,7 @@ class TestSubsystemCoupling:
         grid = GridSpec(n=3, alpha=ALPHA)
         state = random_state(grid, 2, seed=3)
 
-        direct = apply_terms(state, [term((0, U), (1, L), c)])
+        direct = apply_terms(state, [CouplingTerm((0, U), (1, L), c)])
 
         shifted = apply_phase(state, U, 0, c / 2.0)
         u_vals = grid.basis_values(U).reshape(grid.dim, 1)
@@ -588,7 +588,7 @@ class TestCorrelators:
     def test_coupling_strength_reads_edges(self):
         grid = GridSpec(n=4, alpha=ALPHA)
         state = tensor_product([prepare_momentum_state(grid)] * 2)
-        coupled = apply_terms(state, [term((0, M), (1, U), 2 * math.pi / ALPHA)])
+        coupled = apply_terms(state, [CouplingTerm((0, M), (1, U), 2 * math.pi / ALPHA)])
         assert coupling_strength(coupled, (0, M), (1, U)) == pytest.approx(
             2 * math.pi / grid.n
         )
@@ -597,7 +597,7 @@ class TestCorrelators:
     def test_two_pi_integer_coupling_reads_as_absent(self):
         grid = GridSpec(n=3, alpha=ALPHA)
         state = tensor_product([prepare_momentum_state(grid)] * 2)
-        coupled = apply_terms(state, [term((0, M), (1, M), 4 * math.pi)])
+        coupled = apply_terms(state, [CouplingTerm((0, M), (1, M), 4 * math.pi)])
         assert coupling_strength(coupled, (0, M), (1, M)) < 1e-12
 
     def test_coupling_strength_rejects_identical_subsystem(self):
