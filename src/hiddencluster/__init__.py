@@ -47,7 +47,6 @@ from .measurement import (
 )
 from .modular import (
     DEFAULT_ALPHA,
-    QuantumNumbers,
     SubsystemKind,
     decompose_position,
     recompose,

@@ -80,8 +80,46 @@ class Node(Record):
         set_field(self, "state", state)
 
 
+def _checked_amplitudes(
+    cv_type: CvType, label: str | None, amplitudes: tuple[complex, complex] | None
+) -> tuple[complex, complex] | None:
+    """Check one mode's fields as :func:`from_json` requires them; return its amplitudes.
+
+    ``label`` is a string or None, and ``amplitudes`` are given exactly for
+    ``GKP_LABELED``, as a pair of finite numbers (not strings) with unit
+    norm; they come back as complex numbers.
+    """
+    if label is not None and not isinstance(label, str):
+        raise DomainError(f"mode label must be a string or None, got {label!r}")
+    if cv_type is not CvType.GKP_LABELED:
+        if amplitudes is not None:
+            raise DomainError(f"a {cv_type.value} mode cannot carry amplitudes")
+        return None
+    if amplitudes is None:
+        raise DomainError("a gkp_labeled mode needs logical amplitudes")
+    try:
+        c0, c1 = amplitudes
+        if isinstance(c0, str) or isinstance(c1, str):
+            raise TypeError("an amplitude cannot be a string")
+        c0, c1 = complex(c0), complex(c1)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"logical amplitudes must be a pair of numbers, got {amplitudes!r}"
+        ) from None
+    if not all(math.isfinite(x) for x in (c0.real, c0.imag, c1.real, c1.imag)):
+        raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
+    total = norm_sq(c0, c1)
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
+    return c0, c1
+
+
 class ModeRecord(Record):
-    """One physical mode: its input type and, when labeled, its amplitudes."""
+    """One physical mode: its index, input type and, when labeled, its amplitudes.
+
+    Construction checks the mode as :class:`ModeSpec` does, so a graph of
+    records always writes a document that :func:`from_json` reads back.
+    """
 
     index: int
     cv_type: CvType
@@ -98,7 +136,7 @@ class ModeRecord(Record):
         set_field(self, "index", index)
         set_field(self, "cv_type", cv_type)
         set_field(self, "label", label)
-        set_field(self, "amplitudes", amplitudes)
+        set_field(self, "amplitudes", _checked_amplitudes(cv_type, label, amplitudes))
 
 
 class ModeSpec(Record):
@@ -107,7 +145,7 @@ class ModeSpec(Record):
     Construction checks what :func:`from_json` checks of a mode, so every
     spec builds a graph whose document reads back: ``label`` is a string or
     None, and ``amplitudes`` are given exactly for ``GKP_LABELED``, as a
-    finite unit-norm pair (stored as complex numbers).
+    finite unit-norm pair of numbers (stored as complex numbers).
     """
 
     cv_type: CvType
@@ -120,23 +158,9 @@ class ModeSpec(Record):
         label: str | None = None,
         amplitudes: tuple[complex, complex] | None = None,
     ) -> None:
-        if label is not None and not isinstance(label, str):
-            raise DomainError(f"mode label must be a string or None, got {label!r}")
-        if cv_type is CvType.GKP_LABELED:
-            if amplitudes is None:
-                raise DomainError("a gkp_labeled mode needs logical amplitudes")
-            c0, c1 = (complex(c) for c in amplitudes)
-            if not _is_finite((c0, c1)):
-                raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
-            total = norm_sq(c0, c1)
-            if abs(total - 1.0) > 1e-12:
-                raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
-            amplitudes = (c0, c1)
-        elif amplitudes is not None:
-            raise DomainError(f"a {cv_type.value} mode cannot carry amplitudes")
         set_field(self, "cv_type", cv_type)
         set_field(self, "label", label)
-        set_field(self, "amplitudes", amplitudes)
+        set_field(self, "amplitudes", _checked_amplitudes(cv_type, label, amplitudes))
 
 
 def momentum() -> ModeSpec:
@@ -158,10 +182,6 @@ def norm_sq(c0: complex, c1: complex) -> float:
         return abs(c0) ** 2 + abs(c1) ** 2
     except OverflowError:
         return math.inf
-
-
-def _is_finite(values: tuple[complex, complex]) -> bool:
-    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values)
 
 
 def gkp_labeled(c0: complex, c1: complex) -> ModeSpec:
@@ -211,6 +231,7 @@ class SubsystemGraph(Record):
     An edge endpoint names its mode (``id // 3``) and kind (``id % 3``)
     without a lookup table.  The lookups below are cached in the instance
     ``__dict__`` beside the fields; equality and hashing read only the fields.
+    ``alpha`` is checked with :func:`require_bin_size`, so it is a finite float.
     """
 
     alpha: float
@@ -220,7 +241,7 @@ class SubsystemGraph(Record):
     def __init__(
         self, alpha: float, modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
     ) -> None:
-        set_field(self, "alpha", alpha)
+        set_field(self, "alpha", require_bin_size(alpha))
         set_field(self, "modes", modes)
         set_field(self, "edges", edges)
 
@@ -414,10 +435,7 @@ def _parse_amplitudes(raw: object, where: str) -> tuple[complex, complex]:
         or not all(isinstance(p, list) and len(p) == 2 for p in raw)
     ):
         raise GraphParseError(f"{where}: amplitudes must be [[re, im], [re, im]]")
-    amplitudes = (complex(raw[0][0], raw[0][1]), complex(raw[1][0], raw[1][1]))
-    if not _is_finite(amplitudes):
-        raise GraphParseError(f"{where}: amplitudes must be finite")
-    return amplitudes
+    return (complex(raw[0][0], raw[0][1]), complex(raw[1][0], raw[1][1]))
 
 
 def require_json_int(value: object, what: str) -> int:
@@ -440,19 +458,17 @@ def from_json(text: str) -> SubsystemGraph:
         alpha = require_bin_size(doc["alpha"])
         modes = []
         for raw in doc["modes"]:
+            index = require_json_int(raw["index"], "index")
+            cv_type = CvType(raw["cv_type"])
             amplitudes = (
-                _parse_amplitudes(raw["amplitudes"], f"mode {raw['index']}")
+                _parse_amplitudes(raw["amplitudes"], f"mode {index}")
                 if "amplitudes" in raw
                 else None
             )
-            modes.append(
-                ModeRecord(
-                    index=require_json_int(raw["index"], "index"),
-                    cv_type=CvType(raw["cv_type"]),
-                    label=raw.get("label"),
-                    amplitudes=amplitudes,
-                )
-            )
+            try:
+                modes.append(ModeRecord(index, cv_type, raw.get("label"), amplitudes))
+            except DomainError as err:
+                raise GraphParseError(f"mode {index}: {err}") from err
         nodes = [
             Node(
                 id=require_json_int(raw["id"], "id"),
@@ -487,21 +503,6 @@ def _validate_graph(graph: SubsystemGraph) -> None:
     mode_indices = graph._mode_index
     if len(mode_indices) != len(graph.modes):
         raise GraphParseError("duplicate mode indices")
-    for record in graph.modes:
-        if record.label is not None and not isinstance(record.label, str):
-            raise GraphParseError(f"mode {record.index} label must be a string")
-        if record.cv_type is CvType.GKP_LABELED:
-            if record.amplitudes is None:
-                raise GraphParseError(f"mode {record.index} is labeled but has no amplitudes")
-            total = norm_sq(*record.amplitudes)
-            if abs(total - 1.0) > 1e-12:
-                raise GraphParseError(
-                    f"mode {record.index} amplitudes are not normalized (|c|^2 = {total})"
-                )
-        elif record.amplitudes is not None:
-            raise GraphParseError(
-                f"mode {record.index} of type {record.cv_type.value} cannot carry amplitudes"
-            )
     if absorb_modular_zero_edges(graph.modes, graph.edges) != graph.edges:
         raise GraphParseError("edges incident to a pinned modular-position node")
     seen = set()

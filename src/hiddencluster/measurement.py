@@ -21,6 +21,7 @@ from .graphs import (
     SubsystemGraph,
     absorb_modular_zero_edges,
     logical_neighbors,
+    norm_sq,
 )
 from .modular import SubsystemKind
 
@@ -81,7 +82,15 @@ def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, compl
     # Each row sums from 0j, as a matrix product does, so signed zeros come
     # out as they do from ``numpy.array(HADAMARD) @ amplitudes``.
     c0, c1 = complex(amplitudes[0]), complex(amplitudes[1])
-    return tuple(0j + h0 * c0 + h1 * c1 for h0, h1 in HADAMARD)
+    c0, c1 = (0j + h0 * c0 + h1 * c1 for h0, h1 in HADAMARD)
+    # 2 * _S**2 rounds below 1, so each hop shrinks |c0|^2 + |c1|^2 by about
+    # 2.2e-16; rescaling once the drift passes 1e-14 keeps a long wire's label
+    # inside from_json's 1e-12 tolerance and leaves short wires bit-exact.
+    total = norm_sq(c0, c1)
+    if abs(total - 1.0) > 1e-14:
+        scale = math.sqrt(total)
+        c0, c1 = c0 / scale, c1 / scale
+    return c0, c1
 
 
 def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> MeasurementResult:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 
-from ._record import Record
 from .errors import DomainError
 
 DEFAULT_ALPHA = math.sqrt(math.pi)
@@ -53,37 +52,6 @@ class SubsystemKind(enum.Enum):
 Subsystem = tuple[int, SubsystemKind]
 
 
-class QuantumNumbers(Record):
-    """The triple (ell, m, u) describing one position eigenvalue.
-
-    An immutable slotted record: fields are set once, in ``__init__``, and
-    assigning or deleting one raises ``AttributeError``.  Equality, hashing
-    and ``repr`` follow the field tuple (see :class:`Record`).
-    """
-
-    __slots__ = ("ell", "m", "u")
-
-    ell: int
-    m: int
-    u: float
-
-    def __init__(self, ell: int, m: int, u: float) -> None:
-        _set_ell(self, ell)
-        _set_m(self, m)
-        _set_u(self, u)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, past the __setattr__ guard
-        return QuantumNumbers, (self.ell, self.m, self.u)
-
-
-# the slot descriptors write the fields past the __setattr__ guard, and more
-# cheaply than object.__setattr__
-_set_ell = QuantumNumbers.ell.__set__
-_set_m = QuantumNumbers.m.__set__
-_set_u = QuantumNumbers.u.__set__
-_new_record = object.__new__  # decompose_position skips the __init__ frame
-
 # The exact float interval of valid bin sizes: rounding of alpha*alpha and
 # pi/alpha**2 is monotone in alpha, so the alphas for which both are finite
 # and nonzero form an interval, and these are its end points.
@@ -104,26 +72,13 @@ def require_bin_size(alpha: float) -> float:
     return alpha
 
 
-def _require_quantum_numbers(q: QuantumNumbers, alpha: float) -> None:
-    if q.ell not in (0, 1):
-        raise DomainError(f"logical quantum number must be 0 or 1, got {q.ell!r}")
-    if not isinstance(q.m, int):
-        raise DomainError(f"bin number must be an integer, got {q.m!r}")
-    half = alpha / 2
-    # alpha is finite, so this also rejects a NaN or infinite u
-    if not -half <= q.u < half:
-        raise DomainError(
-            f"modular position {q.u!r} outside [-alpha/2, alpha/2) for alpha={alpha}"
-        )
-
-
 # Below this size a split always recomposes to a finite float: alpha*k is
 # within alpha/2 <= 2**511 of |x| <= 2**1023, far below the float maximum.
 _LARGE_POSITION = 2.0**1023
 
 
-def decompose_position(x: float, alpha: float) -> QuantumNumbers:
-    """Split a position eigenvalue into (ell, m, u).
+def decompose_position(x: float, alpha: float) -> tuple[int, int, float]:
+    """Split a position eigenvalue into the plain tuple (ell, m, u).
 
     The combined bin index is k = floor(x/alpha + 1/2), so a remainder that
     would land exactly on +alpha/2 rolls upward into the next bin, realizing
@@ -162,19 +117,26 @@ def decompose_position(x: float, alpha: float) -> QuantumNumbers:
             f"position {x!r} has no split that recomposes to a finite float for alpha={alpha!r}"
         )
     ell = k % 2
-    q = _new_record(QuantumNumbers)
-    _set_ell(q, ell)
-    _set_m(q, (k - ell) // 2)
-    _set_u(q, u)
-    return q
+    return ell, (k - ell) // 2, u
 
 
-def recompose(q: QuantumNumbers, alpha: float) -> float:
-    """Rebuild the position eigenvalue alpha*ell + 2*alpha*m + u."""
+def recompose(q: tuple[int, int, float], alpha: float) -> float:
+    """Rebuild the position eigenvalue alpha*ell + 2*alpha*m + u of ``q = (ell, m, u)``."""
     alpha = require_bin_size(alpha)
-    _require_quantum_numbers(q, alpha)
     try:
-        x = alpha * (q.ell + 2 * q.m) + q.u
+        ell, m, u = q
+    except (TypeError, ValueError):
+        raise DomainError(f"quantum numbers must be an (ell, m, u) triple, got {q!r}") from None
+    if ell not in (0, 1):
+        raise DomainError(f"logical quantum number must be 0 or 1, got {ell!r}")
+    if not isinstance(m, int):
+        raise DomainError(f"bin number must be an integer, got {m!r}")
+    half = alpha / 2
+    # alpha is finite, so this also rejects a NaN or infinite u
+    if not -half <= u < half:
+        raise DomainError(f"modular position {u!r} outside [-alpha/2, alpha/2) for alpha={alpha}")
+    try:
+        x = alpha * (ell + 2 * m) + u
     except OverflowError:  # ell + 2*m does not fit in a float
         x = math.inf
     if not math.isfinite(x):

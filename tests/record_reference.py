@@ -3,8 +3,9 @@ declared before they became plain ``Record`` classes: the same field names,
 order, defaults and construction checks.  ``test_records`` compares each
 record's behaviour against its copy here; the package never imports this.
 ``DiscretizedState`` was a mutable dataclass; its copy is frozen, as the
-record now is.  ``ModeSpec`` had no checks; its copy carries the ones the
-record has now, so the two refuse the same specs with the same messages.
+record now is.  ``ModeSpec``, ``ModeRecord`` and ``SubsystemGraph`` had no
+checks; their copies carry the ones the records have now, so each pair
+refuses the same arguments with the same messages.
 """
 
 from __future__ import annotations
@@ -63,12 +64,41 @@ class Node:
     state: object
 
 
+def _check_mode(mode) -> None:
+    """The construction checks of ``ModeSpec`` and ``ModeRecord``."""
+    if mode.label is not None and not isinstance(mode.label, str):
+        raise DomainError(f"mode label must be a string or None, got {mode.label!r}")
+    if mode.cv_type.value == "gkp_labeled":
+        if mode.amplitudes is None:
+            raise DomainError("a gkp_labeled mode needs logical amplitudes")
+        pair = tuple(mode.amplitudes) if isinstance(mode.amplitudes, (tuple, list)) else ()
+        if len(pair) != 2 or not all(isinstance(c, (int, float, complex)) for c in pair):
+            raise DomainError(
+                f"logical amplitudes must be a pair of numbers, got {mode.amplitudes!r}"
+            )
+        c0, c1 = (complex(c) for c in pair)
+        if not all(math.isfinite(x) for x in (c0.real, c0.imag, c1.real, c1.imag)):
+            raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
+        try:
+            total = abs(c0) ** 2 + abs(c1) ** 2
+        except OverflowError:
+            total = math.inf
+        if abs(total - 1.0) > 1e-12:
+            raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
+        object.__setattr__(mode, "amplitudes", (c0, c1))
+    elif mode.amplitudes is not None:
+        raise DomainError(f"a {mode.cv_type.value} mode cannot carry amplitudes")
+
+
 @dataclass(frozen=True)
 class ModeRecord:
     index: int
     cv_type: object
     label: str | None = None
     amplitudes: tuple | None = None
+
+    def __post_init__(self) -> None:
+        _check_mode(self)
 
 
 @dataclass(frozen=True)
@@ -78,23 +108,7 @@ class ModeSpec:
     amplitudes: tuple | None = None
 
     def __post_init__(self) -> None:
-        if self.label is not None and not isinstance(self.label, str):
-            raise DomainError(f"mode label must be a string or None, got {self.label!r}")
-        if self.cv_type.value == "gkp_labeled":
-            if self.amplitudes is None:
-                raise DomainError("a gkp_labeled mode needs logical amplitudes")
-            c0, c1 = (complex(c) for c in self.amplitudes)
-            if not all(math.isfinite(x) for x in (c0.real, c0.imag, c1.real, c1.imag)):
-                raise DomainError(f"logical amplitudes must be finite, got ({c0}, {c1})")
-            try:
-                total = abs(c0) ** 2 + abs(c1) ** 2
-            except OverflowError:
-                total = math.inf
-            if abs(total - 1.0) > 1e-12:
-                raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {total}")
-            object.__setattr__(self, "amplitudes", (c0, c1))
-        elif self.amplitudes is not None:
-            raise DomainError(f"a {self.cv_type.value} mode cannot carry amplitudes")
+        _check_mode(self)
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,9 @@ class SubsystemGraph:
     alpha: float
     modes: tuple
     edges: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", require_bin_size(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,14 @@ class TestInvariants:
         graph = build_cluster(chain_adjacency(2), [momentum(), spec], DEFAULT_ALPHA)
         assert from_json(to_json(graph)) == graph
 
+    @pytest.mark.parametrize("amplitudes", [(1,), (1, 0, 0), "ab", 5, ("0.6", "0.8")], ids=repr)
+    def test_spec_refuses_amplitudes_that_are_not_a_pair_of_numbers(self, amplitudes):
+        with pytest.raises(DomainError) as info:
+            ModeSpec(CvType.GKP_LABELED, "psi", amplitudes)
+        assert str(info.value) == (
+            f"logical amplitudes must be a pair of numbers, got {amplitudes!r}"
+        )
+
     def test_overflowing_label_names_an_infinite_norm(self):
         with pytest.raises(DomainError, match=r"got \|c\|\^2 = inf"):
             gkp_labeled(1e154, 1e154)
@@ -292,6 +300,30 @@ class TestSerialization:
         doc["edges"].append({"a": 0, "b": 999, "multiplicity": 1})
         with pytest.raises(GraphParseError, match="unknown node"):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mode, field, value, message",
+        [
+            (3, "label", 5, "mode label must be a string or None, got 5"),
+            (3, "amplitudes", None, "a gkp_labeled mode needs logical amplitudes"),
+            (
+                3,
+                "amplitudes",
+                [[0.6, 0.0], [0.6, 0.0]],
+                "logical amplitudes must be normalized, got |c|^2 = 0.72",
+            ),
+            (0, "amplitudes", [[1.0, 0.0], [0.0, 0.0]], "a momentum mode cannot carry amplitudes"),
+        ],
+    )
+    def test_mode_refusals_name_the_mode(self, mode, field, value, message):
+        doc = json.loads(to_json(hybrid_grid()))
+        if value is None:
+            del doc["modes"][mode][field]
+        else:
+            doc["modes"][mode][field] = value
+        with pytest.raises(GraphParseError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == f"malformed graph document: mode {mode}: {message}"
 
     def test_rejects_edge_on_pinned_node(self):
         graph = build_cluster(chain_adjacency(2), [gkp_plus(), gkp_plus()], 1.0)

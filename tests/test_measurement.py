@@ -6,15 +6,19 @@ import pytest
 from grid_reference import chain_adjacency, graph_shape, mixed_fidelity
 from hiddencluster.certify import direct_cluster_state, graph_state, sample_label
 from hiddencluster.errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
+from hiddencluster.gates import chain_topology
 from hiddencluster.graphs import (
     CvType,
     NodeState,
     build_cluster,
+    from_json,
     gkp_labeled,
     gkp_plus,
     logical_subgraph,
     momentum,
+    norm_sq,
     structurally_equal,
+    to_json,
 )
 from hiddencluster.measurement import (
     HADAMARD,
@@ -188,6 +192,16 @@ class TestRunWire:
             if k:
                 base = "psi" if label is not None else "+"
                 assert run.graph.mode_by_index(mode).label == "H(" * k + base + ")" * k
+
+    def test_long_wire_label_reads_back(self):
+        """Each hop's rounding shrinks |c0|^2 + |c1|^2 by about 2.2e-16; without a
+        rescale this label reaches 0.9999999999989999 after 4494 hops, and the
+        residual document fails from_json's 1e-12 normalization check."""
+        label = (0.7601281522225072, -0.6282264267706764 + 0.16594200464543277j)
+        specs = [momentum()] * 4494 + [gkp_labeled(*label)]
+        run = run_wire(build_cluster(chain_topology(4495), specs, ALPHA), 4494)
+        assert abs(norm_sq(*run.frame.current_label) - 1.0) <= 1e-14
+        assert from_json(to_json(run.graph)) == run.graph
 
     def test_too_many_steps_rejected(self):
         with pytest.raises(DomainError):

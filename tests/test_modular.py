@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from hiddencluster.errors import DomainError
 from hiddencluster.modular import (
     DEFAULT_ALPHA,
-    QuantumNumbers,
     decompose_position,
     recompose,
     require_bin_size,
@@ -30,33 +27,32 @@ def away_from_boundary(x: float, alpha: float) -> bool:
 
 
 def test_zero_and_comb_positions():
-    assert decompose_position(0.0, 1.0) == QuantumNumbers(0, 0, 0.0)
+    assert decompose_position(0.0, 1.0) == (0, 0, 0.0)
     # comb positions alpha*(2m + j) carry ell = j and u = 0
     for alpha in (1.0, DEFAULT_ALPHA):
-        q = decompose_position(alpha, alpha)
-        assert (q.ell, q.m) == (1, 0)
-        assert abs(q.u) < 4 * math.ulp(alpha)
-        q = decompose_position(alpha * (2 * 3 + 1), alpha)
-        assert (q.ell, q.m) == (1, 3)
-        assert abs(q.u) < 16 * math.ulp(alpha)
+        ell, m, u = decompose_position(alpha, alpha)
+        assert (ell, m) == (1, 0)
+        assert abs(u) < 4 * math.ulp(alpha)
+        ell, m, u = decompose_position(alpha * (2 * 3 + 1), alpha)
+        assert (ell, m) == (1, 3)
+        assert abs(u) < 16 * math.ulp(alpha)
 
 
 def test_fractional_example():
     q = decompose_position(2.49, 1.0)
-    assert (q.ell, q.m) == (0, 1)
-    assert q.u == pytest.approx(0.49, abs=1e-12)
+    assert q[:2] == (0, 1)
+    assert q[2] == pytest.approx(0.49, abs=1e-12)
     assert recompose(q, 1.0) == pytest.approx(2.49, abs=4 * math.ulp(2.49))
 
 
 def test_boundary_rolls_upward():
-    q = decompose_position(0.5, 1.0)
-    assert q == QuantumNumbers(1, 0, -0.5)
+    assert decompose_position(0.5, 1.0) == (1, 0, -0.5)
 
 
 def test_recompose_examples():
-    assert recompose(QuantumNumbers(0, 0, 0.0), DEFAULT_ALPHA) == 0.0
-    assert recompose(QuantumNumbers(1, 1, -0.5), 1.0) == pytest.approx(2.5)
-    assert recompose(QuantumNumbers(0, -2, 0.25), 1.0) == pytest.approx(-3.75)
+    assert recompose((0, 0, 0.0), DEFAULT_ALPHA) == 0.0
+    assert recompose((1, 1, -0.5), 1.0) == pytest.approx(2.5)
+    assert recompose((0, -2, 0.25), 1.0) == pytest.approx(-3.75)
 
 
 @given(x=positions, alpha=alphas)
@@ -70,30 +66,30 @@ def test_round_trip(x, alpha):
 @given(x=positions, alpha=alphas)
 @settings(max_examples=300, derandomize=True)
 def test_u_range(x, alpha):
-    q = decompose_position(x, alpha)
-    assert -alpha / 2 <= q.u < alpha / 2
-    assert q.ell in (0, 1)
+    ell, _, u = decompose_position(x, alpha)
+    assert -alpha / 2 <= u < alpha / 2
+    assert ell in (0, 1)
 
 
 @given(x=st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), alpha=alphas)
 @settings(max_examples=300, derandomize=True)
 def test_two_alpha_periodicity(x, alpha):
     assume(away_from_boundary(x, alpha))
-    q = decompose_position(x, alpha)
-    shifted = decompose_position(x + 2 * alpha, alpha)
-    assert (shifted.ell, shifted.m) == (q.ell, q.m + 1)
-    assert abs(shifted.u - q.u) <= 8 * math.ulp(max(abs(x), alpha))
+    ell, m, u = decompose_position(x, alpha)
+    shifted_ell, shifted_m, shifted_u = decompose_position(x + 2 * alpha, alpha)
+    assert (shifted_ell, shifted_m) == (ell, m + 1)
+    assert abs(shifted_u - u) <= 8 * math.ulp(max(abs(x), alpha))
 
 
 @given(x=st.floats(min_value=-1e9, max_value=1e9, allow_nan=False), alpha=alphas)
 @settings(max_examples=300, derandomize=True)
 def test_alpha_shift(x, alpha):
     assume(away_from_boundary(x, alpha))
-    q = decompose_position(x, alpha)
-    shifted = decompose_position(x + alpha, alpha)
-    assert shifted.ell == 1 - q.ell
-    assert shifted.m == q.m + q.ell
-    assert abs(shifted.u - q.u) <= 8 * math.ulp(max(abs(x), alpha))
+    ell, m, u = decompose_position(x, alpha)
+    shifted_ell, shifted_m, shifted_u = decompose_position(x + alpha, alpha)
+    assert shifted_ell == 1 - ell
+    assert shifted_m == m + ell
+    assert abs(shifted_u - u) <= 8 * math.ulp(max(abs(x), alpha))
 
 
 @given(k=st.integers(min_value=-1000, max_value=1000), alpha=alphas)
@@ -101,14 +97,14 @@ def test_alpha_shift(x, alpha):
 def test_half_bin_boundary_stays_in_range(k, alpha):
     x = (k + 0.5) * alpha
     q = decompose_position(x, alpha)
-    assert -alpha / 2 <= q.u < alpha / 2
+    assert -alpha / 2 <= q[2] < alpha / 2
     assert abs(recompose(q, alpha) - x) <= 4 * math.ulp(max(abs(x), alpha))
 
 
 def test_extreme_positions_keep_invariants():
     for x in (1e300, -1e300, 1e18):
         q = decompose_position(x, 1.0)
-        assert -0.5 <= q.u < 0.5
+        assert -0.5 <= q[2] < 0.5
         assert abs(recompose(q, 1.0) - x) <= 4 * math.ulp(abs(x))
 
 
@@ -126,19 +122,19 @@ def test_bad_alpha_rejected(bad_alpha):
 
 def test_recompose_rejects_invariant_violations():
     with pytest.raises(DomainError):
-        recompose(QuantumNumbers(2, 0, 0.0), 1.0)
+        recompose((2, 0, 0.0), 1.0)
     with pytest.raises(DomainError):
-        recompose(QuantumNumbers(0, 0, 0.5), 1.0)  # u = +alpha/2 excluded
+        recompose((0, 0, 0.5), 1.0)  # u = +alpha/2 excluded
     with pytest.raises(DomainError):
-        recompose(QuantumNumbers(0, 1.5, 0.0), 1.0)  # type: ignore[arg-type]
+        recompose((0, 1.5, 0.0), 1.0)  # type: ignore[arg-type]
     with pytest.raises(DomainError):
-        recompose(QuantumNumbers(0, 0, -0.6), 1.0)  # u below -alpha/2
+        recompose((0, 0, -0.6), 1.0)  # u below -alpha/2
 
 
 @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
 def test_recompose_rejects_non_finite_modular_position(u):
     with pytest.raises(DomainError) as info:
-        recompose(QuantumNumbers(0, 0, u), 1.0)
+        recompose((0, 0, u), 1.0)
     assert str(info.value) == f"modular position {u!r} outside [-alpha/2, alpha/2) for alpha=1.0"
 
 
@@ -153,9 +149,9 @@ def test_bin_index_overflow_rejected(x, alpha):
 @pytest.mark.parametrize(
     "q, alpha",
     [
-        (QuantumNumbers(0, 10**300, 0.0), 1e10),
-        (QuantumNumbers(1, -(10**300), 0.0), 1e10),
-        (QuantumNumbers(0, 10**400, 0.0), 1.0),
+        ((0, 10**300, 0.0), 1e10),
+        ((1, -(10**300), 0.0), 1e10),
+        ((0, 10**400, 0.0), 1.0),
     ],
     ids=["inf", "minus-inf", "int-too-large"],
 )
@@ -192,26 +188,19 @@ def test_accepted_split_recomposes_to_a_finite_float(x, alpha):
     assert math.isfinite(recompose(q, alpha))
 
 
-class TestQuantumNumbersRecord:
-    def test_fields_cannot_be_assigned_or_deleted(self):
-        q = QuantumNumbers(1, 2, 0.25)
-        for name in ("ell", "m", "u"):
-            with pytest.raises(AttributeError):
-                setattr(q, name, 0)
-            with pytest.raises(AttributeError):
-                delattr(q, name)
-        with pytest.raises(AttributeError):
-            q.extra = 1
-        assert (q.ell, q.m, q.u) == (1, 2, 0.25)
+class TestSplitTuple:
+    @given(case=st.tuples(positions, alphas))
+    @settings(max_examples=100, derandomize=True)
+    def test_split_is_a_plain_int_int_float_tuple(self, case):
+        q = decompose_position(*case)
+        assert type(q) is tuple and len(q) == 3
+        assert [type(v) for v in q] == [int, int, float]
 
-    def test_equality_hash_repr_and_copy(self):
-        q = QuantumNumbers(1, -3, -0.5)
-        assert q == QuantumNumbers(ell=1, m=-3, u=-0.5)
-        assert q != QuantumNumbers(1, -3, 0.5)
-        assert q != (1, -3, -0.5)
-        assert hash(q) == hash((1, -3, -0.5))
-        assert repr(q) == "QuantumNumbers(ell=1, m=-3, u=-0.5)"
-        assert copy.copy(q) == q and pickle.loads(pickle.dumps(q)) == q
+    @pytest.mark.parametrize("q", [None, (0, 0), (0, 0, 0.0, 1)], ids=repr)
+    def test_recompose_refuses_anything_but_a_triple(self, q):
+        with pytest.raises(DomainError) as info:
+            recompose(q, 1.0)
+        assert str(info.value) == f"quantum numbers must be an (ell, m, u) triple, got {q!r}"
 
 
 # An earlier revision's bin-size check, split and rebuild, verbatim apart from
@@ -282,7 +271,7 @@ def test_split_is_bit_identical_to_reference(case):
     x, alpha = case
     q = decompose_position(x, alpha)
     expected = reference_decompose_position(x, alpha)
-    assert repr((q.ell, q.m, q.u)) == repr(expected)
+    assert repr(q) == repr(expected)
     assert repr(recompose(q, alpha)) == repr(reference_recompose(*expected, alpha))
 
 

@@ -89,6 +89,14 @@ REFUSED = [
     ("ModeSpec", (MOMENTUM, None, (1 + 0j, 0j))),
     ("ModeSpec", (graphs.CvType.GKP_PLUS, None, (0.6, 0.8))),
     ("ModeSpec", (MOMENTUM, 7)),
+    ("ModeRecord", (0, MOMENTUM, None, (1 + 0j, 0j))),
+    ("ModeRecord", (1, LABELED, 5, (0.6, 0.8))),
+    ("ModeRecord", (1, LABELED, "psi", (float("nan"), 0j))),
+    ("ModeRecord", (1, LABELED, "psi", (0.6, 0.6))),
+    ("ModeRecord", (1, LABELED)),
+    ("ModeRecord", (1, LABELED, "psi", ("0.6", "0.8"))),
+    ("SubsystemGraph", (float("nan"), (), ())),
+    ("SubsystemGraph", (0.0, (MODE,), ())),
     ("SubsystemEdge", (4, 4, 1)),
     ("SubsystemEdge", (5, 4, 0)),
     ("GridSpec", (0, 1.5)),
@@ -130,8 +138,7 @@ def package_records():
 
 class TestRecordsMatchTheirDataclasses:
     def test_every_record_is_covered(self):
-        # QuantumNumbers is covered by test_modular, against its own spec
-        assert set(CASES) == package_records() - {"QuantumNumbers"}
+        assert set(CASES) == package_records()
 
     def test_repr_and_field_order(self, case):
         cls, reference, args, _, _ = case
@@ -193,6 +200,10 @@ class TestRecordsMatchTheirDataclasses:
         spec = graphs.ModeSpec(LABELED, "psi", (0.6, 0.8))
         assert repr(spec) == repr(ref.ModeSpec(LABELED, "psi", (0.6, 0.8)))
         assert all(type(c) is complex for c in spec.amplitudes)
+        mode = graphs.ModeRecord(2, LABELED, "psi", (0.6, 0.8))
+        assert repr(mode) == repr(ref.ModeRecord(2, LABELED, "psi", (0.6, 0.8)))
+        assert repr(graphs.SubsystemGraph(2, (), ())) == repr(ref.SubsystemGraph(2, (), ()))
+        assert type(graphs.SubsystemGraph(2, (), ()).alpha) is float
         state = oracle.DiscretizedState(GRID, 0, [1])
         assert state.amplitudes.dtype == complex and state.amplitudes.shape == (1,)
 
