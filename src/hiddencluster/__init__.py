@@ -15,7 +15,6 @@ from .gates import (
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
-    expand_adjacency,
     grid_topology,
 )
 from .graphs import (

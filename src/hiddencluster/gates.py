@@ -68,20 +68,8 @@ def _phase_is_identity(term: CouplingTerm) -> bool:
     return abs(turns - round(turns)) <= COEFFICIENT_TOLERANCE * max(1.0, abs(turns))
 
 
-def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
-    """Expand exp(i g q_0 q_1) into its surviving subsystem couplings.
-
-    Returns the cross-mode terms of the full nine-term expansion, on modes
-    0 and 1 (:func:`decompose_cz_multimode` re-addresses them per edge), with
-    factors that are identically 1 removed.  For ``g = pi/alpha**2`` exactly
-    six terms survive: ell-ell (pi), u-u (pi/alpha**2), the two m-u pairs
-    (2*pi/alpha each), and the two ell-u pairs (pi/alpha each).
-    """
-    alpha = require_bin_size(alpha)
-    g = float(g)
-    if not math.isfinite(g):
-        raise DomainError(f"gate weight must be finite, got {g!r}")
-
+def _coupling_layout(g: float, alpha: float) -> list[tuple[SubsystemKind, SubsystemKind, float]]:
+    """The nine (kind on mode 0, kind on mode 1, coefficient) terms of exp(i g q_0 q_1)."""
     ell, m, u = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
     a2 = alpha * alpha
     layout = [
@@ -99,7 +87,24 @@ def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
         raise DomainError(
             f"gate weight {g!r} at bin size {alpha!r} overflows a coupling coefficient"
         )
-    terms = [CouplingTerm((0, ka), (1, kb), c) for ka, kb, c in layout]
+    return layout
+
+
+def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
+    """Expand exp(i g q_0 q_1) into its surviving subsystem couplings.
+
+    Returns the cross-mode terms of the full nine-term expansion, on modes
+    0 and 1 (:func:`decompose_cz_multimode` re-addresses them per edge), with
+    factors that are identically 1 removed.  For ``g = pi/alpha**2`` exactly
+    six terms survive: ell-ell (pi), u-u (pi/alpha**2), the two m-u pairs
+    (2*pi/alpha each), and the two ell-u pairs (pi/alpha each).
+    """
+    alpha = require_bin_size(alpha)
+    g = float(g)
+    if not math.isfinite(g):
+        raise DomainError(f"gate weight must be finite, got {g!r}")
+
+    terms = [CouplingTerm((0, ka), (1, kb), c) for ka, kb, c in _coupling_layout(g, alpha)]
     return [t for t in terms if not _phase_is_identity(t)]
 
 
@@ -156,33 +161,11 @@ def grid_topology(rows: int, cols: int) -> Topology:
     return Topology(rows * cols, tuple(edges))
 
 
-def require_adjacency(matrix: np.ndarray) -> np.ndarray:
-    """Validate a real symmetric zero-diagonal weight matrix."""
-    import numpy as np
-
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"adjacency matrix must be square, got shape {matrix.shape}")
-    if not np.array_equal(matrix, matrix.T):
-        raise DomainError("adjacency matrix must be symmetric")
-    if np.any(np.diagonal(matrix) != 0.0):
-        raise DomainError("adjacency matrix must have zero diagonal")
-    return matrix
-
-
-def require_binary_adjacency(matrix: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    matrix = require_adjacency(matrix)
-    if not np.all((matrix == 0.0) | (matrix == 1.0)):
-        raise DomainError("adjacency entries must be 0 or 1")
-    return matrix
-
-
 def as_topology(adjacency: Topology | np.ndarray) -> Topology:
     """A ``Topology`` as given, or the one a dense binary adjacency matrix encodes.
 
-    This is the one place a matrix becomes edges: the ``(i, j)`` pairs with
+    This is the one place a matrix is checked (square, symmetric, zero
+    diagonal, entries 0 or 1) and becomes edges: the ``(i, j)`` pairs with
     ``i < j`` and entry 1, in row-major order, as Python ints so that terms
     built from them stay JSON-serializable.
     """
@@ -190,24 +173,18 @@ def as_topology(adjacency: Topology | np.ndarray) -> Topology:
         return adjacency
     import numpy as np
 
-    matrix = require_binary_adjacency(adjacency)
+    matrix = np.asarray(adjacency, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DomainError(f"adjacency matrix must be square, got shape {matrix.shape}")
+    if not np.array_equal(matrix, matrix.T):
+        raise DomainError("adjacency matrix must be symmetric")
+    if np.any(np.diagonal(matrix) != 0.0):
+        raise DomainError("adjacency matrix must have zero diagonal")
+    if not np.all((matrix == 0.0) | (matrix == 1.0)):
+        raise DomainError("adjacency entries must be 0 or 1")
     rows, cols = np.nonzero(matrix)
     upper = rows < cols
     return Topology(matrix.shape[0], tuple(zip(rows[upper].tolist(), cols[upper].tolist())))
-
-
-def expand_adjacency(weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Expand an N x N weight matrix to the 3N x 3N subsystem weight matrix.
-
-    Ordering is (ell, m, u) per mode block; each entry V_ij becomes the
-    3 x 3 block V_ij * outer(v, v) with v = (alpha, 2*alpha, 1).
-    """
-    import numpy as np
-
-    alpha = require_bin_size(alpha)
-    weights = require_adjacency(weights)
-    v = np.array([alpha, 2.0 * alpha, 1.0])
-    return np.kron(weights, np.outer(v, v))
 
 
 class MultimodeDecomposition(Record):

@@ -11,10 +11,10 @@ coupling of strength pi, so the physical coefficient of an edge is
 ``pi * multiplicity / alpha**k`` with ``k`` the number of modular endpoints.
 
 Building a cluster graph expands the tuned multimode gate into coupling
-terms, materializes them as edges, and then deletes every edge incident to
-a modular-position node pinned at u = 0: a phase generated by u acts as the
-identity on that eigenstate.  The same absorption pass is reused by the
-measurement engine when a measurement pins a neighbor's modular position.
+terms and materializes them as edges, leaving out every edge incident to a
+modular-position node pinned at u = 0: a phase generated by u acts as the
+identity on that eigenstate.  A measurement that pins a neighbor's modular
+position deletes its edges by the same rule, which every graph keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from functools import cached_property
+from itertools import starmap
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
@@ -117,8 +120,9 @@ def _checked_amplitudes(
 class ModeRecord(Record):
     """One physical mode: its index, input type and, when labeled, its amplitudes.
 
-    Construction checks the mode as :class:`ModeSpec` does, so a graph of
-    records always writes a document that :func:`from_json` reads back.
+    Construction checks that ``index`` is an int and the rest of the mode as
+    :class:`ModeSpec` does, so a graph of records always writes a document
+    that :func:`from_json` reads back.
     """
 
     index: int
@@ -133,6 +137,8 @@ class ModeRecord(Record):
         label: str | None = None,
         amplitudes: tuple[complex, complex] | None = None,
     ) -> None:
+        if type(index) is not int:
+            raise DomainError(f"mode index must be an int, got {index!r}")
         set_field(self, "index", index)
         set_field(self, "cv_type", cv_type)
         set_field(self, "label", label)
@@ -190,19 +196,21 @@ def gkp_labeled(c0: complex, c1: complex) -> ModeSpec:
 
 
 class SubsystemEdge(Record):
-    """Undirected edge between two subsystem nodes; endpoints kept sorted."""
+    """Edge of multiplicity 1 or 2 between int nodes (not bools) of two modes; ends sorted."""
 
     a: int
     b: int
     multiplicity: int
 
     def __init__(self, a: int, b: int, multiplicity: int) -> None:
-        if a == b:
-            raise DomainError("self-loops are not allowed")
+        if type(a) is not int or type(b) is not int:
+            raise DomainError(f"edge ends must be ints, got ({a!r}, {b!r})")
         if a > b:
             a, b = b, a
-        if multiplicity < 1:
-            raise DomainError("edge multiplicity must be positive")
+        if a // 3 == b // 3:
+            raise DomainError(f"edge ({a}, {b}) joins two nodes of the same mode")
+        if type(multiplicity) is not int or multiplicity not in (1, 2):
+            raise DomainError(f"edge ({a}, {b}) has multiplicity {multiplicity!r}, not 1 or 2")
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "multiplicity", multiplicity)
@@ -225,13 +233,24 @@ def _mode_nodes(record: ModeRecord) -> tuple[Node, ...]:
     )
 
 
+def _graph_nodes(modes: tuple[ModeRecord, ...]) -> tuple[Node, ...]:
+    return tuple(node for record in modes for node in _mode_nodes(record))
+
+
+def _pinned_nodes(modes: tuple[ModeRecord, ...]) -> set[int]:
+    """The modular-position nodes pinned at u = 0: one per GKP-type mode."""
+    return {3 * record.index + _MODULAR for record in modes if record.cv_type.is_gkp}
+
+
 class SubsystemGraph(Record):
     """Modes and edges; each mode's three nodes are derived from its record.
 
     An edge endpoint names its mode (``id // 3``) and kind (``id % 3``)
-    without a lookup table.  The lookups below are cached in the instance
-    ``__dict__`` beside the fields; equality and hashing read only the fields.
-    ``alpha`` is checked with :func:`require_bin_size`, so it is a finite float.
+    without a lookup table.  The mode index and the node tuple are kept in
+    the instance ``__dict__`` beside the fields; equality and hashing read
+    only the fields.  ``alpha`` is a finite float (:func:`require_bin_size`),
+    and repeated mode indices or edges, edge ends in missing modes and
+    edges at pinned modular-position nodes are refused.
     """
 
     alpha: float
@@ -241,17 +260,32 @@ class SubsystemGraph(Record):
     def __init__(
         self, alpha: float, modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
     ) -> None:
-        set_field(self, "alpha", require_bin_size(alpha))
+        alpha = require_bin_size(alpha)
+        mode_index = {record.index: record for record in modes}
+        if len(mode_index) != len(modes):
+            raise DomainError("duplicate mode indices")
+        pairs = list(map(attrgetter("a", "b"), edges))
+        if len(set(pairs)) != len(pairs):
+            repeat = next(pair for pair, count in Counter(pairs).items() if count > 1)
+            raise DomainError(f"duplicate edge {repeat}")
+        ends = {end for pair in pairs for end in pair}
+        unknown = sorted(end for end in ends if end // 3 not in mode_index)
+        if unknown:
+            raise DomainError(
+                f"an edge references unknown node {unknown[0]}: "
+                f"the graph has no mode {unknown[0] // 3}"
+            )
+        pinned = ends & _pinned_nodes(modes)
+        if pinned:
+            raise DomainError(f"an edge is incident to pinned modular-position node {min(pinned)}")
+        set_field(self, "alpha", alpha)
         set_field(self, "modes", modes)
         set_field(self, "edges", edges)
-
-    @cached_property
-    def _mode_index(self) -> dict[int, ModeRecord]:
-        return {record.index: record for record in self.modes}
+        set_field(self, "_mode_index", mode_index)
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(node for record in self.modes for node in _mode_nodes(record))
+        return _graph_nodes(self.modes)
 
     def node_by_id(self, node_id: int) -> Node:
         record = self._mode_index.get(node_id // 3)
@@ -277,11 +311,8 @@ class SubsystemGraph(Record):
 def absorb_modular_zero_edges(
     modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
 ) -> tuple[SubsystemEdge, ...]:
-    """Delete every edge incident to a modular-position node pinned at u = 0.
-
-    Every GKP-type mode has its modular-position node pinned.
-    """
-    pinned = {3 * m.index + _MODULAR for m in modes if m.cv_type.is_gkp}
+    """Delete every edge incident to a modular-position node pinned at u = 0."""
+    pinned = _pinned_nodes(modes)
     return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
@@ -289,7 +320,7 @@ def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
     # multiplicity = coefficient * alpha**(#modular operands) / pi
     units = term.coefficient * alpha**term.modular_operand_count / EDGE_UNIT_PHASE
     multiplicity = round(units)
-    if multiplicity not in (1, 2) or abs(units - multiplicity) > 1e-9:
+    if abs(units - multiplicity) > 1e-9:
         raise DomainError(f"term {term} has non-integral edge strength {units}")
     (mode_a, kind_a), (mode_b, kind_b) = term.op_a, term.op_b
     return SubsystemEdge(3 * mode_a + kind_a.offset, 3 * mode_b + kind_b.offset, multiplicity)
@@ -317,16 +348,24 @@ def build_cluster(
         for i, s in enumerate(node_types)
     )
     # One edge's surviving couplings as (kind offset on i, kind offset on j,
-    # multiplicity), stamped onto every mode pair (i, j) of the topology.
+    # multiplicity), less those at a GKP end's pinned modular node: one
+    # template per pair of end types, stamped onto each mode pair (i, j).
     tuned = decompose_cz_two_mode(math.pi / (alpha * alpha), alpha)
     template = [(e.a, e.b - 3, e.multiplicity) for e in (_edge_from_term(t, alpha) for t in tuned)]
+    templates = {
+        (gkp_i, gkp_j): [
+            c for c in template if not (gkp_i and c[0] == _MODULAR or gkp_j and c[1] == _MODULAR)
+        ]
+        for gkp_i in (False, True)
+        for gkp_j in (False, True)
+    }
+    gkp = [record.cv_type.is_gkp for record in modes]
     stamped = sorted(
         (3 * i + ka, 3 * j + kb, multiplicity)
         for i, j in topology.edges
-        for ka, kb, multiplicity in template
+        for ka, kb, multiplicity in templates[gkp[i], gkp[j]]
     )
-    edges = tuple(SubsystemEdge(a, b, multiplicity) for a, b, multiplicity in stamped)
-    return SubsystemGraph(alpha=alpha, modes=modes, edges=absorb_modular_zero_edges(modes, edges))
+    return SubsystemGraph(alpha=alpha, modes=modes, edges=tuple(starmap(SubsystemEdge, stamped)))
 
 
 def logical_neighbors(graph: SubsystemGraph) -> dict[int, set[int]]:
@@ -458,7 +497,7 @@ def from_json(text: str) -> SubsystemGraph:
         alpha = require_bin_size(doc["alpha"])
         modes = []
         for raw in doc["modes"]:
-            index = require_json_int(raw["index"], "index")
+            index = raw["index"]
             cv_type = CvType(raw["cv_type"])
             amplitudes = (
                 _parse_amplitudes(raw["amplitudes"], f"mode {index}")
@@ -478,45 +517,25 @@ def from_json(text: str) -> SubsystemGraph:
             )
             for raw in doc["nodes"]
         ]
-        edges = [
-            SubsystemEdge(
-                a=require_json_int(raw["a"], "a"),
-                b=require_json_int(raw["b"], "b"),
-                multiplicity=require_json_int(raw["multiplicity"], "multiplicity"),
-            )
-            for raw in doc["edges"]
-        ]
+        edges = tuple(
+            SubsystemEdge(raw["a"], raw["b"], raw["multiplicity"]) for raw in doc["edges"]
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise GraphParseError(f"malformed graph document: {err}") from err
 
-    graph = SubsystemGraph(alpha=alpha, modes=tuple(modes), edges=tuple(edges))
-    if len(nodes) != len(graph.nodes) or set(nodes) != set(graph.nodes):
+    modes = tuple(modes)
+    expected = _graph_nodes(modes)
+    if len(nodes) != len(expected) or set(nodes) != set(expected):
         raise GraphParseError(
             "nodes must be exactly ids 3*index + (0 logical, 1 gauge_m, 2 gauge_u) "
             "of each mode, with states matching its cv_type"
         )
-    _validate_graph(graph)
+    try:
+        graph = SubsystemGraph(alpha=alpha, modes=modes, edges=edges)
+    except DomainError as err:
+        raise GraphParseError(f"malformed graph document: {err}") from err
+    vars(graph)["nodes"] = expected  # the cached ``nodes``, already derived
     return graph
-
-
-def _validate_graph(graph: SubsystemGraph) -> None:
-    mode_indices = graph._mode_index
-    if len(mode_indices) != len(graph.modes):
-        raise GraphParseError("duplicate mode indices")
-    if absorb_modular_zero_edges(graph.modes, graph.edges) != graph.edges:
-        raise GraphParseError("edges incident to a pinned modular-position node")
-    seen = set()
-    for edge in graph.edges:
-        where = f"edge ({edge.a}, {edge.b})"
-        if edge.a // 3 not in mode_indices or edge.b // 3 not in mode_indices:
-            raise GraphParseError(f"{where} references unknown node")
-        if edge.a // 3 == edge.b // 3:
-            raise GraphParseError(f"{where} joins two nodes of the same mode")
-        if edge.multiplicity not in (1, 2):
-            raise GraphParseError(f"{where} has multiplicity {edge.multiplicity}, not 1 or 2")
-        if (edge.a, edge.b) in seen:
-            raise GraphParseError(f"duplicate {where}")
-        seen.add((edge.a, edge.b))
 
 
 # --- structural comparison ---------------------------------------------------

@@ -3,9 +3,10 @@ declared before they became plain ``Record`` classes: the same field names,
 order, defaults and construction checks.  ``test_records`` compares each
 record's behaviour against its copy here; the package never imports this.
 ``DiscretizedState`` was a mutable dataclass; its copy is frozen, as the
-record now is.  ``ModeSpec``, ``ModeRecord`` and ``SubsystemGraph`` had no
-checks; their copies carry the ones the records have now, so each pair
-refuses the same arguments with the same messages.
+record now is.  ``ModeSpec``, ``ModeRecord``, ``SubsystemEdge`` and
+``SubsystemGraph`` had fewer checks or none; their copies carry the ones the
+records have now, written out edge by edge, so each pair refuses the same
+arguments with the same messages.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class ModeRecord:
     amplitudes: tuple | None = None
 
     def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise DomainError(f"mode index must be an int, got {self.index!r}")
         _check_mode(self)
 
 
@@ -118,14 +121,17 @@ class SubsystemEdge:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise DomainError("self-loops are not allowed")
-        if self.a > self.b:
-            low, high = self.b, self.a
-            object.__setattr__(self, "a", low)
-            object.__setattr__(self, "b", high)
-        if self.multiplicity < 1:
-            raise DomainError("edge multiplicity must be positive")
+        if type(self.a) is not int or type(self.b) is not int:
+            raise DomainError(f"edge ends must be ints, got ({self.a!r}, {self.b!r})")
+        low, high = min(self.a, self.b), max(self.a, self.b)
+        object.__setattr__(self, "a", low)
+        object.__setattr__(self, "b", high)
+        if low // 3 == high // 3:
+            raise DomainError(f"edge ({low}, {high}) joins two nodes of the same mode")
+        if type(self.multiplicity) is not int or self.multiplicity not in (1, 2):
+            raise DomainError(
+                f"edge ({low}, {high}) has multiplicity {self.multiplicity!r}, not 1 or 2"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,25 @@ class SubsystemGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", require_bin_size(self.alpha))
+        modes = {}
+        for mode in self.modes:
+            if mode.index in modes:
+                raise DomainError("duplicate mode indices")
+            modes[mode.index] = mode
+        seen = set()
+        for edge in self.edges:
+            if (edge.a, edge.b) in seen:
+                raise DomainError(f"duplicate edge ({edge.a}, {edge.b})")
+            seen.add((edge.a, edge.b))
+        ends = sorted({end for edge in self.edges for end in (edge.a, edge.b)})
+        for end in ends:
+            if end // 3 not in modes:
+                raise DomainError(
+                    f"an edge references unknown node {end}: the graph has no mode {end // 3}"
+                )
+        for end in ends:
+            if end % 3 == 2 and modes[end // 3].cv_type.value != "momentum":
+                raise DomainError(f"an edge is incident to pinned modular-position node {end}")
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,13 @@ from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
     CouplingTerm,
     Topology,
+    _coupling_layout,
+    _phase_is_identity,
     as_topology,
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
-    _phase_is_identity,
-    expand_adjacency,
     grid_topology,
-    require_binary_adjacency,
 )
 from hiddencluster.graphs import build_cluster, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
@@ -121,49 +120,30 @@ class TestPhaseIdentity:
         alpha = DEFAULT_ALPHA
         for n_modes in (2, 3, 4):
             upper = np.triu(rng.integers(0, 2, size=(n_modes, n_modes)), k=1).astype(float)
-            adjacency = upper + upper.T
+            topology = as_topology(upper + upper.T)
             samples = [sample_quantum_numbers(rng, alpha, 1000) for _ in range(n_modes)]
-            assert multimode_phase_deviation(adjacency, alpha, samples) < 1e-10
+            assert multimode_phase_deviation(topology, alpha, samples) < 1e-10
 
 
-class TestExpandAdjacency:
+class TestCouplingLayout:
     def test_two_mode_block_matches_displayed_entries(self):
-        for alpha in (1.0, DEFAULT_ALPHA, 2.0):
-            tuned = (PI / alpha**2) * np.array([[0.0, 1.0], [1.0, 0.0]])
-            expanded = expand_adjacency(tuned, alpha)
-            block = np.array(
+        for alpha in (1.0, DEFAULT_ALPHA, 2.0, 1.9):
+            tuned = PI / alpha**2
+            block = np.zeros((3, 3))
+            for kind_a, kind_b, coefficient in _coupling_layout(tuned, alpha):
+                block[kind_a.offset, kind_b.offset] = coefficient
+            displayed = np.array(
                 [
                     [PI, 2 * PI, PI / alpha],
                     [2 * PI, 4 * PI, 2 * PI / alpha],
                     [PI / alpha, 2 * PI / alpha, PI / alpha**2],
                 ]
             )
-            assert np.allclose(expanded[0:3, 3:6], block, rtol=1e-12, atol=0.0)
-            assert np.allclose(expanded[3:6, 0:3], block, rtol=1e-12, atol=0.0)
-            assert np.all(expanded[0:3, 0:3] == 0.0)
-
-    def test_zero_matrix(self):
-        assert np.all(expand_adjacency(np.zeros((3, 3)), 1.0) == 0.0)
-
-    def test_path_graph_against_naive_double_loop(self):
-        alpha = 1.9
-        weights = (PI / alpha**2) * chain_adjacency(3)
-        expanded = expand_adjacency(weights, alpha)
-        v = np.array([alpha, 2 * alpha, 1.0])
-        naive = np.zeros((9, 9))
-        for i in range(3):
-            for j in range(3):
-                for a in range(3):
-                    for b in range(3):
-                        naive[3 * i + a, 3 * j + b] = weights[i, j] * v[a] * v[b]
-        assert np.array_equal(expanded, naive)
-        assert np.array_equal(expanded, expanded.T)
-        # block tridiagonal: no coupling between the end modes
-        assert np.all(expanded[0:3, 6:9] == 0.0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            expand_adjacency(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+            assert np.allclose(block, displayed, rtol=1e-12, atol=0.0)
+            # the same floats as the Kronecker block tuned * outer(v, v) with
+            # v = (alpha, 2*alpha, 1), which verify's block_expansion used to read
+            v = np.array([alpha, 2.0 * alpha, 1.0])
+            assert block.tobytes() == (tuned * np.outer(v, v)).tobytes()
 
 
 class TestMultimodeDecomposition:
@@ -226,8 +206,8 @@ class TestMultimodeDecomposition:
     def test_rejects_non_binary(self):
         with pytest.raises(DomainError):
             decompose_cz_multimode(0.5 * chain_adjacency(2), 1.0)
-        with pytest.raises(DomainError):
-            require_binary_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        with pytest.raises(DomainError, match="entries must be 0 or 1"):
+            as_topology(np.array([[0.0, 2.0], [2.0, 0.0]]))
 
 
 

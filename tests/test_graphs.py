@@ -14,6 +14,7 @@ from hiddencluster.errors import DomainError, GraphParseError
 from hiddencluster.gates import decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
     CvType,
+    ModeRecord,
     ModeSpec,
     NodeState,
     SubsystemEdge,
@@ -328,13 +329,11 @@ class TestSerialization:
     def test_rejects_edge_on_pinned_node(self):
         graph = build_cluster(chain_adjacency(2), [gkp_plus(), gkp_plus()], 1.0)
         doc = json.loads(to_json(graph))
-        pinned = next(
-            n["id"] for n in doc["nodes"] if n["state"] == "modular_zero"
-        )
+        pinned = next(n for n in doc["nodes"] if n["state"] == "modular_zero")
         other = next(
-            n["id"] for n in doc["nodes"] if n["kind"] == "gauge_m" and n["id"] != pinned
+            n for n in doc["nodes"] if n["kind"] == "gauge_m" and n["mode"] != pinned["mode"]
         )
-        doc["edges"].append({"a": other, "b": pinned, "multiplicity": 1})
+        doc["edges"].append({"a": other["id"], "b": pinned["id"], "multiplicity": 1})
         with pytest.raises(GraphParseError, match="pinned"):
             from_json(json.dumps(doc))
 
@@ -368,19 +367,20 @@ class TestSerialization:
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, message",
         [
-            ("multiplicity", 1.9),
-            ("multiplicity", "2"),
-            ("multiplicity", True),
-            ("mode_index", 0.7),
-            ("mode_index", "0"),
-            ("node_id", 0.0),
-            ("edge_a", "as_float"),
+            ("multiplicity", 1.9, "edge ({a}, {b}) has multiplicity 1.9, not 1 or 2"),
+            ("multiplicity", "2", "edge ({a}, {b}) has multiplicity '2', not 1 or 2"),
+            ("multiplicity", True, "edge ({a}, {b}) has multiplicity True, not 1 or 2"),
+            ("mode_index", 0.7, "mode 0.7: mode index must be an int, got 0.7"),
+            ("mode_index", "0", "mode 0: mode index must be an int, got '0'"),
+            ("node_id", 0.0, "id must be a JSON integer, got 0.0"),
+            ("edge_a", "as_float", "edge ends must be ints, got ({a}.0, {b})"),
         ],
     )
-    def test_rejects_non_integer_numbers(self, field, value):
+    def test_rejects_non_integer_numbers(self, field, value, message):
         doc = json.loads(to_json(hybrid_grid()))
+        a, b = doc["edges"][0]["a"], doc["edges"][0]["b"]
         if field == "multiplicity":
             doc["edges"][0]["multiplicity"] = value
         elif field == "mode_index":
@@ -391,8 +391,9 @@ class TestSerialization:
             doc["nodes"][0]["id"] = value
         else:
             doc["edges"][0]["a"] = float(doc["edges"][0]["a"])
-        with pytest.raises(GraphParseError, match="JSON integer"):
+        with pytest.raises(GraphParseError) as info:
             from_json(json.dumps(doc))
+        assert str(info.value) == "malformed graph document: " + message.format(a=a, b=b)
 
 
 def _json_paths(value, prefix=()):
@@ -444,6 +445,101 @@ def test_from_json_mutations_parse_or_reject(data):
     assert all(e.multiplicity in (1, 2) and e.a // 3 != e.b // 3 for e in graph.edges)
     assert len({(e.a, e.b) for e in graph.edges}) == len(graph.edges)
     assert from_json(text) == graph
+
+
+def _raw_document(alpha, modes, edges):
+    """The document of raw ``[index, cv_type, label, amplitudes]`` modes and
+    ``[a, b, multiplicity]`` edges, laid out as ``to_json`` writes one, with
+    no record built and nothing checked."""
+    nodes = []
+    for index, cv_type, _, _ in modes:
+        ids = [3 * index + k for k in range(3)] if isinstance(index, (int, float)) else [index] * 3
+        states = [
+            "logical_labeled" if cv_type is CvType.GKP_LABELED else "logical_plus",
+            "uniform_bin",
+            "modular_zero" if cv_type.is_gkp else "uniform_modular",
+        ]
+        nodes += [
+            {"id": i, "mode": index, "kind": kind.value, "state": state}
+            for i, kind, state in zip(ids, SubsystemKind, states)
+        ]
+    doc = {
+        "alpha": alpha,
+        "modes": [
+            {
+                "index": index,
+                "cv_type": cv_type.value,
+                **({"label": label} if label is not None else {}),
+                **(
+                    {"amplitudes": [[c.real, c.imag] for c in amplitudes]}
+                    if amplitudes is not None
+                    else {}
+                ),
+            }
+            for index, cv_type, label, amplitudes in modes
+        ],
+        "nodes": nodes,
+        "edges": [{"a": a, "b": b, "multiplicity": m} for a, b, m in edges],
+    }
+    return json.dumps(doc)
+
+
+_MUTATED_GRAPHS = [hybrid_grid(), _WIRE, measure_p0(_WIRE, 3, LogicalFrame()).graph]
+_FIELD_VALUES = st.one_of(
+    st.integers(-4, 24),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_record_mutations_construct_iff_their_document_reads_back(data):
+    """One mutation of a built graph's record fields constructs exactly when
+    the document of those fields reads back, and a graph that constructs
+    round-trips through its document byte for byte."""
+    graph = data.draw(st.sampled_from(_MUTATED_GRAPHS))
+    modes = [[m.index, m.cv_type, m.label, m.amplitudes] for m in graph.modes]
+    edges = [[e.a, e.b, e.multiplicity] for e in graph.edges]
+    mutation = data.draw(
+        st.sampled_from(
+            ["mode_index", "edge_field", "drop_mode", "repeat_mode", "repeat_edge", "add_edge"]
+        )
+    )
+    if mutation == "mode_index":
+        modes[data.draw(st.integers(0, len(modes) - 1))][0] = data.draw(_FIELD_VALUES)
+    elif mutation == "drop_mode":
+        del modes[data.draw(st.integers(0, len(modes) - 1))]
+    elif mutation == "repeat_mode":
+        modes.append(list(data.draw(st.sampled_from(modes))))
+    elif mutation == "add_edge":
+        edges.append(data.draw(st.lists(st.integers(-4, 24), min_size=3, max_size=3)))
+    elif edges and mutation == "edge_field":
+        edges[data.draw(st.integers(0, len(edges) - 1))][data.draw(st.integers(0, 2))] = (
+            data.draw(_FIELD_VALUES)
+        )
+    elif edges:
+        a, b, m = data.draw(st.sampled_from(edges))
+        edges.append(data.draw(st.sampled_from([[a, b, m], [b, a, m], [a, b, 3 - m]])))
+    try:
+        built = SubsystemGraph(
+            graph.alpha,
+            tuple(ModeRecord(*mode) for mode in modes),
+            tuple(SubsystemEdge(*edge) for edge in edges),
+        )
+    except DomainError:
+        built = None
+    try:
+        read = from_json(_raw_document(graph.alpha, modes, edges))
+    except GraphParseError:
+        read = None
+    assert (built is None) == (read is None)
+    if built is not None:
+        assert read == built
+        text = to_json(built)
+        assert to_json(from_json(text)) == text
 
 
 _SPECS = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8j)]

@@ -110,3 +110,32 @@ def test_only_modular_defines_the_kind_layout():
     }
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == {}
+
+
+def test_matrix_entry_points_the_benchmark_calls():
+    """The benchmark's workloads pass dense float matrices, built as below, to
+    ``build_cluster``, ``decompose_cz_multimode`` and both certify routes, and
+    compare ``logical_subgraph`` with the matrix.  Each call is made here the
+    same way and gives what the ``Topology`` of the same grid gives."""
+    import numpy as np
+
+    from hiddencluster.certify import decomposed_cluster_state, direct_cluster_state
+
+    hc, alpha, rows, cols = hiddencluster, hiddencluster.DEFAULT_ALPHA, 2, 2
+    adjacency = np.zeros((rows * cols, rows * cols))
+    i = np.arange(rows * cols).reshape(rows, cols)
+    for left, right in ((i[:, :-1], i[:, 1:]), (i[:-1, :], i[1:, :])):
+        adjacency[left, right] = adjacency[right, left] = 1.0
+    topology = hc.grid_topology(rows, cols)
+    specs = [hc.momentum(), hc.gkp_plus(), hc.momentum(), hc.gkp_labeled(0.6, 0.8j)]
+
+    graph = hc.build_cluster(adjacency, specs, alpha)
+    assert graph == hc.build_cluster(topology, specs, alpha)
+    assert np.array_equal(hc.logical_subgraph(graph), adjacency)
+    assert hc.decompose_cz_multimode(adjacency, alpha) == hc.decompose_cz_multimode(
+        topology, alpha
+    )
+    grid = hc.GridSpec(2, alpha)
+    for route in (direct_cluster_state, decomposed_cluster_state):
+        from_matrix = route(grid, adjacency, specs).amplitudes
+        assert from_matrix.tobytes() == route(grid, topology, specs).amplitudes.tobytes()

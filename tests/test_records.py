@@ -27,8 +27,10 @@ OP_A, OP_B = (0, L), (1, U)
 TERM = gates.CouplingTerm(OP_A, OP_B, 3.5)
 LABELED, MOMENTUM = graphs.CvType.GKP_LABELED, graphs.CvType.MOMENTUM
 MODE = graphs.ModeRecord(0, graphs.CvType.GKP_LABELED, "psi", (0.6 + 0j, 0.8j))
+# EDGE joins the logical nodes of modes 0 and 1
+MODES = (MODE, graphs.ModeRecord(1, graphs.CvType.MOMENTUM))
 EDGE = graphs.SubsystemEdge(0, 3, 1)
-GRAPH = graphs.SubsystemGraph(1.5, (MODE,), ())
+GRAPH = graphs.SubsystemGraph(1.5, MODES, (EDGE,))
 FRAME = measurement.LogicalFrame(2, (0.6 + 0j, -0.8j))
 RECORD = measurement.MeasurementRecord(1, 0.0, (3, 4, 5), 2)
 GRID = oracle.GridSpec(2, 1.5)
@@ -56,7 +58,7 @@ CASES = {
     "SubsystemEdge": (graphs.SubsystemEdge, ref.SubsystemEdge,
                       (2, 5, 2), (2, 5, 1), None),
     "SubsystemGraph": (graphs.SubsystemGraph, ref.SubsystemGraph,
-                       (1.5, (MODE,), (EDGE,)), (1.5, (MODE,), ()), None),
+                       (1.5, MODES, (EDGE,)), (1.5, MODES, ()), None),
     "LogicalFrame": (measurement.LogicalFrame, ref.LogicalFrame,
                      (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), ()),
     "MeasurementRecord": (measurement.MeasurementRecord, ref.MeasurementRecord,
@@ -95,10 +97,20 @@ REFUSED = [
     ("ModeRecord", (1, LABELED, "psi", (0.6, 0.6))),
     ("ModeRecord", (1, LABELED)),
     ("ModeRecord", (1, LABELED, "psi", ("0.6", "0.8"))),
+    ("ModeRecord", (0.5, graphs.CvType.GKP_PLUS)),
+    ("ModeRecord", (True, MOMENTUM)),
     ("SubsystemGraph", (float("nan"), (), ())),
     ("SubsystemGraph", (0.0, (MODE,), ())),
+    ("SubsystemGraph", (1.5, (MODE, MODE), ())),
+    ("SubsystemGraph", (1.5, MODES, (EDGE, graphs.SubsystemEdge(3, 0, 2)))),
+    ("SubsystemGraph", (1.5, (MODE,), (EDGE,))),
+    ("SubsystemGraph", (1.5, MODES, (graphs.SubsystemEdge(2, 3, 1),))),
     ("SubsystemEdge", (4, 4, 1)),
     ("SubsystemEdge", (5, 4, 0)),
+    ("SubsystemEdge", (float("nan"), 3, 1)),
+    ("SubsystemEdge", (0, True, 1)),
+    ("SubsystemEdge", (0, 3, 3)),
+    ("SubsystemEdge", (0, 3, 1.0)),
     ("GridSpec", (0, 1.5)),
     ("GridSpec", (2.0, 1.5)),
     ("GridSpec", (2, -1.0)),
