@@ -1,11 +1,18 @@
 """Base class of the package's immutable value records.
 
-A subclass lists its fields as class annotations and writes an explicit
-``__init__`` that checks its arguments and stores each field with
-:data:`set_field`.  This base turns the annotations into ``_fields`` and
-gives every record the frozen guard, ``==``, ``hash``, ``repr`` and
-``__match_args__`` of a frozen dataclass, without importing ``dataclasses``
-or generating code.
+A subclass lists its fields as class annotations; a class attribute of the
+same name is that field's default.  This base turns the annotations into
+``_fields`` and gives every record the frozen guard, ``==``, ``hash``,
+``repr`` and ``__match_args__`` of a frozen dataclass, without importing
+``dataclasses``.
+
+A record that checks its arguments writes its own ``__init__`` and stores
+each field with :data:`set_field`.  Every other record gets the constructor
+of a frozen dataclass: it takes each field by position or by name, in
+declaration order, and stores it with :data:`set_field`.  That constructor
+is compiled once per class from the field names, as
+``collections.namedtuple`` compiles its ``__new__``, so a call runs the
+same ``set_field`` calls a hand-written one would.
 """
 
 from operator import attrgetter
@@ -13,6 +20,23 @@ from operator import attrgetter
 #: Stores one field past the guard.  The generic setter keeps the fields in
 #: the instance's compact inline storage, as assignment in a plain class does.
 set_field = object.__setattr__
+
+
+def _storing_init(cls: type):
+    """The ``__init__`` that stores each field of ``cls``, with its class-attribute defaults."""
+    defaults = []
+    for name in cls._fields:
+        if name in cls.__dict__:
+            defaults.append(cls.__dict__[name])
+        elif defaults:
+            raise TypeError(f"field {name!r} of {cls.__name__} without a default follows one with")
+    stores = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
+    namespace = {"set_field": set_field}
+    exec(f"def __init__(self, {', '.join(cls._fields)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Record:
@@ -25,6 +49,8 @@ class Record:
             raise TypeError(f"a record needs at least two fields, {cls.__name__} has {fields}")
         # the field tuple in one C call (attrgetter of one name would return a bare value)
         cls._values = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _storing_init(cls)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

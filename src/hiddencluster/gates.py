@@ -39,11 +39,6 @@ class CouplingTerm(Record):
     op_b: Subsystem
     coefficient: float
 
-    def __init__(self, op_a: Subsystem, op_b: Subsystem, coefficient: float) -> None:
-        set_field(self, "op_a", op_a)
-        set_field(self, "op_b", op_b)
-        set_field(self, "coefficient", coefficient)
-
     @property
     def kinds(self) -> tuple[SubsystemKind, SubsystemKind]:
         return (self.op_a[1], self.op_b[1])
@@ -198,16 +193,6 @@ class MultimodeDecomposition(Record):
     logical_terms: tuple[CouplingTerm, ...]
     gauge_terms: tuple[CouplingTerm, ...]
     interaction_terms: tuple[CouplingTerm, ...]
-
-    def __init__(
-        self,
-        logical_terms: tuple[CouplingTerm, ...],
-        gauge_terms: tuple[CouplingTerm, ...],
-        interaction_terms: tuple[CouplingTerm, ...],
-    ) -> None:
-        set_field(self, "logical_terms", logical_terms)
-        set_field(self, "gauge_terms", gauge_terms)
-        set_field(self, "interaction_terms", interaction_terms)
 
     @property
     def all_terms(self) -> tuple[CouplingTerm, ...]:

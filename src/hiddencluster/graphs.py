@@ -76,12 +76,6 @@ class Node(Record):
     kind: SubsystemKind
     state: NodeState
 
-    def __init__(self, id: int, mode: int, kind: SubsystemKind, state: NodeState) -> None:
-        set_field(self, "id", id)
-        set_field(self, "mode", mode)
-        set_field(self, "kind", kind)
-        set_field(self, "state", state)
-
 
 def _checked_amplitudes(
     cv_type: CvType, label: str | None, amplitudes: tuple[complex, complex] | None
@@ -249,8 +243,10 @@ class SubsystemGraph(Record):
     without a lookup table.  The mode index and the node tuple are kept in
     the instance ``__dict__`` beside the fields; equality and hashing read
     only the fields.  ``alpha`` is a finite float (:func:`require_bin_size`),
-    and repeated mode indices or edges, edge ends in missing modes and
-    edges at pinned modular-position nodes are refused.
+    ``modes`` and ``edges`` hold :class:`ModeRecord` and
+    :class:`SubsystemEdge` records, and repeated mode indices or edges, edge
+    ends in missing modes and edges at pinned modular-position nodes are
+    refused.
     """
 
     alpha: float
@@ -261,6 +257,13 @@ class SubsystemGraph(Record):
         self, alpha: float, modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
     ) -> None:
         alpha = require_bin_size(alpha)
+        members_of = (("modes", modes, ModeRecord), ("edges", edges, SubsystemEdge))
+        for what, members, member_type in members_of:
+            if not set(map(type, members)) <= {member_type}:
+                stray = next(m for m in members if type(m) is not member_type)
+                raise DomainError(
+                    f"graph {what} must be {member_type.__name__} records, got {stray!r}"
+                )
         mode_index = {record.index: record for record in modes}
         if len(mode_index) != len(modes):
             raise DomainError("duplicate mode indices")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
 from .graphs import (
     CvType,
@@ -34,16 +34,8 @@ HADAMARD = ((_S, _S), (_S, -_S))
 class LogicalFrame(Record):
     """Accumulated logical byproduct along a wire: one Hadamard per hop."""
 
-    hadamard_count: int
-    current_label: tuple[complex, complex]
-
-    def __init__(
-        self,
-        hadamard_count: int = 0,
-        current_label: tuple[complex, complex] = (1.0 + 0.0j, 0.0 + 0.0j),
-    ) -> None:
-        set_field(self, "hadamard_count", hadamard_count)
-        set_field(self, "current_label", current_label)
+    hadamard_count: int = 0
+    current_label: tuple[complex, complex] = (1.0 + 0.0j, 0.0 + 0.0j)
 
 
 class MeasurementRecord(Record):
@@ -52,30 +44,11 @@ class MeasurementRecord(Record):
     removed_nodes: tuple[int, int, int]
     converted_node: int
 
-    def __init__(
-        self,
-        measured_mode: int,
-        outcome: float,
-        removed_nodes: tuple[int, int, int],
-        converted_node: int,
-    ) -> None:
-        set_field(self, "measured_mode", measured_mode)
-        set_field(self, "outcome", outcome)
-        set_field(self, "removed_nodes", removed_nodes)
-        set_field(self, "converted_node", converted_node)
-
 
 class MeasurementResult(Record):
     graph: SubsystemGraph
     frame: LogicalFrame
     record: MeasurementRecord
-
-    def __init__(
-        self, graph: SubsystemGraph, frame: LogicalFrame, record: MeasurementRecord
-    ) -> None:
-        set_field(self, "graph", graph)
-        set_field(self, "frame", frame)
-        set_field(self, "record", record)
 
 
 def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -110,19 +83,7 @@ class WireRun(Record):
     frame: LogicalFrame
     records: tuple[MeasurementRecord, ...]
     #: frame after each step, aligned with ``records``
-    frames: tuple[LogicalFrame, ...]
-
-    def __init__(
-        self,
-        graph: SubsystemGraph,
-        frame: LogicalFrame,
-        records: tuple[MeasurementRecord, ...],
-        frames: tuple[LogicalFrame, ...] = (),
-    ) -> None:
-        set_field(self, "graph", graph)
-        set_field(self, "frame", frame)
-        set_field(self, "records", records)
-        set_field(self, "frames", frames)
+    frames: tuple[LogicalFrame, ...] = ()
 
 
 def _wire_input_mode(graph: SubsystemGraph, neighbors: dict[int, set[int]]) -> int:

@@ -60,9 +60,16 @@ _MAX_BIN_SIZE = 1.3407807929942596e154
 
 
 def require_bin_size(alpha: float) -> float:
-    """Validate a bin size: finite, strictly positive, and such that alpha**2
-    and the tuned gate weight pi/alpha**2 are finite and nonzero floats."""
-    alpha = float(alpha)
+    """Validate a bin size: a real number (not a string, bytes or bool) that
+    is finite, strictly positive, and such that alpha**2 and the tuned gate
+    weight pi/alpha**2 are finite and nonzero floats."""
+    if type(alpha) is not float:
+        try:
+            if isinstance(alpha, (str, bytes, bytearray, bool)):
+                raise TypeError("float() would parse text and read a bool as 0 or 1")
+            alpha = float(alpha)
+        except TypeError:
+            raise DomainError(f"bin size must be a number, got {alpha!r}") from None
     if not _MIN_BIN_SIZE <= alpha <= _MAX_BIN_SIZE:  # also false for NaN
         if not math.isfinite(alpha) or alpha <= 0.0:
             raise DomainError(f"bin size must be finite and positive, got {alpha!r}")

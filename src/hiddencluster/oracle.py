@@ -301,7 +301,15 @@ def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, fl
     _require_mode(mode, state.n_modes)
     dim = state.grid.dim
     bra = np.full(dim, 1.0 / math.sqrt(dim))
-    contracted = np.tensordot(bra, state._tensor(), axes=(0, mode))
+    # (modes before, this mode, modes after) is a view, so no axis is moved
+    # or copied.  On the last mode a stacked product would sum in another
+    # order; one matrix-vector product keeps it bit-identical to
+    # ``np.tensordot``, as the first mode is.
+    tensor = state.amplitudes.reshape(dim**mode, dim, -1)
+    if tensor.shape[2] == 1:
+        contracted = tensor[:, :, 0] @ bra
+    else:
+        contracted = bra @ tensor
     projected = DiscretizedState(state.grid, state.n_modes - 1, contracted.reshape(-1))
     return projected, projected.norm()
 

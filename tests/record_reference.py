@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hiddencluster import graphs
 from hiddencluster.errors import DomainError
 from hiddencluster.modular import require_bin_size
 
@@ -142,6 +143,12 @@ class SubsystemGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", require_bin_size(self.alpha))
+        for mode in self.modes:
+            if not isinstance(mode, graphs.ModeRecord):
+                raise DomainError(f"graph modes must be ModeRecord records, got {mode!r}")
+        for edge in self.edges:
+            if not isinstance(edge, graphs.SubsystemEdge):
+                raise DomainError(f"graph edges must be SubsystemEdge records, got {edge!r}")
         modes = {}
         for mode in self.modes:
             if mode.index in modes:

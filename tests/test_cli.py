@@ -382,6 +382,7 @@ class TestBadInputExits2:
             ({}, ["decompose", "--g", "-nan"]),
             ({}, ["decompose", "--g", "-Infinity"]),
             ({}, ["decompose", "--g", "-NaN", "--alpha", "2.0"]),
+            ({}, ["render", "--input", "{tmp}/alpha_string.json"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -413,6 +414,7 @@ class TestBadInputExits2:
             "weight-negative-nan",
             "weight-negative-infinity-spelled-out",
             "weight-negative-nan-mixed-case",
+            "graph-alpha-string",
         ],
     )
     def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys, recwarn):
@@ -427,6 +429,7 @@ class TestBadInputExits2:
             "edge_far": "[[0, 10000000]]",
             "n_modes_huge": '{"n_modes": 10000000, "edges": []}',
             "n_modes_zero": '{"n_modes": 0, "edges": [[0, 1]]}',
+            "alpha_string": '{"alpha": "1.5", "modes": [], "nodes": [], "edges": []}',
         }.items():
             (tmp_path / f"{name}.json").write_text(text)
         for name, value in env.items():

@@ -376,6 +376,7 @@ class TestSerialization:
             ("mode_index", "0", "mode 0: mode index must be an int, got '0'"),
             ("node_id", 0.0, "id must be a JSON integer, got 0.0"),
             ("edge_a", "as_float", "edge ends must be ints, got ({a}.0, {b})"),
+            ("alpha", "1.5", "bin size must be a number, got '1.5'"),
         ],
     )
     def test_rejects_non_integer_numbers(self, field, value, message):
@@ -389,6 +390,8 @@ class TestSerialization:
                 node["mode"] = value
         elif field == "node_id":
             doc["nodes"][0]["id"] = value
+        elif field == "alpha":
+            doc["alpha"] = value
         else:
             doc["edges"][0]["a"] = float(doc["edges"][0]["a"])
         with pytest.raises(GraphParseError) as info:

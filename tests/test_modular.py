@@ -298,12 +298,23 @@ def checked_bin_size(check, alpha):
         -math.inf,
         math.nan,
         1,
-        "2.5",
     ],
 )
 def test_bin_size_check_is_identical_to_reference(alpha):
     assert checked_bin_size(require_bin_size, alpha) == checked_bin_size(
         reference_require_bin_size, alpha
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    ["2.5", b"2.5", bytearray(b"2.5"), True, False, None, 1 + 0j],
+    ids=["str", "bytes", "bytearray", "True", "False", "None", "complex"],
+)
+def test_bin_size_must_be_a_number(alpha):
+    # float() reads the first five, and raises a bare TypeError on the last two
+    assert checked_bin_size(require_bin_size, alpha) == (
+        f"DomainError: bin size must be a number, got {alpha!r}"
     )
 
 

@@ -422,6 +422,23 @@ class TestProjection:
         assert abs(abs(projected.amplitudes[0]) - 1.0) < 1e-14
         assert weight == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "n, n_modes", [(1, 1), (1, 6), (2, 1), (2, 4), (3, 2), (3, 4), (4, 1), (4, 3)]
+    )
+    def test_matches_tensordot(self, n, n_modes):
+        # verify projects only the first and last modes; those stay bit-identical
+        grid = GridSpec(n=n, alpha=ALPHA)
+        state = random_state(grid, n_modes, seed=n_modes)
+        bra = np.full(grid.dim, 1.0 / math.sqrt(grid.dim))
+        for mode in range(n_modes):
+            projected, weight = project_p0(state, mode)
+            expected = np.tensordot(bra, state._tensor(), axes=(0, mode)).reshape(-1)
+            if mode in (0, n_modes - 1):
+                assert projected.amplitudes.tobytes() == expected.tobytes()
+            else:
+                assert np.allclose(projected.amplitudes, expected, rtol=0.0, atol=1e-14)
+            assert weight == np.linalg.norm(projected.amplitudes)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_hybrid_teleportation(self, n):
         grid = GridSpec(n=n, alpha=ALPHA)

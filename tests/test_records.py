@@ -2,14 +2,18 @@
 
 Each record is compared with its frozen-dataclass copy in
 ``record_reference``: ``repr``, ``==``, ``hash``, ``__match_args__``, the
-frozen guard, positional and keyword construction with defaults, the
-construction checks, ``copy`` and ``pickle``.
+frozen guard, the constructor's signature, positional and keyword
+construction with defaults, the construction checks, ``copy`` and
+``pickle``.  A record whose constructor would only store its fields writes
+none: ``Record`` generates it.
 """
 
 import ast
 import copy
 import dataclasses
+import inspect
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ import pytest
 
 import record_reference as ref
 from hiddencluster import gates, graphs, measurement, oracle
+from hiddencluster._record import Record
 from hiddencluster.errors import DomainError
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 
@@ -105,6 +110,12 @@ REFUSED = [
     ("SubsystemGraph", (1.5, MODES, (EDGE, graphs.SubsystemEdge(3, 0, 2)))),
     ("SubsystemGraph", (1.5, (MODE,), (EDGE,))),
     ("SubsystemGraph", (1.5, MODES, (graphs.SubsystemEdge(2, 3, 1),))),
+    ("SubsystemGraph", ("2", (), ())),
+    ("SubsystemGraph", (True, (), ())),
+    ("SubsystemGraph", (1.0, ("x",), ())),
+    ("SubsystemGraph", (1.0, (MODE, graphs.ModeSpec(MOMENTUM)), ())),
+    ("SubsystemGraph", (1.5, MODES, (EDGE, (0, 3, 1)))),
+    ("SubsystemGraph", (1.5, (graphs.Node(0, 0, L, graphs.NodeState.LOGICAL_PLUS),), ())),
     ("SubsystemEdge", (4, 4, 1)),
     ("SubsystemEdge", (5, 4, 0)),
     ("SubsystemEdge", (float("nan"), 3, 1)),
@@ -115,6 +126,8 @@ REFUSED = [
     ("GridSpec", (2.0, 1.5)),
     ("GridSpec", (2, -1.0)),
     ("GridSpec", (2, float("nan"))),
+    ("GridSpec", (2, "1.5")),
+    ("GridSpec", (2, b"1.5")),
     ("DiscretizedState", (GRID, -1, np.ones(1))),
     ("DiscretizedState", (GRID, 1, np.ones(3))),
 ]
@@ -136,21 +149,48 @@ def case(request):
     return CASES[request.param]
 
 
-def package_records():
-    """Names of the package's ``class X(Record)`` declarations, found by ``ast``."""
-    names = set()
+def record_classes():
+    """The package's ``class X(Record)`` declarations, found by ``ast``."""
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef) and any(
                 isinstance(base, ast.Name) and base.id == "Record" for base in node.bases
             ):
-                names.add(node.name)
-    return names
+                yield node
+
+
+def package_records():
+    return {node.name for node in record_classes()}
+
+
+def parameters(cls):
+    """Each constructor parameter's name, kind and default, in order."""
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def only_stores_a_field(statement):
+    """True for ``set_field(self, "name", name)``: a parameter stored unchanged."""
+    return re.fullmatch(r"set_field\(self, '(\w+)', \1\)", ast.unparse(statement)) is not None
 
 
 class TestRecordsMatchTheirDataclasses:
     def test_every_record_is_covered(self):
         assert set(CASES) == package_records()
+
+    def test_no_record_writes_a_constructor_that_only_stores_its_fields(self):
+        # Record generates that constructor; a hand-written __init__ must check something
+        store_only = [
+            cls.name
+            for cls in record_classes()
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            and all(map(only_stores_a_field, item.body))
+        ]
+        assert store_only == []
+
+    def test_constructor_signature(self, case):
+        cls, reference, _, _, _ = case
+        assert parameters(cls) == parameters(reference)
 
     def test_repr_and_field_order(self, case):
         cls, reference, args, _, _ = case
@@ -225,6 +265,14 @@ class TestRecordsMatchTheirDataclasses:
                 assert (low, high) == (2, 5)
             case _:
                 pytest.fail("edge did not match")
+
+    def test_a_field_without_a_default_cannot_follow_one_with(self):
+        # a dataclass refuses this order too; the defaults would shift onto the wrong fields
+        with pytest.raises(TypeError, match="'b' of Shifted without a default"):
+
+            class Shifted(Record):
+                a: int = 0
+                b: int
 
 
 class TestSubsystemGraphCache:
