@@ -36,7 +36,7 @@ from .graphs import (
     structurally_equal,
 )
 from .measurement import HADAMARD, LogicalFrame, measure_p0
-from .modular import DEFAULT_ALPHA, SubsystemKind
+from .modular import DEFAULT_ALPHA, SubsystemKind, require_real
 from .oracle import (
     DiscretizedState,
     GridSpec,
@@ -99,7 +99,7 @@ def direct_cluster_state(
     topology = as_topology(adjacency)
     if topology.n_modes != len(specs):
         raise DomainError("adjacency size does not match the number of mode specs")
-    g = g_scale * math.pi / grid.alpha**2
+    g = require_real(g_scale, "g_scale") * math.pi / grid.alpha**2
     pos = grid.position_values()
     couplings = [(i, pos, j, pos, g) for i, j in topology.edges]
     return coupled_product(grid, _mode_vectors(grid, specs), couplings)
@@ -368,8 +368,11 @@ def run_verification(
 
     ``g_scale`` rescales the direct-route gate weight; any value other than
     1 detunes the gate and the state-equality checks fail, which is the
-    intended negative control.
+    intended negative control.  ``grid_n``, ``max_modes`` and ``seed`` are ints.
     """
+    for name, value in (("grid_n", grid_n), ("max_modes", max_modes), ("seed", seed)):
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an int, got {value!r}")
     if grid_n < 1 or grid_n > 4:
         raise DomainError("grid_n must be in 1..4 (resource bound)")
     base = max(2 * grid_n * grid_n, 4)
@@ -381,6 +384,7 @@ def run_verification(
             f"and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical density "
             f"entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
         )
+    g_scale = require_real(g_scale, "g_scale")
     if not math.isfinite(g_scale):
         raise DomainError(f"g_scale must be finite, got {g_scale!r}")
     rng = np.random.default_rng(seed)

@@ -43,6 +43,7 @@ from .graphs import (
     to_json,
 )
 from .measurement import LogicalFrame, MeasurementRecord, measure_p0, run_wire
+from .modular import DEFAULT_ALPHA
 
 
 class UsageError(HiddenClusterError):
@@ -69,7 +70,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def parse_alpha(text: str) -> float:
     if text.strip() == "sqrt_pi":
-        return math.sqrt(math.pi)
+        return DEFAULT_ALPHA
     try:
         value = float(text)
     except ValueError as err:

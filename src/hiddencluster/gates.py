@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
 from .errors import DomainError
-from .modular import Subsystem, SubsystemKind, require_bin_size
+from .modular import Subsystem, SubsystemKind, require_bin_size, require_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,7 +95,8 @@ def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
     (2*pi/alpha each), and the two ell-u pairs (pi/alpha each).
     """
     alpha = require_bin_size(alpha)
-    g = float(g)
+    if type(g) is not float:
+        g = require_real(g, "gate weight")
     if not math.isfinite(g):
         raise DomainError(f"gate weight must be finite, got {g!r}")
 
@@ -103,46 +104,62 @@ def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
     return [t for t in terms if not _phase_is_identity(t)]
 
 
+def _edge_fault(i: object, j: object, n_modes: int, previous: tuple[int, int]) -> str:
+    """Why :class:`Topology` refuses the edge ``(i, j)`` that follows ``previous``."""
+    if type(i) is not int or type(j) is not int:
+        return f"edge ({i!r}, {j!r}) must have int ends"
+    if i == j:
+        return f"self-loop at mode {i}"
+    if not 0 <= i < j < n_modes:
+        return f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={n_modes}"
+    return f"edge ({i}, {j}) repeats or breaks the row-major order after {previous}"
+
+
 class Topology(Record):
     """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
 
     ``edges`` lists each pair once with ``i < j``, in row-major order, and
-    every end is a mode index below ``n_modes``.  Construction checks this
-    in O(E), so a ``Topology`` is valid wherever it is passed.
+    every end is a mode index below ``n_modes``; ``n_modes`` and the ends are
+    ints, not bools or floats.  Construction checks this in O(E), so a
+    ``Topology`` is valid wherever it is passed.
     """
 
     n_modes: int
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n_modes: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if type(n_modes) is not int:
+            raise DomainError(f"n_modes must be an int, got {n_modes!r}")
         if n_modes < 0:
             raise DomainError(f"n_modes must be nonnegative, got {n_modes}")
-        previous = (-1, -1)
+        last_i = last_j = -1
         for i, j in edges:
-            if i == j:
-                raise DomainError(f"self-loop at mode {i}")
-            if not 0 <= i < j < n_modes:
-                raise DomainError(
-                    f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={n_modes}"
-                )
-            if (i, j) <= previous:
-                raise DomainError(
-                    f"edge ({i}, {j}) repeats or breaks the row-major order after {previous}"
-                )
-            previous = (i, j)
+            # one test per valid edge; _edge_fault names the rule a refused one breaks
+            if not (
+                type(i) is int
+                and type(j) is int
+                and 0 <= i < j < n_modes
+                and (i > last_i or i == last_i and j > last_j)
+            ):
+                raise DomainError(_edge_fault(i, j, n_modes, (last_i, last_j)))
+            last_i, last_j = i, j
         set_field(self, "n_modes", n_modes)
         set_field(self, "edges", edges)
 
 
 def chain_topology(n_modes: int) -> Topology:
-    """A linear chain on ``n_modes`` modes."""
+    """A linear chain on ``n_modes`` modes, an int of at least 1."""
+    if type(n_modes) is not int:
+        raise DomainError(f"chain length must be an int, got {n_modes!r}")
     if n_modes < 1:
         raise DomainError("a chain needs at least one mode")
     return Topology(n_modes, tuple((i, i + 1) for i in range(n_modes - 1)))
 
 
 def grid_topology(rows: int, cols: int) -> Topology:
-    """A rows-by-cols rectangular grid, row-major modes."""
+    """A rows-by-cols rectangular grid, row-major modes; both are positive ints."""
+    if type(rows) is not int or type(cols) is not int:
+        raise DomainError(f"grid dimensions must be ints, got ({rows!r}, {cols!r})")
     if rows < 1 or cols < 1:
         raise DomainError("grid dimensions must be positive")
     edges = []

@@ -218,17 +218,17 @@ def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
     return (logical, NodeState.UNIFORM_BIN, modular)
 
 
-def _mode_nodes(record: ModeRecord) -> tuple[Node, ...]:
-    """The three nodes of a mode: ids 3*index + kind offset, states from its cv_type."""
-    states = _node_states_for(record.cv_type)
-    return tuple(
-        Node(id=3 * record.index + kind.offset, mode=record.index, kind=kind, state=state)
-        for kind, state in zip(SubsystemKind, states)
-    )
+def _node_fields(record: ModeRecord) -> list[tuple[int, int, SubsystemKind, NodeState]]:
+    """(id, mode, kind, state) of a mode's nodes: id 3*index + kind offset, state from cv_type."""
+    index = record.index
+    return [
+        (3 * index + kind.offset, index, kind, state)
+        for kind, state in zip(SubsystemKind, _node_states_for(record.cv_type))
+    ]
 
 
 def _graph_nodes(modes: tuple[ModeRecord, ...]) -> tuple[Node, ...]:
-    return tuple(node for record in modes for node in _mode_nodes(record))
+    return tuple(Node(*fields) for record in modes for fields in _node_fields(record))
 
 
 def _pinned_nodes(modes: tuple[ModeRecord, ...]) -> set[int]:
@@ -259,7 +259,14 @@ class SubsystemGraph(Record):
         alpha = require_bin_size(alpha)
         members_of = (("modes", modes, ModeRecord), ("edges", edges, SubsystemEdge))
         for what, members, member_type in members_of:
-            if not set(map(type, members)) <= {member_type}:
+            try:
+                types = set(map(type, members))
+            except TypeError:
+                raise DomainError(
+                    f"graph {what} must be an iterable of {member_type.__name__} records, "
+                    f"got {members!r}"
+                ) from None
+            if not types <= {member_type}:
                 stray = next(m for m in members if type(m) is not member_type)
                 raise DomainError(
                     f"graph {what} must be {member_type.__name__} records, got {stray!r}"
@@ -294,7 +301,7 @@ class SubsystemGraph(Record):
         record = self._mode_index.get(node_id // 3)
         if record is None:
             raise DomainError(f"no node with id {node_id}")
-        return _mode_nodes(record)[node_id % 3]
+        return Node(*_node_fields(record)[node_id % 3])
 
     def mode_by_index(self, index: int) -> ModeRecord:
         record = self._mode_index.get(index)
@@ -512,77 +519,70 @@ def from_json(text: str) -> SubsystemGraph:
             except DomainError as err:
                 raise GraphParseError(f"mode {index}: {err}") from err
         nodes = [
-            Node(
-                id=require_json_int(raw["id"], "id"),
-                mode=require_json_int(raw["mode"], "mode"),
-                kind=SubsystemKind(raw["kind"]),
-                state=NodeState(raw["state"]),
+            (
+                require_json_int(raw["id"], "id"),
+                require_json_int(raw["mode"], "mode"),
+                raw["kind"],
+                raw["state"],
             )
             for raw in doc["nodes"]
         ]
         edges = tuple(
             SubsystemEdge(raw["a"], raw["b"], raw["multiplicity"]) for raw in doc["edges"]
         )
+        expected = [
+            (node_id, mode, kind.value, state.value)
+            for record in modes
+            for node_id, mode, kind, state in _node_fields(record)
+        ]
+        # compared in the try: an unhashable kind or state raises TypeError
+        nodes_match = len(nodes) == len(expected) and set(nodes) == set(expected)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise GraphParseError(f"malformed graph document: {err}") from err
 
-    modes = tuple(modes)
-    expected = _graph_nodes(modes)
-    if len(nodes) != len(expected) or set(nodes) != set(expected):
+    if not nodes_match:
         raise GraphParseError(
             "nodes must be exactly ids 3*index + (0 logical, 1 gauge_m, 2 gauge_u) "
             "of each mode, with states matching its cv_type"
         )
     try:
-        graph = SubsystemGraph(alpha=alpha, modes=modes, edges=edges)
+        return SubsystemGraph(alpha=alpha, modes=tuple(modes), edges=edges)
     except DomainError as err:
         raise GraphParseError(f"malformed graph document: {err}") from err
-    vars(graph)["nodes"] = expected  # the cached ``nodes``, already derived
-    return graph
 
 
 # --- structural comparison ---------------------------------------------------
-
-
-def canonical(graph: SubsystemGraph) -> SubsystemGraph:
-    """Relabel modes to 0..N-1 (order preserved) and edge endpoints to match."""
-    order = sorted(graph.modes, key=lambda m: m.index)
-    new_index = {record.index: pos for pos, record in enumerate(order)}
-    modes = tuple(
-        ModeRecord(pos, record.cv_type, record.label, record.amplitudes)
-        for pos, record in enumerate(order)
-    )
-
-    def renumber(node_id: int) -> int:
-        return 3 * new_index[node_id // 3] + node_id % 3
-
-    edges = tuple(
-        sorted(
-            (SubsystemEdge(renumber(e.a), renumber(e.b), e.multiplicity) for e in graph.edges),
-            key=lambda e: (e.a, e.b),
-        )
-    )
-    return SubsystemGraph(alpha=graph.alpha, modes=modes, edges=edges)
 
 
 #: Largest per-amplitude difference of two labels that still counts as equal.
 AMPLITUDE_TOLERANCE = 1e-12
 
 
+def _positional_edges(graph: SubsystemGraph, order: list[ModeRecord]) -> list[tuple[int, ...]]:
+    """The sorted (a, b, multiplicity) edges, each mode renumbered to its place in ``order``."""
+    position = {record.index: pos for pos, record in enumerate(order)}
+    return sorted(
+        (3 * position[e.a // 3] + e.a % 3, 3 * position[e.b // 3] + e.b % 3, e.multiplicity)
+        for e in graph.edges
+    )
+
+
 def structurally_equal(first: SubsystemGraph, second: SubsystemGraph) -> bool:
-    """Equality up to mode renumbering; label strings are display-only and ignored."""
-    a, b = canonical(first), canonical(second)
-    if a.alpha != b.alpha or len(a.modes) != len(b.modes):
+    """Equality up to mode renumbering; label strings are display-only and ignored.
+
+    The modes are compared in index order, by cv_type and by amplitudes within
+    :data:`AMPLITUDE_TOLERANCE`, then the edges with each mode renumbered to its place.
+    """
+    if first.alpha != second.alpha or len(first.modes) != len(second.modes):
         return False
-    for ma, mb in zip(a.modes, b.modes):
-        if ma.cv_type != mb.cv_type:
+    by_index = attrgetter("index")
+    order_a, order_b = sorted(first.modes, key=by_index), sorted(second.modes, key=by_index)
+    for ma, mb in zip(order_a, order_b):
+        if ma.cv_type is not mb.cv_type:
             return False
-        if (ma.amplitudes is None) != (mb.amplitudes is None):
+        # equal cv_types carry amplitudes together: exactly the labeled ones do
+        if ma.amplitudes is not None and any(
+            abs(x - y) > AMPLITUDE_TOLERANCE for x, y in zip(ma.amplitudes, mb.amplitudes)
+        ):
             return False
-        if ma.amplitudes is not None:
-            diff = max(
-                abs(x - y) for x, y in zip(ma.amplitudes, mb.amplitudes)  # type: ignore[arg-type]
-            )
-            if diff > AMPLITUDE_TOLERANCE:
-                return False
-    return a.edges == b.edges
+    return _positional_edges(first, order_a) == _positional_edges(second, order_b)

@@ -172,7 +172,9 @@ def _walk(
 
 
 def run_wire(graph: SubsystemGraph, steps: int) -> WireRun:
-    """Measure a linear wire step by step from its GKP-type input end."""
+    """Measure a linear wire step by step from its GKP-type input end; ``steps`` is an int."""
+    if type(steps) is not int:
+        raise DomainError(f"steps must be an int, got {steps!r}")
     if steps < 0 or steps > len(graph.modes) - 1:
         raise DomainError(
             f"steps must be between 0 and {len(graph.modes) - 1}, got {steps}"

@@ -59,17 +59,29 @@ _MIN_BIN_SIZE = 1.3219564750381271e-154
 _MAX_BIN_SIZE = 1.3407807929942596e154
 
 
+def require_real(value: object, what: str) -> float:
+    """``value`` as a float: a ``numbers.Real`` that is not a ``bool``.
+
+    Strings, bytes, bools, ``numpy.bool_`` and ``decimal.Decimal`` (neither
+    of the last two is a ``numbers.Real``) raise ``DomainError``, and so does
+    a real beyond the float range.
+    """
+    import numbers  # here, not at the top: a command that passes only floats never loads it
+
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is out of range: it overflows a float") from None
+
+
 def require_bin_size(alpha: float) -> float:
-    """Validate a bin size: a real number (not a string, bytes or bool) that
-    is finite, strictly positive, and such that alpha**2 and the tuned gate
+    """Validate a bin size: a real number (:func:`require_real`) that is
+    finite, strictly positive, and such that alpha**2 and the tuned gate
     weight pi/alpha**2 are finite and nonzero floats."""
     if type(alpha) is not float:
-        try:
-            if isinstance(alpha, (str, bytes, bytearray, bool)):
-                raise TypeError("float() would parse text and read a bool as 0 or 1")
-            alpha = float(alpha)
-        except TypeError:
-            raise DomainError(f"bin size must be a number, got {alpha!r}") from None
+        alpha = require_real(alpha, "bin size")
     if not _MIN_BIN_SIZE <= alpha <= _MAX_BIN_SIZE:  # also false for NaN
         if not math.isfinite(alpha) or alpha <= 0.0:
             raise DomainError(f"bin size must be finite and positive, got {alpha!r}")
@@ -90,9 +102,11 @@ def decompose_position(x: float, alpha: float) -> tuple[int, int, float]:
     The combined bin index is k = floor(x/alpha + 1/2), so a remainder that
     would land exactly on +alpha/2 rolls upward into the next bin, realizing
     the half-open interval.  ``ell = k mod 2`` and ``m = (k - ell) / 2``.
+    ``x`` is a real number (:func:`require_real`).
     """
     alpha = require_bin_size(alpha)
-    x = float(x)
+    if type(x) is not float:
+        x = require_real(x, "position value")
     if not math.isfinite(x):
         raise DomainError(f"position value must be finite, got {x!r}")
     try:
@@ -138,6 +152,8 @@ def recompose(q: tuple[int, int, float], alpha: float) -> float:
         raise DomainError(f"logical quantum number must be 0 or 1, got {ell!r}")
     if not isinstance(m, int):
         raise DomainError(f"bin number must be an integer, got {m!r}")
+    if type(u) is not float:
+        u = require_real(u, "modular position")
     half = alpha / 2
     # alpha is finite, so this also rejects a NaN or infinite u
     if not -half <= u < half:

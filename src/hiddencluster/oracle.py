@@ -35,7 +35,7 @@ class GridSpec(Record):
     alpha: float
 
     def __init__(self, n: int, alpha: float) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise DomainError(f"grid size must be a positive integer, got {n!r}")
         set_field(self, "n", n)
         set_field(self, "alpha", require_bin_size(alpha))

@@ -9,7 +9,9 @@ here, and compare two density matrices with ``mixed_fidelity``.  A graph's
 grid state, edge coefficients and edge pairs are read here node record by
 node record through ``node_by_id``, the form ``certify`` and ``graphs``
 used before they read an edge end's mode and kind from ``id // 3`` and
-``id % 3``.  The package itself never imports this module.
+``id % 3``.  ``NODE_DEFECTS`` lists the broken ``nodes`` lists of a graph
+document that ``from_json`` and every command reading a graph must refuse.
+The package itself never imports this module.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import CouplingTerm, chain_topology
-from hiddencluster.graphs import EDGE_UNIT_PHASE, NodeState, canonical
+from hiddencluster.graphs import EDGE_UNIT_PHASE, NodeState
 from hiddencluster.modular import SubsystemKind
 from hiddencluster.oracle import DiscretizedState, coupled_product
 
@@ -91,9 +93,59 @@ def apply_phase(state, kind, mode, coefficient):
 
 
 def graph_shape(graph):
-    """Hashable shape ignoring logical labels: used to compare rewrites across inputs."""
-    g = canonical(graph)
-    return (tuple(m.cv_type for m in g.modes), g.edges)
+    """Hashable shape ignoring logical labels: used to compare rewrites across inputs.
+
+    The cv_types in mode-index order, and the sorted ``(a, b, multiplicity)``
+    edges with each mode renumbered to its place in that order.
+    """
+    order = sorted(graph.modes, key=lambda record: record.index)
+    place = {record.index: pos for pos, record in enumerate(order)}
+
+    def renumber(node_id):
+        return 3 * place[node_id // 3] + node_id % 3
+
+    edges = sorted((renumber(e.a), renumber(e.b), e.multiplicity) for e in graph.edges)
+    return (tuple(record.cv_type for record in order), tuple(edges))
+
+
+_NODE_MISMATCH = (
+    "nodes must be exactly ids 3*index + (0 logical, 1 gauge_m, 2 gauge_u) "
+    "of each mode, with states matching its cv_type"
+)
+
+
+def _set_field(index, key, value):
+    def edit(nodes, n_modes):
+        nodes[index][key] = value
+
+    return edit
+
+
+def _repeat_first(nodes, n_modes):
+    nodes[1] = dict(nodes[0])
+
+
+def _append_node(nodes, n_modes):
+    nodes.append({"id": 3 * n_modes, "mode": n_modes, "kind": "logical", "state": "logical_plus"})
+
+
+#: Defects of a graph document's ``nodes`` list, each an edit ``(nodes, n_modes)``
+#: of a document whose first mode is a momentum mode, with the exact refusal.
+NODE_DEFECTS = {
+    "wrong-state": (_set_field(0, "state", "logical_labeled"), _NODE_MISMATCH),
+    "unknown-state": (_set_field(0, "state", "plus"), _NODE_MISMATCH),
+    "repeated-and-missing": (_repeat_first, _NODE_MISMATCH),
+    "extra-node": (_append_node, _NODE_MISMATCH),
+    "unknown-kind": (_set_field(0, "kind", "gauge_x"), _NODE_MISMATCH),
+    "list-kind": (
+        _set_field(0, "kind", ["logical"]),
+        "malformed graph document: unhashable type: 'list'",
+    ),
+    "float-id": (
+        _set_field(0, "id", 0.0),
+        "malformed graph document: id must be a JSON integer, got 0.0",
+    ),
+}
 
 
 def topology_matrix(topology):

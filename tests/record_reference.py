@@ -4,7 +4,8 @@ order, defaults and construction checks.  ``test_records`` compares each
 record's behaviour against its copy here; the package never imports this.
 ``DiscretizedState`` was a mutable dataclass; its copy is frozen, as the
 record now is.  ``ModeSpec``, ``ModeRecord``, ``SubsystemEdge`` and
-``SubsystemGraph`` had fewer checks or none; their copies carry the ones the
+``SubsystemGraph`` had fewer checks or none, and ``Topology`` and ``GridSpec``
+took a float or bool where an int belongs; their copies carry the checks the
 records have now, written out edge by edge, so each pair refuses the same
 arguments with the same messages.
 """
@@ -34,10 +35,14 @@ class Topology:
     edges: tuple
 
     def __post_init__(self) -> None:
+        if type(self.n_modes) is not int:
+            raise DomainError(f"n_modes must be an int, got {self.n_modes!r}")
         if self.n_modes < 0:
             raise DomainError(f"n_modes must be nonnegative, got {self.n_modes}")
         previous = (-1, -1)
         for i, j in self.edges:
+            if type(i) is not int or type(j) is not int:
+                raise DomainError(f"edge ({i!r}, {j!r}) must have int ends")
             if i == j:
                 raise DomainError(f"self-loop at mode {i}")
             if not 0 <= i < j < self.n_modes:
@@ -143,12 +148,20 @@ class SubsystemGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", require_bin_size(self.alpha))
-        for mode in self.modes:
-            if not isinstance(mode, graphs.ModeRecord):
-                raise DomainError(f"graph modes must be ModeRecord records, got {mode!r}")
-        for edge in self.edges:
-            if not isinstance(edge, graphs.SubsystemEdge):
-                raise DomainError(f"graph edges must be SubsystemEdge records, got {edge!r}")
+        for what, members, member_type in (
+            ("modes", self.modes, graphs.ModeRecord),
+            ("edges", self.edges, graphs.SubsystemEdge),
+        ):
+            name = member_type.__name__
+            try:
+                iter(members)
+            except TypeError:
+                raise DomainError(
+                    f"graph {what} must be an iterable of {name} records, got {members!r}"
+                ) from None
+            for member in members:
+                if not isinstance(member, member_type):
+                    raise DomainError(f"graph {what} must be {name} records, got {member!r}")
         modes = {}
         for mode in self.modes:
             if mode.index in modes:
@@ -205,7 +218,7 @@ class GridSpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise DomainError(f"grid size must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "alpha", require_bin_size(self.alpha))
 

@@ -319,6 +319,16 @@ class TestVerificationReport:
         assert report["passed"] is True
         assert report["config"]["max_modes"] == 4
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("grid_n", 2.0), ("grid_n", True), ("max_modes", 3.0), ("seed", 1.5), ("seed", False)],
+        ids=repr,
+    )
+    def test_integer_arguments_refuse_floats_and_bools(self, name, value):
+        with pytest.raises(DomainError) as info:
+            run_verification(**{name: value})
+        assert str(info.value) == f"{name} must be an int, got {value!r}"
+
     @pytest.mark.parametrize("g_scale", [math.inf, -math.inf, math.nan])
     def test_non_finite_g_scale_is_rejected(self, g_scale):
         with pytest.raises(DomainError, match="g_scale must be finite"):

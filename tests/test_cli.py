@@ -14,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from grid_reference import NODE_DEFECTS
 from hiddencluster.cli import main, parse_alpha, parse_node_specs, parse_topology
 from hiddencluster.cli import UsageError
 from hiddencluster.gates import Topology
@@ -439,6 +440,30 @@ class TestBadInputExits2:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1 and "Warning" not in err and not recwarn.list
         assert not (tmp_path / "g.json").exists()
+
+
+class TestBrokenNodeListExits2:
+    """Every command that reads a graph refuses a broken ``nodes`` list with
+    exit 2 and the one-line message ``from_json`` gives, never a traceback."""
+
+    @pytest.mark.parametrize("defect", sorted(NODE_DEFECTS))
+    @pytest.mark.parametrize(
+        "argv",
+        [["render"], ["measure", "--mode", "2"], ["run-wire", "--steps", "1"]],
+        ids=["render", "measure", "run-wire"],
+    )
+    def test_exits_2_without_traceback(self, argv, defect, tmp_path, capsys):
+        path, out = tmp_path / "wire.json", tmp_path / "out"
+        assert run("build", "--topology", "chain:3", "--nodes", "p,p,gkp+", "-o", str(path)) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit, message = NODE_DEFECTS[defect]
+        edit(doc["nodes"], len(doc["modes"]))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(argv[0], "--input", str(path), *argv[1:], "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestNegativeExponentValues:

@@ -243,6 +243,26 @@ class TestTopology:
             grid_topology(2, 0)
 
     @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: chain_topology(2.5), "chain length must be an int, got 2.5"),
+            (lambda: chain_topology(True), "chain length must be an int, got True"),
+            (lambda: grid_topology(2.5, 2), "grid dimensions must be ints, got (2.5, 2)"),
+            (lambda: grid_topology(2, True), "grid dimensions must be ints, got (2, True)"),
+            (lambda: Topology(2.5, ()), "n_modes must be an int, got 2.5"),
+            (lambda: Topology(True, ()), "n_modes must be an int, got True"),
+            (lambda: Topology(3, ((0.0, 1.0),)), "edge (0.0, 1.0) must have int ends"),
+            (lambda: Topology(3, ((0, 1), (1, True))), "edge (1, True) must have int ends"),
+        ],
+        ids=["chain-float", "chain-bool", "grid-float", "grid-bool", "n-modes-float",
+             "n-modes-bool", "end-float", "end-bool"],
+    )
+    def test_integer_arguments_refuse_floats_and_bools(self, build, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "n_modes, edges",
         [
             (3, ((0, 3),)),

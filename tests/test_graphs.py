@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import tempfile
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grid_reference import chain_adjacency, graph_shape, topology_matrix
+from grid_reference import NODE_DEFECTS, chain_adjacency, graph_shape, topology_matrix
 from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
-from hiddencluster.gates import decompose_cz_multimode, grid_topology
+from hiddencluster.gates import Topology, decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
     CvType,
     ModeRecord,
@@ -19,8 +20,8 @@ from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,
     SubsystemGraph,
+    absorb_modular_zero_edges,
     build_cluster,
-    canonical,
     from_json,
     gkp_labeled,
     gkp_plus,
@@ -398,6 +399,21 @@ class TestSerialization:
             from_json(json.dumps(doc))
         assert str(info.value) == "malformed graph document: " + message.format(a=a, b=b)
 
+    @pytest.mark.parametrize("defect", sorted(NODE_DEFECTS))
+    def test_rejects_a_broken_node_list(self, defect):
+        doc = json.loads(to_json(hybrid_grid()))
+        edit, message = NODE_DEFECTS[defect]
+        edit(doc["nodes"], len(doc["modes"]))
+        with pytest.raises(GraphParseError) as info:
+            from_json(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_read_graph_derives_its_nodes_as_a_fresh_build(self):
+        graph = hybrid_grid()
+        read = from_json(to_json(graph))
+        assert "nodes" not in vars(read)
+        assert read.nodes == graph.nodes and read.node_by_id(11) == graph.node_by_id(11)
+
 
 def _json_paths(value, prefix=()):
     """Every key/index path below the document root."""
@@ -614,9 +630,11 @@ def test_edge_list_and_matrix_forms_agree(data):
 
 
 class TestStructuralComparison:
-    def test_canonical_renumbers_modes(self):
-        graph = build_cluster(chain_adjacency(3), [momentum()] * 3, 1.0)
-        assert canonical(graph) == graph
+    def test_renumbered_modes_are_structurally_equal(self):
+        graph = build_cluster(chain_adjacency(3), [gkp_plus(), momentum(), momentum()], 1.0)
+        renumbered = _relabeled(graph, [2, 5, 9], [2, 0, 1])
+        assert renumbered.modes[0].index == 9 and renumbered != graph
+        assert structurally_equal(graph, renumbered) and structurally_equal(renumbered, graph)
 
     def test_structural_equality_ignores_labels(self):
         x, y = (ModeSpec(CvType.GKP_LABELED, label, (0.6, 0.8)) for label in "xy")
@@ -638,3 +656,112 @@ class TestStructuralComparison:
         a = build_cluster(chain_adjacency(2), [momentum(), gkp_plus()], 1.0)
         b = build_cluster(chain_adjacency(2), [momentum(), momentum()], 1.0)
         assert not structurally_equal(a, b)
+
+
+def _relabeled(graph, new_index, order, labels=None):
+    """``graph`` with the mode at place k (in index order) renumbered ``new_index[k]``,
+    its edge ends following, and the modes listed in the order ``order`` gives."""
+    modes = sorted(graph.modes, key=lambda record: record.index)
+    renamed = {record.index: new_index[k] for k, record in enumerate(modes)}
+
+    def renumber(node_id):
+        return 3 * renamed[node_id // 3] + node_id % 3
+
+    records = tuple(
+        ModeRecord(
+            renamed[modes[k].index],
+            modes[k].cv_type,
+            modes[k].label if labels is None else labels[k],
+            modes[k].amplitudes,
+        )
+        for k in order
+    )
+    edges = tuple(
+        SubsystemEdge(renumber(e.b), renumber(e.a), e.multiplicity) for e in reversed(graph.edges)
+    )
+    return SubsystemGraph(graph.alpha, records, edges)
+
+
+def _with_mode(graph, place, **fields):
+    """``graph`` with fields of the mode at ``place`` replaced; edges at a newly pinned
+    modular node are dropped, as every graph drops them."""
+    records = list(graph.modes)
+    old = records[place]
+    values = {"cv_type": old.cv_type, "label": old.label, "amplitudes": old.amplitudes}
+    records[place] = ModeRecord(old.index, **{**values, **fields})
+    modes = tuple(records)
+    return SubsystemGraph(graph.alpha, modes, absorb_modular_zero_edges(modes, graph.edges))
+
+
+_SPEC_DRAWS = st.one_of(
+    st.just(momentum()),
+    st.just(gkp_plus()),
+    st.builds(
+        lambda weight, phase: gkp_labeled(
+            math.sqrt(weight), math.sqrt(1 - weight) * cmath.exp(1j * phase)
+        ),
+        st.floats(0.2, 0.8),
+        st.floats(0.0, 2 * math.pi),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_structural_equality_property(data):
+    """A graph equals itself renumbered by any strictly increasing index map, with its
+    modes and edges listed in another order; one changed multiplicity, cv_type, edge or
+    amplitude (by more than 1e-12) makes it unequal, and labels or an amplitude change
+    below 1e-12 do not."""
+    n = data.draw(st.integers(1, 6), label="modes")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    topology = Topology(n, tuple(pair for pair, kept in zip(pairs, keep) if kept))
+    specs = data.draw(st.lists(_SPEC_DRAWS, min_size=n, max_size=n), label="specs")
+    alpha = data.draw(st.sampled_from([DEFAULT_ALPHA, 1.0, 2.5]), label="alpha")
+    graph = build_cluster(topology, specs, alpha)
+
+    gaps = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="gaps")
+    new_index = [sum(gaps[: k + 1]) - 1 for k in range(n)]
+    order = data.draw(st.permutations(range(n)), label="order")
+    relabeled = _relabeled(graph, new_index, order)
+    assert structurally_equal(graph, relabeled) and structurally_equal(relabeled, graph)
+
+    labeled = [k for k, record in enumerate(relabeled.modes) if record.amplitudes is not None]
+    changes = ["labels", "cv_type"] + ["edge", "multiplicity"] * bool(graph.edges)
+    changes += ["add_edge"] * any(not kept for kept in keep)
+    changes += ["amplitude_small", "amplitude_large"] * bool(labeled)
+    change = data.draw(st.sampled_from(changes), label="change")
+    if change == "labels":
+        labels = data.draw(st.lists(st.one_of(st.none(), st.text(max_size=3)), min_size=n,
+                                    max_size=n), label="labels")
+        changed, equal = _relabeled(graph, new_index, order, labels), True
+    elif change == "cv_type":
+        place = data.draw(st.integers(0, n - 1), label="place")
+        cv_type = relabeled.modes[place].cv_type
+        fields = {"cv_type": CvType.MOMENTUM if cv_type is CvType.GKP_PLUS else CvType.GKP_PLUS,
+                  "amplitudes": None}
+        changed, equal = _with_mode(relabeled, place, **fields), False
+    elif change in ("edge", "multiplicity"):
+        k = data.draw(st.integers(0, len(relabeled.edges) - 1), label="edge")
+        edges = list(relabeled.edges)
+        e = edges.pop(k)
+        if change == "multiplicity":
+            edges.insert(k, SubsystemEdge(e.a, e.b, 3 - e.multiplicity))
+        changed, equal = SubsystemGraph(alpha, relabeled.modes, tuple(edges)), False
+    elif change == "add_edge":
+        i, j = data.draw(st.sampled_from([p for p, kept in zip(pairs, keep) if not kept]))
+        new_edge = SubsystemEdge(3 * new_index[i] + L.offset, 3 * new_index[j] + L.offset, 1)
+        edges = relabeled.edges + (new_edge,)
+        changed, equal = SubsystemGraph(alpha, relabeled.modes, edges), False
+    else:
+        place = data.draw(st.sampled_from(labeled), label="place")
+        c0, c1 = relabeled.modes[place].amplitudes
+        shift = data.draw(st.floats(0.0, 5e-13) if change == "amplitude_small"
+                          else st.floats(2e-12, 1e-3), label="shift")
+        # a phase on c1 keeps the norm and moves c1 by |c1| * |exp(i t) - 1| = shift
+        turn = 2 * math.asin(shift / (2 * abs(c1)))
+        changed = _with_mode(relabeled, place, amplitudes=(c0, c1 * cmath.exp(1j * turn)))
+        equal = change == "amplitude_small"
+    assert structurally_equal(graph, changed) is equal
+    assert structurally_equal(changed, graph) is equal

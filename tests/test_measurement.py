@@ -207,6 +207,12 @@ class TestRunWire:
         with pytest.raises(DomainError):
             run_wire(wire(3), 3)
 
+    @pytest.mark.parametrize("steps", [1.0, True, "1"], ids=repr)
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(DomainError) as info:
+            run_wire(wire(3), steps)
+        assert str(info.value) == f"steps must be an int, got {steps!r}"
+
     def test_non_wire_rejected(self):
         star = np.zeros((4, 4))
         star[0, 1:] = star[1:, 0] = 1.0

@@ -1,16 +1,23 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hiddencluster.certify import direct_cluster_state, run_verification
 from hiddencluster.errors import DomainError
+from hiddencluster.gates import chain_topology, decompose_cz_two_mode
+from hiddencluster.graphs import momentum
 from hiddencluster.modular import (
     DEFAULT_ALPHA,
     decompose_position,
     recompose,
     require_bin_size,
 )
+from hiddencluster.oracle import GridSpec
 
 ALPHAS = [0.25, 1.0, DEFAULT_ALPHA, 2.0, 7.5]
 MAX_FLOAT = 1.7976931348623157e308
@@ -330,3 +337,50 @@ def test_random_bin_size_check_is_identical_to_reference(alpha):
     assert checked_bin_size(require_bin_size, alpha) == checked_bin_size(
         reference_require_bin_size, alpha
     )
+
+
+#: Every real-valued argument, by the name its refusal gives, as a call of one value.
+REAL_ARGUMENTS = {
+    "bin size": require_bin_size,
+    "position value": lambda v: decompose_position(v, 1.0),
+    "modular position": lambda v: recompose((0, 0, v), 1.0),
+    "gate weight": lambda v: decompose_cz_two_mode(v, 1.0),
+    "g_scale": lambda v: direct_cluster_state(
+        GridSpec(1, 1.0), chain_topology(2), [momentum()] * 2, g_scale=v
+    ),
+    "verify g_scale": lambda v: run_verification(g_scale=v),
+}
+
+
+class TestRealArguments:
+    """One number rule for every real-valued argument: a ``numbers.Real`` that
+    is not a bool, within the float range."""
+
+    @pytest.mark.parametrize("what", sorted(REAL_ARGUMENTS))
+    @pytest.mark.parametrize(
+        "value",
+        ["1.5", b"1.5", True, np.True_, Decimal("0.25"), None, 0.5j],
+        ids=["str", "bytes", "True", "numpy-True", "Decimal", "None", "complex"],
+    )
+    def test_refuses_what_is_not_a_real_number(self, what, value):
+        with pytest.raises(DomainError) as info:
+            REAL_ARGUMENTS[what](value)
+        name = what.removeprefix("verify ")
+        assert str(info.value) == f"{name} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("what", sorted(REAL_ARGUMENTS))
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["large", "large-negative"])
+    def test_refuses_a_real_beyond_the_float_range(self, what, value):
+        with pytest.raises(DomainError) as info:
+            REAL_ARGUMENTS[what](value)
+        name = what.removeprefix("verify ")
+        assert str(info.value) == f"{name} is out of range: it overflows a float"
+
+    @pytest.mark.parametrize(
+        "value", [0, Fraction(1, 4), np.float64(0.25), np.int64(0)], ids=repr
+    )
+    def test_accepts_any_real_as_its_float(self, value):
+        assert decompose_position(value, 1.0) == decompose_position(float(value), 1.0)
+        assert recompose((1, 2, value), 1.0) == recompose((1, 2, float(value)), 1.0)
+        assert decompose_cz_two_mode(value, 1.0) == decompose_cz_two_mode(float(value), 1.0)
+        assert require_bin_size(value + 1) == float(value + 1)

@@ -88,6 +88,10 @@ REFUSED = [
     ("Topology", (3, ((0, 3),))),
     ("Topology", (3, ((1, 2), (0, 1)))),
     ("Topology", (3, ((0, 1), (0, 1)))),
+    ("Topology", (2.5, ())),
+    ("Topology", (True, ())),
+    ("Topology", (3, ((0.0, 1.0),))),
+    ("Topology", (3, ((0, 1), (1, True)))),
     ("ModeSpec", (LABELED, "psi", (float("nan"), 0j))),
     ("ModeSpec", (LABELED, "psi", (1.0, complex(0.0, float("inf"))))),
     ("ModeSpec", (LABELED, "psi", (2 + 0j, 0j))),
@@ -116,6 +120,11 @@ REFUSED = [
     ("SubsystemGraph", (1.0, (MODE, graphs.ModeSpec(MOMENTUM)), ())),
     ("SubsystemGraph", (1.5, MODES, (EDGE, (0, 3, 1)))),
     ("SubsystemGraph", (1.5, (graphs.Node(0, 0, L, graphs.NodeState.LOGICAL_PLUS),), ())),
+    ("SubsystemGraph", (1.0, None, ())),
+    ("SubsystemGraph", (1.0, (), 5)),
+    ("SubsystemGraph", (1.0, None, 5)),
+    ("SubsystemGraph", (10**400, (), ())),
+    ("SubsystemGraph", (np.True_, (), ())),
     ("SubsystemEdge", (4, 4, 1)),
     ("SubsystemEdge", (5, 4, 0)),
     ("SubsystemEdge", (float("nan"), 3, 1)),
@@ -128,6 +137,8 @@ REFUSED = [
     ("GridSpec", (2, float("nan"))),
     ("GridSpec", (2, "1.5")),
     ("GridSpec", (2, b"1.5")),
+    ("GridSpec", (True, 1.5)),
+    ("GridSpec", (2, 10**400)),
     ("DiscretizedState", (GRID, -1, np.ones(1))),
     ("DiscretizedState", (GRID, 1, np.ones(3))),
 ]
