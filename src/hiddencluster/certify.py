@@ -368,11 +368,13 @@ def run_verification(
 
     ``g_scale`` rescales the direct-route gate weight; any value other than
     1 detunes the gate and the state-equality checks fail, which is the
-    intended negative control.  ``grid_n``, ``max_modes`` and ``seed`` are ints.
+    intended negative control.  ``grid_n``, ``max_modes`` and ``seed`` are ints, ``seed`` >= 0.
     """
     for name, value in (("grid_n", grid_n), ("max_modes", max_modes), ("seed", seed)):
         if type(value) is not int:
             raise DomainError(f"{name} must be an int, got {value!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if grid_n < 1 or grid_n > 4:
         raise DomainError("grid_n must be in 1..4 (resource bound)")
     base = max(2 * grid_n * grid_n, 4)

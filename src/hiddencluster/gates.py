@@ -1,12 +1,11 @@
 """Symbolic decomposition of CV controlled-Z gates into subsystem couplings.
 
-A position-position gate ``exp(i g q_1 q_2)`` splits, through the modular
-decomposition of each position operator, into nine commuting exponentials
-``exp(i c * a_1 (x) b_2)`` where ``a`` and ``b`` range over the operators
-ell, m, u of each mode.  Couplings between two integer-spectrum operators
-whose coefficient is a multiple of 2*pi contribute no phase at all and are
-pruned.  At the tuned weight ``g = pi / alpha**2`` exactly six couplings
-survive.
+A position-position gate ``exp(i g q_0 q_1)`` splits, through the modular
+decomposition q = alpha*ell + 2*alpha*m + u of each position, into the nine
+commuting exponentials of :data:`COUPLINGS`.  A coupling of two integer-spectrum
+operators whose coefficient is a multiple of 2*pi is the identity and is pruned.
+At the tuned weight ``g = pi / alpha**2`` a coupling with p modular operands is
+an exact integer number of units of pi/alpha**p: six, :data:`TUNED_COUPLINGS`, survive.
 """
 
 from __future__ import annotations
@@ -43,9 +42,28 @@ class CouplingTerm(Record):
     def kinds(self) -> tuple[SubsystemKind, SubsystemKind]:
         return (self.op_a[1], self.op_b[1])
 
-    @property
-    def modular_operand_count(self) -> int:
-        return sum(k is SubsystemKind.GAUGE_MODULAR for k in self.kinds)
+
+#: The nine couplings of exp(i g q_0 q_1) as (kind on mode 0, kind on mode 1,
+#: factor): the coefficient is factor * g * alpha**(2 - p).
+COUPLINGS = (
+    (SubsystemKind.LOGICAL, SubsystemKind.LOGICAL, 1),
+    (SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_BIN, 4),
+    (SubsystemKind.GAUGE_MODULAR, SubsystemKind.GAUGE_MODULAR, 1),
+    (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, 2),
+    (SubsystemKind.GAUGE_BIN, SubsystemKind.LOGICAL, 2),
+    (SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR, 1),
+    (SubsystemKind.GAUGE_MODULAR, SubsystemKind.LOGICAL, 1),
+    (SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR, 2),
+    (SubsystemKind.GAUGE_MODULAR, SubsystemKind.GAUGE_BIN, 2),
+)
+
+#: The couplings of the tuned gate, in table order: the p = 0 ones with an even
+#: factor are multiples of 2*pi, and a survivor's factor is its edge multiplicity.
+TUNED_COUPLINGS = tuple(
+    (kind_a, kind_b, factor)
+    for kind_a, kind_b, factor in COUPLINGS
+    if not (kind_a.integer_spectrum and kind_b.integer_spectrum and factor % 2 == 0)
+)
 
 
 def _phase_is_identity(term: CouplingTerm) -> bool:
@@ -65,18 +83,10 @@ def _phase_is_identity(term: CouplingTerm) -> bool:
 
 def _coupling_layout(g: float, alpha: float) -> list[tuple[SubsystemKind, SubsystemKind, float]]:
     """The nine (kind on mode 0, kind on mode 1, coefficient) terms of exp(i g q_0 q_1)."""
-    ell, m, u = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
-    a2 = alpha * alpha
+    powers = (1.0, alpha, alpha * alpha)  # alpha**(2 - p), indexed by 2 - p
     layout = [
-        (ell, ell, g * a2),
-        (m, m, 4.0 * g * a2),
-        (u, u, g),
-        (ell, m, 2.0 * g * a2),
-        (m, ell, 2.0 * g * a2),
-        (ell, u, g * alpha),
-        (u, ell, g * alpha),
-        (m, u, 2.0 * g * alpha),
-        (u, m, 2.0 * g * alpha),
+        (kind_a, kind_b, (factor * g) * powers[kind_a.integer_spectrum + kind_b.integer_spectrum])
+        for kind_a, kind_b, factor in COUPLINGS
     ]
     if not all(math.isfinite(c) for _, _, c in layout):
         raise DomainError(
@@ -88,11 +98,9 @@ def _coupling_layout(g: float, alpha: float) -> list[tuple[SubsystemKind, Subsys
 def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
     """Expand exp(i g q_0 q_1) into its surviving subsystem couplings.
 
-    Returns the cross-mode terms of the full nine-term expansion, on modes
-    0 and 1 (:func:`decompose_cz_multimode` re-addresses them per edge), with
-    factors that are identically 1 removed.  For ``g = pi/alpha**2`` exactly
-    six terms survive: ell-ell (pi), u-u (pi/alpha**2), the two m-u pairs
-    (2*pi/alpha each), and the two ell-u pairs (pi/alpha each).
+    Returns the terms of :data:`COUPLINGS` on modes 0 and 1, with float
+    coefficients, less the factors that are identically 1; for
+    ``g = pi/alpha**2`` these are the :data:`TUNED_COUPLINGS`.
     """
     alpha = require_bin_size(alpha)
     if type(g) is not float:
@@ -104,8 +112,12 @@ def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
     return [t for t in terms if not _phase_is_identity(t)]
 
 
-def _edge_fault(i: object, j: object, n_modes: int, previous: tuple[int, int]) -> str:
-    """Why :class:`Topology` refuses the edge ``(i, j)`` that follows ``previous``."""
+def _edge_fault(edge: object, n_modes: int, previous: tuple[int, int]) -> str:
+    """Why :class:`Topology` refuses ``edge``, which follows the edge ``previous``."""
+    try:
+        i, j = edge
+    except (TypeError, ValueError):
+        return f"edge {edge!r} must be an (i, j) pair"
     if type(i) is not int or type(j) is not int:
         return f"edge ({i!r}, {j!r}) must have int ends"
     if i == j:
@@ -118,10 +130,10 @@ def _edge_fault(i: object, j: object, n_modes: int, previous: tuple[int, int]) -
 class Topology(Record):
     """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
 
-    ``edges`` lists each pair once with ``i < j``, in row-major order, and
-    every end is a mode index below ``n_modes``; ``n_modes`` and the ends are
-    ints, not bools or floats.  Construction checks this in O(E), so a
-    ``Topology`` is valid wherever it is passed.
+    ``edges``, any iterable of pairs kept as a tuple, lists each pair once
+    with ``i < j``, in row-major order, and every end is a mode index below
+    ``n_modes``; ``n_modes`` and the ends are ints, not bools or floats.
+    Construction checks this in O(E), so a ``Topology`` is valid wherever it is passed.
     """
 
     n_modes: int
@@ -132,16 +144,24 @@ class Topology(Record):
             raise DomainError(f"n_modes must be an int, got {n_modes!r}")
         if n_modes < 0:
             raise DomainError(f"n_modes must be nonnegative, got {n_modes}")
+        try:
+            edges = tuple(edges)
+        except TypeError:
+            raise DomainError(f"edges must be an iterable of pairs, got {edges!r}") from None
         last_i = last_j = -1
-        for i, j in edges:
+        for edge in edges:
             # one test per valid edge; _edge_fault names the rule a refused one breaks
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                i = j = None
             if not (
                 type(i) is int
                 and type(j) is int
                 and 0 <= i < j < n_modes
                 and (i > last_i or i == last_i and j > last_j)
             ):
-                raise DomainError(_edge_fault(i, j, n_modes, (last_i, last_j)))
+                raise DomainError(_edge_fault(edge, n_modes, (last_i, last_j)))
             last_i, last_j = i, j
         set_field(self, "n_modes", n_modes)
         set_field(self, "edges", edges)
@@ -223,36 +243,22 @@ def decompose_cz_multimode(
 
     ``adjacency`` is a :class:`Topology` or a binary matrix (see
     :func:`as_topology`); general weights are only supported pairwise
-    through :func:`decompose_cz_two_mode`.  Every edge carries the same six
-    couplings, so they are derived and sorted into families once, then
-    stamped onto each edge in row-major order.  ell-m and m-m couplings are
-    always pruned at the tuned weight.
+    through :func:`decompose_cz_two_mode`.  Every edge carries the six
+    :data:`TUNED_COUPLINGS`, with the finite coefficients units * (g * alpha**(2 - p)),
+    stamped onto each edge in row-major order and sorted into families by their
+    number of logical ends: logical 2, gauge 0 and interaction 1.
     """
     alpha = require_bin_size(alpha)
     edges = as_topology(adjacency).edges
+    g = math.pi / (alpha * alpha)
+    unit = (g, g * alpha, g * (alpha * alpha))  # pi/alpha**p, indexed by 2 - p
 
-    logical: list[CouplingTerm] = []
-    gauge: list[CouplingTerm] = []
-    interaction: list[CouplingTerm] = []
-    for term in decompose_cz_two_mode(math.pi / (alpha * alpha), alpha):
-        kinds = set(term.kinds)
-        if kinds == {SubsystemKind.LOGICAL}:
-            logical.append(term)
-        elif SubsystemKind.LOGICAL not in kinds:
-            gauge.append(term)
-        elif kinds == {SubsystemKind.LOGICAL, SubsystemKind.GAUGE_MODULAR}:
-            interaction.append(term)
-        else:
-            # ell-m survives only for detuned weights, which the
-            # binary precondition rules out.
-            raise AssertionError(f"unexpected surviving term {term}")
+    def stamp(logical_ends: int) -> tuple[CouplingTerm, ...]:
+        template = [
+            (ka, kb, units * unit[ka.integer_spectrum + kb.integer_spectrum])
+            for ka, kb, units in TUNED_COUPLINGS
+            if (ka, kb).count(SubsystemKind.LOGICAL) == logical_ends
+        ]
+        return tuple(CouplingTerm((i, ka), (j, kb), c) for i, j in edges for ka, kb, c in template)
 
-    def stamp(template: list[CouplingTerm]) -> tuple[CouplingTerm, ...]:
-        kinds = [(t.kinds, t.coefficient) for t in template]
-        return tuple(
-            CouplingTerm((i, kind_a), (j, kind_b), c)
-            for i, j in edges
-            for (kind_a, kind_b), c in kinds
-        )
-
-    return MultimodeDecomposition(stamp(logical), stamp(gauge), stamp(interaction))
+    return MultimodeDecomposition(stamp(2), stamp(0), stamp(1))

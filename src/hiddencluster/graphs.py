@@ -10,11 +10,12 @@ small integer multiplicity; under the node-operator normalization
 coupling of strength pi, so the physical coefficient of an edge is
 ``pi * multiplicity / alpha**k`` with ``k`` the number of modular endpoints.
 
-Building a cluster graph expands the tuned multimode gate into coupling
-terms and materializes them as edges, leaving out every edge incident to a
-modular-position node pinned at u = 0: a phase generated by u acts as the
-identity on that eigenstate.  A measurement that pins a neighbor's modular
-position deletes its edges by the same rule, which every graph keeps.
+Building a cluster graph stamps each coupling of :data:`gates.TUNED_COUPLINGS`
+onto each mode pair as an edge of its exact integer factor, forming no float,
+and leaves out every edge incident to a modular-position node pinned at u = 0:
+a phase generated by u acts as the identity on that eigenstate.  A measurement
+that pins a neighbor's modular position deletes its edges by the same rule,
+which every graph keeps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
 from .errors import DomainError, GraphParseError
-from .gates import CouplingTerm, Topology, as_topology, decompose_cz_two_mode
+from .gates import TUNED_COUPLINGS, Topology, as_topology
 from .modular import SubsystemKind, require_bin_size
 
 if TYPE_CHECKING:
@@ -326,16 +327,6 @@ def absorb_modular_zero_edges(
     return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
-def _edge_from_term(term: CouplingTerm, alpha: float) -> SubsystemEdge:
-    # multiplicity = coefficient * alpha**(#modular operands) / pi
-    units = term.coefficient * alpha**term.modular_operand_count / EDGE_UNIT_PHASE
-    multiplicity = round(units)
-    if abs(units - multiplicity) > 1e-9:
-        raise DomainError(f"term {term} has non-integral edge strength {units}")
-    (mode_a, kind_a), (mode_b, kind_b) = term.op_a, term.op_b
-    return SubsystemEdge(3 * mode_a + kind_a.offset, 3 * mode_b + kind_b.offset, multiplicity)
-
-
 def build_cluster(
     adjacency: Topology | np.ndarray, node_types: list[ModeSpec], alpha: float
 ) -> SubsystemGraph:
@@ -357,11 +348,10 @@ def build_cluster(
         ModeRecord(index=i, cv_type=s.cv_type, label=s.label, amplitudes=s.amplitudes)
         for i, s in enumerate(node_types)
     )
-    # One edge's surviving couplings as (kind offset on i, kind offset on j,
+    # One edge's tuned couplings as (kind offset on i, kind offset on j,
     # multiplicity), less those at a GKP end's pinned modular node: one
     # template per pair of end types, stamped onto each mode pair (i, j).
-    tuned = decompose_cz_two_mode(math.pi / (alpha * alpha), alpha)
-    template = [(e.a, e.b - 3, e.multiplicity) for e in (_edge_from_term(t, alpha) for t in tuned)]
+    template = [(kind_a.offset, kind_b.offset, units) for kind_a, kind_b, units in TUNED_COUPLINGS]
     templates = {
         (gkp_i, gkp_j): [
             c for c in template if not (gkp_i and c[0] == _MODULAR or gkp_j and c[1] == _MODULAR)

@@ -142,16 +142,16 @@ def decompose_position(x: float, alpha: float) -> tuple[int, int, float]:
 
 
 def recompose(q: tuple[int, int, float], alpha: float) -> float:
-    """Rebuild the position eigenvalue alpha*ell + 2*alpha*m + u of ``q = (ell, m, u)``."""
+    """Rebuild alpha*ell + 2*alpha*m + u from ``q = (ell, m, u)``; ``ell`` and ``m`` are ints."""
     alpha = require_bin_size(alpha)
     try:
         ell, m, u = q
     except (TypeError, ValueError):
         raise DomainError(f"quantum numbers must be an (ell, m, u) triple, got {q!r}") from None
-    if ell not in (0, 1):
-        raise DomainError(f"logical quantum number must be 0 or 1, got {ell!r}")
-    if not isinstance(m, int):
-        raise DomainError(f"bin number must be an integer, got {m!r}")
+    if type(ell) is not int or not 0 <= ell <= 1:
+        raise DomainError(f"logical quantum number must be the int 0 or 1, got {ell!r}")
+    if type(m) is not int:
+        raise DomainError(f"bin number must be an int, got {m!r}")
     if type(u) is not float:
         u = require_real(u, "modular position")
     half = alpha / 2

@@ -25,6 +25,7 @@ from hiddencluster.certify import (
     run_verification,
     sample_label,
 )
+from hiddencluster.cli import main
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import Topology, chain_topology, grid_topology
 from hiddencluster.graphs import (
@@ -328,6 +329,14 @@ class TestVerificationReport:
         with pytest.raises(DomainError) as info:
             run_verification(**{name: value})
         assert str(info.value) == f"{name} must be an int, got {value!r}"
+
+    def test_negative_seed_is_refused_as_the_cli_refuses_it(self, capsys, monkeypatch):
+        monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
+        with pytest.raises(DomainError) as info:
+            run_verification(seed=-1)
+        assert str(info.value) == "seed must be nonnegative, got -1"
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert str(info.value) in capsys.readouterr().err
 
     @pytest.mark.parametrize("g_scale", [math.inf, -math.inf, math.nan])
     def test_non_finite_g_scale_is_rejected(self, g_scale):

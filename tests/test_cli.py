@@ -222,6 +222,31 @@ class TestDecompose:
         assert Path("second.json").read_bytes() == Path("first.json").read_bytes()
 
 
+class TestSmallestBinSizes:
+    """Bin sizes near the lower end of the valid interval build and decompose
+    with finite numbers, and the built document reads back."""
+
+    def test_build_writes_finite_numbers(self, tmp_path):
+        out = tmp_path / "wire.json"
+        argv = ["--topology", "chain:5", "--nodes", "p", "--alpha", "2e-154"]
+        assert run("build", *argv, "-o", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "Infinity" not in text and "NaN" not in text
+        assert read_graph(out).alpha == 2e-154
+        assert run("render", "--input", str(out), "-o", str(tmp_path / "wire.dot")) == 0
+
+    def test_decompose_writes_finite_numbers(self, tmp_path):
+        out = tmp_path / "terms.json"
+        argv = ["--topology", "chain:3", "--alpha", "1.3219564750381271e-154"]
+        assert run("decompose", *argv, "-o", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "Infinity" not in text and "NaN" not in text
+        doc = json.loads(text)
+        terms = doc["logical_terms"] + doc["gauge_terms"] + doc["interaction_terms"]
+        assert len(terms) == 12
+        assert all(math.isfinite(t["coefficient"]) for t in terms)
+
+
 class TestMeasureAndWire:
     def build_wire(self, tmp_path, n, nodes):
         path = tmp_path / "wire.json"

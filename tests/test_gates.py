@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import coupling_reference
 from grid_reference import chain_adjacency, topology_matrix
 from hiddencluster.certify import (
     multimode_phase_deviation,
@@ -12,6 +15,8 @@ from hiddencluster.certify import (
 )
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
+    COUPLINGS,
+    TUNED_COUPLINGS,
     CouplingTerm,
     Topology,
     _coupling_layout,
@@ -23,7 +28,13 @@ from hiddencluster.gates import (
     grid_topology,
 )
 from hiddencluster.graphs import build_cluster, momentum
-from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
+from hiddencluster.modular import (
+    _MAX_BIN_SIZE,
+    _MIN_BIN_SIZE,
+    DEFAULT_ALPHA,
+    SubsystemKind,
+    require_bin_size,
+)
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
 PI = math.pi
@@ -146,6 +157,86 @@ class TestCouplingLayout:
             assert block.tobytes() == (tuned * np.outer(v, v)).tobytes()
 
 
+class TestCouplingTable:
+    def test_tuned_couplings_are_the_six_odd_or_modular_ones(self):
+        assert [(ka, kb) for ka, kb, _ in COUPLINGS] == [
+            (L, L), (M, M), (U, U), (L, M), (M, L), (L, U), (U, L), (M, U), (U, M)
+        ]
+        assert TUNED_COUPLINGS == (
+            (L, L, 1), (U, U, 1), (L, U, 1), (U, L, 1), (M, U, 2), (U, M, 2)
+        )
+
+    @pytest.mark.parametrize(
+        "alpha", [3e-154, 1e-100, 0.01, 0.37, 1.0, DEFAULT_ALPHA, 1.9, 2.0, 10.0, 1e100, 1e154]
+    )
+    def test_float_expansion_at_the_tuned_weight_matches_the_table(self, alpha):
+        """The float route prunes to the table's survivors, in table order, and
+        each coefficient is its integer units of pi/alpha**p to within 1e-9."""
+        terms = decompose_cz_two_mode(PI / (alpha * alpha), alpha)
+        assert [t.kinds for t in terms] == [(ka, kb) for ka, kb, _ in TUNED_COUPLINGS]
+        for t, (_, _, units) in zip(terms, TUNED_COUPLINGS):
+            strength = t.coefficient * alpha ** t.kinds.count(U) / PI
+            assert abs(strength - units) <= 1e-9
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(
+        lambda t: min(max(math.exp(t), low), high)
+    )
+
+
+BIN_SIZES = st.one_of(
+    # the ends of the valid interval and their neighbours inside it
+    st.sampled_from([
+        _MIN_BIN_SIZE,
+        math.nextafter(_MIN_BIN_SIZE, math.inf),
+        math.nextafter(_MAX_BIN_SIZE, 0.0),
+        _MAX_BIN_SIZE,
+    ]),
+    _log_uniform(_MIN_BIN_SIZE, _MAX_BIN_SIZE),
+    # the sizes at which the float route overflows
+    _log_uniform(_MIN_BIN_SIZE, 4e-154),
+    st.floats(0.01, 10.0),
+)
+
+TOPOLOGIES = st.one_of(
+    st.integers(1, 6).map(chain_topology),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda rc: grid_topology(*rc)),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 6)).map(
+        lambda args: random_topology(np.random.default_rng(args[0]), args[1])
+    ),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(topology=TOPOLOGIES, alpha=BIN_SIZES)
+def test_tuned_table_matches_the_float_route_and_stays_finite(topology, alpha):
+    assert require_bin_size(alpha) == alpha
+    result = decompose_cz_multimode(topology, alpha)
+    assert all(math.isfinite(t.coefficient) for t in result.all_terms)
+    try:
+        expected = coupling_reference.decompose_cz_multimode(topology, alpha)
+    except DomainError:
+        event("the float route overflows")
+        assert len(result.all_terms) == 6 * len(topology.edges)
+        return
+    assert repr(result) == repr(expected)
+
+
+@pytest.mark.parametrize("alpha", [_MIN_BIN_SIZE, 2e-154, 2.6e-154])
+def test_tiny_bin_sizes_decompose_where_the_float_route_overflows(alpha):
+    with pytest.raises(DomainError, match="overflows a coupling coefficient"):
+        coupling_reference.decompose_cz_multimode(chain_topology(2), alpha)
+    terms = decompose_cz_multimode(chain_topology(2), alpha).all_terms
+    # logical, gauge, then interaction family, each in table order
+    table = {(ka, kb): units for ka, kb, units in TUNED_COUPLINGS}
+    assert [t.kinds for t in terms] == [(L, L), (U, U), (M, U), (U, M), (L, U), (U, L)]
+    for t in terms:
+        assert math.isfinite(t.coefficient)
+        strength = t.coefficient * alpha ** t.kinds.count(U) / PI
+        assert abs(strength - table[t.kinds]) <= 1e-9
+
+
 class TestMultimodeDecomposition:
     def test_two_mode_partition_is_1_3_2(self):
         result = decompose_cz_multimode(chain_adjacency(2), DEFAULT_ALPHA)
@@ -261,6 +352,26 @@ class TestTopology:
         with pytest.raises(DomainError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1, 2),), "edge (0, 1, 2) must be an (i, j) pair"),
+            ((5,), "edge 5 must be an (i, j) pair"),
+            (((0, 1), [2]), "edge [2] must be an (i, j) pair"),
+            (None, "edges must be an iterable of pairs, got None"),
+        ],
+        ids=["triple", "bare-int", "singleton-after-valid", "none"],
+    )
+    def test_malformed_edges_are_refused(self, edges, message):
+        with pytest.raises(DomainError) as info:
+            Topology(3, edges)
+        assert str(info.value) == message
+
+    def test_edges_are_kept_as_a_tuple(self):
+        # a one-shot iterator is read once, and a list becomes hashable
+        assert Topology(3, iter([(0, 1), (1, 2)])) == chain_topology(3)
+        assert hash(Topology(3, [(0, 1), (1, 2)])) == hash(chain_topology(3))
 
     @pytest.mark.parametrize(
         "n_modes, edges",

@@ -127,6 +127,22 @@ def test_bad_alpha_rejected(bad_alpha):
         decompose_position(1.0, bad_alpha)
 
 
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ((True, False, 0.0), "logical quantum number must be the int 0 or 1, got True"),
+        ((0, True, 0.0), "bin number must be an int, got True"),
+        ((1.0, 0, 0.0), "logical quantum number must be the int 0 or 1, got 1.0"),
+        ((0, 2.0, 0.0), "bin number must be an int, got 2.0"),
+    ],
+    ids=["ell-bool", "m-bool", "ell-float", "m-float"],
+)
+def test_recompose_takes_int_quantum_numbers_only(q, message):
+    with pytest.raises(DomainError) as info:
+        recompose(q, 1.0)
+    assert str(info.value) == message
+
+
 def test_recompose_rejects_invariant_violations():
     with pytest.raises(DomainError):
         recompose((2, 0, 0.0), 1.0)
