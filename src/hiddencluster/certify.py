@@ -18,7 +18,6 @@ from .errors import DomainError
 from .gates import (
     Topology,
     _coupling_layout,
-    as_topology,
     chain_topology,
     decompose_cz_multimode,
     decompose_cz_two_mode,
@@ -28,6 +27,7 @@ from .graphs import (
     ModeSpec,
     SubsystemGraph,
     build_cluster,
+    cluster_topology,
     edge_coefficient,
     gkp_labeled,
     gkp_plus,
@@ -91,15 +91,16 @@ def direct_cluster_state(
     specs: list[ModeSpec],
     g_scale: float = 1.0,
 ) -> DiscretizedState:
-    """Route one: the position-position gate on every edge.
+    """Route one: the position-position gate on every edge, times a finite ``g_scale``.
 
     ``adjacency``, in both routes, is a :class:`Topology` or a binary
-    matrix, which :func:`as_topology` checks and converts once.
+    matrix, which :func:`cluster_topology` checks against ``specs`` once.
     """
-    topology = as_topology(adjacency)
-    if topology.n_modes != len(specs):
-        raise DomainError("adjacency size does not match the number of mode specs")
-    g = require_real(g_scale, "g_scale") * math.pi / grid.alpha**2
+    topology = cluster_topology(adjacency, specs)
+    g_scale = require_real(g_scale, "g_scale")
+    if not math.isfinite(g_scale):
+        raise DomainError(f"g_scale must be finite, got {g_scale!r}")
+    g = g_scale * math.pi / grid.alpha**2
     pos = grid.position_values()
     couplings = [(i, pos, j, pos, g) for i, j in topology.edges]
     return coupled_product(grid, _mode_vectors(grid, specs), couplings)
@@ -109,9 +110,7 @@ def decomposed_cluster_state(
     grid: GridSpec, adjacency: Topology | np.ndarray, specs: list[ModeSpec]
 ) -> DiscretizedState:
     """Route two: the surviving symbolic coupling terms."""
-    topology = as_topology(adjacency)
-    if topology.n_modes != len(specs):
-        raise DomainError("adjacency size does not match the number of mode specs")
+    topology = cluster_topology(adjacency, specs)
     terms = decompose_cz_multimode(topology, grid.alpha).all_terms
     return coupled_product(grid, _mode_vectors(grid, specs), _term_couplings(grid, terms))
 
@@ -386,11 +385,12 @@ def run_verification(
             f"and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical density "
             f"entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
         )
-    g_scale = require_real(g_scale, "g_scale")
-    if not math.isfinite(g_scale):
-        raise DomainError(f"g_scale must be finite, got {g_scale!r}")
     rng = np.random.default_rng(seed)
     grid = GridSpec(n=grid_n, alpha=alpha)
+    tuned = math.pi / grid.alpha**2
+    # numpy refuses the draws below from [-2*tuned, 2*tuned] when the width overflows
+    if math.isinf(4.0 * tuned):
+        raise DomainError(f"bin size {grid.alpha!r} is too small: 4*pi/alpha**2 overflows")
     checks: list[dict] = []
 
     # Phase identities for the two-mode gate at random and tuned weights.
@@ -398,7 +398,6 @@ def run_verification(
         sample_quantum_numbers(rng, alpha, 1000),
         sample_quantum_numbers(rng, alpha, 1000),
     )
-    tuned = math.pi / alpha**2
     weights = list(rng.uniform(-2.0 * tuned, 2.0 * tuned, size=20))
     weights += [tuned, tuned / 2.0, 0.0]
     deviation = max(two_mode_phase_deviation(g, alpha, tuples) for g in weights)

@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 usage or bad input data, 3 I/O failure,
 4 unsupported operation, 5 verification failure.  Every command is
 deterministic given its inputs and the seed (flag ``--seed`` on ``verify``,
 overridable through the ``HIDDENCLUSTER_SEED`` environment variable).
+
+The frontend turns text into values and keeps its own policies (aliases,
+grammars, the topology size cap, flag exclusivity, the seed variable); each
+rule on a value, such as the bin size or the seed sign, is checked once by the
+library call that owns it.  Bad input raises ``DomainError`` or ``GraphParseError``.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import (
-    DomainError,
-    GraphParseError,
-    HiddenClusterError,
-    UnsupportedMeasurement,
-    UnsupportedTopology,
-)
+from .errors import DomainError, GraphParseError, UnsupportedMeasurement, UnsupportedTopology
 from .gates import (
     Topology,
     chain_topology,
@@ -44,10 +43,6 @@ from .graphs import (
 )
 from .measurement import LogicalFrame, MeasurementRecord, measure_p0, run_wire
 from .modular import DEFAULT_ALPHA
-
-
-class UsageError(HiddenClusterError):
-    """Malformed command-line value."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -72,29 +67,27 @@ def parse_alpha(text: str) -> float:
     if text.strip() == "sqrt_pi":
         return DEFAULT_ALPHA
     try:
-        value = float(text)
+        return float(text)
     except ValueError as err:
-        raise UsageError(f"invalid bin size {text!r}") from err
-    if not math.isfinite(value) or value <= 0.0:
-        raise UsageError(f"bin size must be positive, got {text!r}")
-    return value
+        raise DomainError(f"invalid bin size {text!r}") from err
 
 
 def _parse_complex(token: str) -> complex:
     try:
         value = complex(token.strip().replace(" ", ""))
     except ValueError as err:
-        raise UsageError(f"invalid amplitude {token!r}") from err
+        raise DomainError(f"invalid amplitude {token!r}") from err
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise UsageError(f"amplitude {token!r} is not finite")
+        raise DomainError(f"amplitude {token!r} is not finite")
     return value
 
 
 def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
     """Parse the per-mode node types: p | gkp+ | gkp:c0,c1.
 
-    A single entry is broadcast to all modes.  The two amplitudes of
-    ``gkp:c0,c1`` may use any Python complex literal without commas.
+    A single entry is broadcast to all ``n_modes`` modes (the build checks
+    the count).  The two amplitudes of ``gkp:c0,c1`` may use any Python
+    complex literal without commas.
     """
     tokens = [t.strip() for t in text.split(",")]
     specs: list[ModeSpec] = []
@@ -107,29 +100,27 @@ def parse_node_specs(text: str, n_modes: int) -> list[ModeSpec]:
             specs.append(gkp_plus())
         elif token.startswith("gkp:"):
             if i + 1 >= len(tokens):
-                raise UsageError(f"{token!r} needs two amplitudes: gkp:c0,c1")
+                raise DomainError(f"{token!r} needs two amplitudes: gkp:c0,c1")
             c0 = _parse_complex(token[4:])
             c1 = _parse_complex(tokens[i + 1])
             i += 1
             total = norm_sq(c0, c1)
             if total == math.inf:
-                raise UsageError("gkp amplitudes are too large to normalize")
+                raise DomainError("gkp amplitudes are too large to normalize")
             if total < sys.float_info.min:
                 # the squares are subnormal or underflow to 0: rescale the pair first
                 scale = max(abs(c0), abs(c1))
                 if scale == 0.0:
-                    raise UsageError("gkp amplitudes cannot both be zero")
+                    raise DomainError("gkp amplitudes cannot both be zero")
                 c0, c1 = c0 / scale, c1 / scale
                 total = norm_sq(c0, c1)
             norm = math.sqrt(total)
             specs.append(gkp_labeled(c0 / norm, c1 / norm))
         else:
-            raise UsageError(f"unknown node type {token!r} (expected p, gkp+ or gkp:c0,c1)")
+            raise DomainError(f"unknown node type {token!r} (expected p, gkp+ or gkp:c0,c1)")
         i += 1
     if len(specs) == 1 and n_modes > 1:
         specs = specs * n_modes
-    if len(specs) != n_modes:
-        raise UsageError(f"{n_modes} modes but {len(specs)} node types")
     return specs
 
 
@@ -141,7 +132,7 @@ MAX_TOPOLOGY_MODES = 10_000
 
 def _require_topology_size(n_modes: int, text: str) -> None:
     if n_modes > MAX_TOPOLOGY_MODES:
-        raise UsageError(f"{text}: {n_modes} modes exceed the limit of {MAX_TOPOLOGY_MODES}")
+        raise DomainError(f"{text}: {n_modes} modes exceed the limit of {MAX_TOPOLOGY_MODES}")
 
 
 def parse_topology(text: str) -> Topology:
@@ -157,7 +148,7 @@ def parse_topology(text: str) -> Topology:
     if text.startswith("grid:"):
         dims = text[5:].lower().split("x")
         if len(dims) != 2:
-            raise UsageError(f"grid spec must be grid:RxC, got {text!r}")
+            raise DomainError(f"grid spec must be grid:RxC, got {text!r}")
         rows = _positive_int(dims[0], "grid rows")
         cols = _positive_int(dims[1], "grid cols")
         _require_topology_size(rows * cols, text)
@@ -165,7 +156,7 @@ def parse_topology(text: str) -> Topology:
     try:
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise UsageError(f"{text}: invalid edge-list JSON: {err}") from err
+        raise DomainError(f"{text}: invalid edge-list JSON: {err}") from err
     try:
         if isinstance(doc, dict):
             edges = doc.get("edges", [])
@@ -175,27 +166,27 @@ def parse_topology(text: str) -> Topology:
         pairs = set()
         for pair in edges:
             if not isinstance(pair, list) or len(pair) != 2:
-                raise UsageError(f"{text}: edges must be [i, j] pairs")
+                raise DomainError(f"{text}: edges must be [i, j] pairs")
             i, j = (require_json_int(end, "edge end") for end in pair)
             pairs.add((min(i, j), max(i, j)))
     except (TypeError, GraphParseError) as err:
-        raise UsageError(f"{text}: malformed edge list: {err}") from err
+        raise DomainError(f"{text}: malformed edge list: {err}") from err
     if n_modes is None:
         n_modes = 1 + max([0, *(j for _, j in pairs)])
     _require_topology_size(n_modes, text)
     try:
         return Topology(n_modes, tuple(sorted(pairs)))
     except DomainError as err:
-        raise UsageError(f"{text}: {err}") from err
+        raise DomainError(f"{text}: {err}") from err
 
 
 def _positive_int(text: str, what: str) -> int:
     try:
         value = int(text)
     except ValueError as err:
-        raise UsageError(f"invalid {what} {text!r}") from err
+        raise DomainError(f"invalid {what} {text!r}") from err
     if value < 1:
-        raise UsageError(f"{what} must be positive, got {value}")
+        raise DomainError(f"{what} must be positive, got {value}")
     return value
 
 
@@ -210,7 +201,7 @@ def _read_graph(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        raise UsageError(f"{path}: graph file is not UTF-8 text: {err}") from err
+        raise DomainError(f"{path}: graph file is not UTF-8 text: {err}") from err
     return from_json(text)
 
 
@@ -247,12 +238,8 @@ def _resolve_seed(value: int | None) -> int:
         try:
             value = int(env)
         except ValueError as err:
-            raise UsageError(f"HIDDENCLUSTER_SEED must be an integer, got {env!r}") from err
-    if value is None:
-        return 0
-    if value < 0:
-        raise UsageError(f"seed must be nonnegative, got {value}")
-    return value
+            raise DomainError(f"HIDDENCLUSTER_SEED must be an integer, got {env!r}") from err
+    return 0 if value is None else value
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -266,7 +253,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     alpha = parse_alpha(args.alpha)
     if args.topology is not None and args.g is not None:
-        raise UsageError("--g and --topology are mutually exclusive")
+        raise DomainError("--g and --topology are mutually exclusive")
     if args.topology is not None:
         topology = parse_topology(args.topology)
         decomposition = decompose_cz_multimode(topology, alpha)
@@ -283,7 +270,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         terms = decompose_cz_two_mode(args.g, alpha)
         doc = {"alpha": alpha, "g": args.g, "terms": [_term_dict(t) for t in terms]}
     else:
-        raise UsageError("decompose requires either --g or --topology")
+        raise DomainError("decompose requires either --g or --topology")
     _write_text(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -300,8 +287,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_run_wire(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    if args.steps < 0:
-        raise UsageError("--steps must be nonnegative")
     run = run_wire(graph, args.steps)
     _write_text(args.output, to_json(run.graph))
     if args.log is not None:
@@ -397,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError, GraphParseError) as err:
+    except (DomainError, GraphParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

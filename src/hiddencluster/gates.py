@@ -118,6 +118,8 @@ def _edge_fault(edge: object, n_modes: int, previous: tuple[int, int]) -> str:
         i, j = edge
     except (TypeError, ValueError):
         return f"edge {edge!r} must be an (i, j) pair"
+    if type(edge) is not tuple:
+        return f"edge {edge!r} must be a tuple, got {type(edge).__name__}"
     if type(i) is not int or type(j) is not int:
         return f"edge ({i!r}, {j!r}) must have int ends"
     if i == j:
@@ -130,9 +132,9 @@ def _edge_fault(edge: object, n_modes: int, previous: tuple[int, int]) -> str:
 class Topology(Record):
     """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
 
-    ``edges``, any iterable of pairs kept as a tuple, lists each pair once
-    with ``i < j``, in row-major order, and every end is a mode index below
-    ``n_modes``; ``n_modes`` and the ends are ints, not bools or floats.
+    ``edges``, any iterable of ``(i, j)`` tuples kept as a tuple, lists each
+    pair once with ``i < j``, in row-major order, and every end is a mode index
+    below ``n_modes``; ``n_modes`` and the ends are ints, not bools or floats.
     Construction checks this in O(E), so a ``Topology`` is valid wherever it is passed.
     """
 
@@ -156,7 +158,8 @@ class Topology(Record):
             except (TypeError, ValueError):
                 i = j = None
             if not (
-                type(i) is int
+                type(edge) is tuple
+                and type(i) is int
                 and type(j) is int
                 and 0 <= i < j < n_modes
                 and (i > last_i or i == last_i and j > last_j)

@@ -327,22 +327,26 @@ def absorb_modular_zero_edges(
     return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
+def cluster_topology(adjacency: Topology | np.ndarray, specs: list[ModeSpec]) -> Topology:
+    """``adjacency`` as a :class:`Topology` (:func:`as_topology`), with one spec per mode."""
+    topology = as_topology(adjacency)
+    if len(specs) != topology.n_modes:
+        raise DomainError(f"{topology.n_modes} modes in adjacency but {len(specs)} node types")
+    return topology
+
+
 def build_cluster(
     adjacency: Topology | np.ndarray, node_types: list[ModeSpec], alpha: float
 ) -> SubsystemGraph:
     """Build the subsystem graph of a tuned cluster state.
 
     ``adjacency`` is the mode-level :class:`Topology` or a binary adjacency
-    matrix (see :func:`as_topology`); ``node_types`` gives each mode's input
+    matrix (see :func:`cluster_topology`); ``node_types`` gives each mode's input
     state.  All-GKP inputs leave only the logical-logical edges; momentum
     inputs additionally keep their modular-position couplings.
     """
     alpha = require_bin_size(alpha)
-    topology = as_topology(adjacency)
-    if len(node_types) != topology.n_modes:
-        raise DomainError(
-            f"{topology.n_modes} modes in adjacency but {len(node_types)} node types"
-        )
+    topology = cluster_topology(adjacency, node_types)
 
     modes = tuple(
         ModeRecord(index=i, cv_type=s.cv_type, label=s.label, amplitudes=s.amplitudes)

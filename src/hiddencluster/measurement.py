@@ -73,6 +73,11 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
     neighbor becomes a GKP-labeled mode carrying the Hadamard of the measured
     label, its modular-position node is pinned to u = 0 and stripped of
     edges, and the frame's Hadamard count increments by one.
+
+    Only ``frame.hadamard_count`` is read.  The label teleported is the
+    measured mode's own amplitudes in ``graph``, and the returned frame's
+    ``current_label`` is the Hadamard of that label, whatever
+    ``frame.current_label`` holds.
     """
     run = _walk(graph, logical_neighbors(graph), mode, 1, frame)
     return MeasurementResult(graph=run.graph, frame=run.frame, record=run.records[0])

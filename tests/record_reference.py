@@ -5,7 +5,8 @@ record's behaviour against its copy here; the package never imports this.
 ``DiscretizedState`` was a mutable dataclass; its copy is frozen, as the
 record now is.  ``ModeSpec``, ``ModeRecord``, ``SubsystemEdge`` and
 ``SubsystemGraph`` had fewer checks or none, and ``Topology`` and ``GridSpec``
-took a float or bool where an int belongs; their copies carry the checks the
+took a float or bool where an int belongs (and ``Topology`` a list where an
+edge tuple belongs); their copies carry the checks the
 records have now, written out edge by edge, so each pair refuses the same
 arguments with the same messages.
 """
@@ -40,7 +41,10 @@ class Topology:
         if self.n_modes < 0:
             raise DomainError(f"n_modes must be nonnegative, got {self.n_modes}")
         previous = (-1, -1)
-        for i, j in self.edges:
+        for edge in self.edges:
+            i, j = edge
+            if type(edge) is not tuple:
+                raise DomainError(f"edge {edge!r} must be a tuple, got {type(edge).__name__}")
             if type(i) is not int or type(j) is not int:
                 raise DomainError(f"edge ({i!r}, {j!r}) must have int ends")
             if i == j:

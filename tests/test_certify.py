@@ -220,7 +220,7 @@ class TestGridEqualitiesUpToN4:
     @pytest.mark.parametrize("route", [direct_cluster_state, decomposed_cluster_state])
     def test_adjacency_size_must_match_specs(self, route):
         grid = GridSpec(n=1, alpha=ALPHA)
-        with pytest.raises(DomainError, match="adjacency size does not match"):
+        with pytest.raises(DomainError, match="^2 modes in adjacency but 3 node types$"):
             route(grid, chain_adjacency(2), [momentum()] * 3)
 
 

@@ -15,10 +15,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from grid_reference import NODE_DEFECTS
+from hiddencluster.certify import direct_cluster_state, run_verification
 from hiddencluster.cli import main, parse_alpha, parse_node_specs, parse_topology
-from hiddencluster.cli import UsageError
-from hiddencluster.gates import Topology
-from hiddencluster.graphs import CvType, from_json
+from hiddencluster.errors import DomainError
+from hiddencluster.gates import Topology, chain_topology
+from hiddencluster.graphs import CvType, build_cluster, from_json, momentum
+from hiddencluster.measurement import run_wire
+from hiddencluster.modular import DEFAULT_ALPHA, require_bin_size
+from hiddencluster.oracle import GridSpec
 
 
 def run(*argv):
@@ -33,10 +37,12 @@ class TestParsers:
     def test_alpha_alias(self):
         assert parse_alpha("sqrt_pi") == math.sqrt(math.pi)
         assert parse_alpha("2.5") == 2.5
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError, match="^invalid bin size 'two'$"):
             parse_alpha("two")
-        with pytest.raises(UsageError):
-            parse_alpha("-1")
+        # the parser reads the number; the library's bin-size rule refuses it
+        assert parse_alpha("-1") == -1.0
+        with pytest.raises(DomainError, match="^bin size must be finite and positive, got -1.0$"):
+            require_bin_size(parse_alpha("-1"))
 
     def test_node_specs(self):
         specs = parse_node_specs("p,p,gkp+,gkp:+", 4)
@@ -61,11 +67,14 @@ class TestParsers:
         assert len(specs) == 6
 
     def test_count_mismatch(self):
-        with pytest.raises(UsageError):
-            parse_node_specs("p,p", 3)
+        # the parser broadcasts one entry only; the build refuses a short list
+        specs = parse_node_specs("p,p", 3)
+        assert len(specs) == 2
+        with pytest.raises(DomainError, match="^3 modes in adjacency but 2 node types$"):
+            build_cluster(chain_topology(3), specs, DEFAULT_ALPHA)
 
     def test_unknown_type(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             parse_node_specs("qubit", 1)
 
     def test_topology_chain_and_grid(self):
@@ -105,7 +114,7 @@ class TestParsers:
     ):
         path = tmp_path / "bad-edges.json"
         path.write_text(text)
-        with pytest.raises(UsageError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: "):
             parse_topology(str(path))
         argv = [command, "--topology", str(path)]
         argv += ["--nodes", "p"] if command == "build" else []
@@ -409,6 +418,8 @@ class TestBadInputExits2:
             ({}, ["decompose", "--g", "-Infinity"]),
             ({}, ["decompose", "--g", "-NaN", "--alpha", "2.0"]),
             ({}, ["render", "--input", "{tmp}/alpha_string.json"]),
+            ({}, ["verify", "--alpha", "1.3219564750381271e-154"]),
+            ({}, ["verify", "--alpha", "2e-154"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -441,6 +452,8 @@ class TestBadInputExits2:
             "weight-negative-infinity-spelled-out",
             "weight-negative-nan-mixed-case",
             "graph-alpha-string",
+            "verify-smallest-bin-size-weight-range-overflows",
+            "verify-tiny-bin-size-weight-range-overflows",
         ],
     )
     def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys, recwarn):
@@ -465,6 +478,61 @@ class TestBadInputExits2:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1 and "Warning" not in err and not recwarn.list
         assert not (tmp_path / "g.json").exists()
+
+
+# Each value rule has one definition, in the library layer that owns the value.
+# A case is (env, argv, the library call that owns the rule); ``{tmp}`` in argv
+# and the call's argument name a directory holding ``wire.json``, a 3-mode wire.
+_ALPHA_COMMANDS = {
+    "build": ["build", "--topology", "chain:2", "--nodes", "p"],
+    "decompose-g": ["decompose", "--g", "0.5"],
+    "decompose-topology": ["decompose", "--topology", "chain:2"],
+    "verify": ["verify", "--max-modes", "2"],
+}
+_ONE_RULE_CASES = {
+    **{
+        f"alpha-{value}-{name}": (
+            {}, [*argv, "--alpha", value], lambda tmp, value=value: require_bin_size(float(value))
+        )
+        for value in ["inf", "nan", "-1", "0", "1e-400"]
+        for name, argv in _ALPHA_COMMANDS.items()
+    },
+    "steps-negative": (
+        {}, ["run-wire", "--input", "{tmp}/wire.json", "--steps", "-1"],
+        lambda tmp: run_wire(read_graph(tmp / "wire.json"), -1),
+    ),
+    "seed-flag-negative": ({}, ["verify", "--seed", "-1"], lambda tmp: run_verification(seed=-1)),
+    "seed-env-negative": (
+        {"HIDDENCLUSTER_SEED": "-1"}, ["verify"], lambda tmp: run_verification(seed=-1)
+    ),
+    "node-count-short": (
+        {}, ["build", "--topology", "chain:3", "--nodes", "p,p"],
+        lambda tmp: build_cluster(chain_topology(3), [momentum()] * 2, DEFAULT_ALPHA),
+    ),
+    "g-scale-infinite": (
+        {}, ["verify", "--g-scale", "inf"],
+        lambda tmp: direct_cluster_state(
+            GridSpec(2, DEFAULT_ALPHA), chain_topology(2), [momentum()] * 2, g_scale=math.inf
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_RULE_CASES))
+def test_cli_refuses_with_the_library_message(case, tmp_path, monkeypatch, capsys):
+    """The CLI exits 2 with ``error: `` and exactly the message of the library
+    call that owns the rule, so each rule has one text."""
+    env, argv, call = _ONE_RULE_CASES[case]
+    assert run("build", "--topology", "chain:3", "--nodes", "p,p,gkp+",
+               "-o", str(tmp_path / "wire.json")) == 0
+    monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
+    with pytest.raises(DomainError) as refused:
+        call(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 class TestBrokenNodeListExits2:

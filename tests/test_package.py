@@ -1,6 +1,7 @@
 """The package's public surface and layout: every exported name resolves,
-the README's library quick start runs as written, and only ``modular``
-defines the (ell, m, u) order of a mode's subsystems."""
+the README's library quick start runs as written, only ``modular``
+defines the (ell, m, u) order of a mode's subsystems, and the CLI keeps no
+error type of its own."""
 
 import ast
 import re
@@ -110,6 +111,22 @@ def test_only_modular_defines_the_kind_layout():
     }
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == {}
+
+
+def test_cli_defines_no_exception_class():
+    """Every exit-2 error is a ``DomainError`` or ``GraphParseError`` from
+    ``errors``: the CLI raises the library's types, which ``main`` maps to exit 2,
+    and defines no exception class of its own."""
+    from hiddencluster import cli
+
+    own = [
+        name
+        for name, value in vars(cli).items()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == cli.__name__
+    ]
+    assert own == []
 
 
 def test_matrix_entry_points_the_benchmark_calls():

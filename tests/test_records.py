@@ -92,6 +92,7 @@ REFUSED = [
     ("Topology", (True, ())),
     ("Topology", (3, ((0.0, 1.0),))),
     ("Topology", (3, ((0, 1), (1, True)))),
+    ("Topology", (3, ([0, 1],))),
     ("ModeSpec", (LABELED, "psi", (float("nan"), 0j))),
     ("ModeSpec", (LABELED, "psi", (1.0, complex(0.0, float("inf"))))),
     ("ModeSpec", (LABELED, "psi", (2 + 0j, 0j))),
@@ -256,6 +257,11 @@ class TestRecordsMatchTheirDataclasses:
         with pytest.raises(DomainError) as refused:
             cls(*args)
         assert str(refused.value) == str(expected.value)
+
+    def test_a_list_edge_is_refused_by_name(self):
+        # a list edge would make the topology unhashable and unequal to its tuple twin
+        with pytest.raises(DomainError, match=r"^edge \[0, 1\] must be a tuple, got list$"):
+            gates.Topology(3, ([0, 1],))
 
     def test_construction_normalizes_as_the_dataclass_did(self):
         assert repr(graphs.SubsystemEdge(5, 2, 1)) == repr(ref.SubsystemEdge(5, 2, 1))
