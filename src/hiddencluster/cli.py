@@ -155,7 +155,7 @@ def parse_topology(text: str) -> Topology:
         return grid_topology(rows, cols)
     try:
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # a ValueError: bad JSON, UTF-8 or int digits
         raise DomainError(f"{text}: invalid edge-list JSON: {err}") from err
     try:
         if isinstance(doc, dict):

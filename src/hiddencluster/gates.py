@@ -82,12 +82,18 @@ def _phase_is_identity(term: CouplingTerm) -> bool:
 
 
 def _coupling_layout(g: float, alpha: float) -> list[tuple[SubsystemKind, SubsystemKind, float]]:
-    """The nine (kind on mode 0, kind on mode 1, coefficient) terms of exp(i g q_0 q_1)."""
+    """The nine (kind on mode 0, kind on mode 1, coefficient) terms of exp(i g q_0 q_1).
+
+    A coefficient is ``(factor * g) * alpha**(2 - p)``; where ``factor * g`` alone
+    overflows it is ``factor * (g * alpha**(2 - p))``, finite whenever its value fits.
+    """
     powers = (1.0, alpha, alpha * alpha)  # alpha**(2 - p), indexed by 2 - p
-    layout = [
-        (kind_a, kind_b, (factor * g) * powers[kind_a.integer_spectrum + kind_b.integer_spectrum])
-        for kind_a, kind_b, factor in COUPLINGS
-    ]
+    layout = []
+    for kind_a, kind_b, factor in COUPLINGS:
+        power = powers[kind_a.integer_spectrum + kind_b.integer_spectrum]
+        scaled = factor * g
+        c = scaled * power if math.isfinite(scaled) else factor * (g * power)
+        layout.append((kind_a, kind_b, c))
     if not all(math.isfinite(c) for _, _, c in layout):
         raise DomainError(
             f"gate weight {g!r} at bin size {alpha!r} overflows a coupling coefficient"
@@ -247,21 +253,17 @@ def decompose_cz_multimode(
     ``adjacency`` is a :class:`Topology` or a binary matrix (see
     :func:`as_topology`); general weights are only supported pairwise
     through :func:`decompose_cz_two_mode`.  Every edge carries the six
-    :data:`TUNED_COUPLINGS`, with the finite coefficients units * (g * alpha**(2 - p)),
-    stamped onto each edge in row-major order and sorted into families by their
-    number of logical ends: logical 2, gauge 0 and interaction 1.
+    :data:`TUNED_COUPLINGS`, with their coefficients from :func:`_coupling_layout`
+    at g = pi/alpha**2, stamped onto each edge in row-major order and sorted into
+    families by their number of logical ends: logical 2, gauge 0 and interaction 1.
     """
     alpha = require_bin_size(alpha)
     edges = as_topology(adjacency).edges
-    g = math.pi / (alpha * alpha)
-    unit = (g, g * alpha, g * (alpha * alpha))  # pi/alpha**p, indexed by 2 - p
+    layout = _coupling_layout(math.pi / (alpha * alpha), alpha)
+    tuned = [row for row, coupling in zip(layout, COUPLINGS) if coupling in TUNED_COUPLINGS]
 
     def stamp(logical_ends: int) -> tuple[CouplingTerm, ...]:
-        template = [
-            (ka, kb, units * unit[ka.integer_spectrum + kb.integer_spectrum])
-            for ka, kb, units in TUNED_COUPLINGS
-            if (ka, kb).count(SubsystemKind.LOGICAL) == logical_ends
-        ]
+        template = [row for row in tuned if row[:2].count(SubsystemKind.LOGICAL) == logical_ends]
         return tuple(CouplingTerm((i, ka), (j, kb), c) for i, j in edges for ka, kb, c in template)
 
     return MultimodeDecomposition(stamp(2), stamp(0), stamp(1))

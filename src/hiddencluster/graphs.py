@@ -24,7 +24,6 @@ import enum
 import json
 import math
 from collections import Counter
-from functools import cached_property
 from itertools import starmap
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -60,15 +59,6 @@ class NodeState(enum.Enum):
     UNIFORM_BIN = "uniform_bin"
     UNIFORM_MODULAR = "uniform_modular"
     MODULAR_ZERO = "modular_zero"
-
-    @property
-    def filled(self) -> bool:
-        """Filled marker in diagrams; open markers are labeled or pinned states."""
-        return self in (
-            NodeState.LOGICAL_PLUS,
-            NodeState.UNIFORM_BIN,
-            NodeState.UNIFORM_MODULAR,
-        )
 
 
 class Node(Record):
@@ -228,10 +218,6 @@ def _node_fields(record: ModeRecord) -> list[tuple[int, int, SubsystemKind, Node
     ]
 
 
-def _graph_nodes(modes: tuple[ModeRecord, ...]) -> tuple[Node, ...]:
-    return tuple(Node(*fields) for record in modes for fields in _node_fields(record))
-
-
 def _pinned_nodes(modes: tuple[ModeRecord, ...]) -> set[int]:
     """The modular-position nodes pinned at u = 0: one per GKP-type mode."""
     return {3 * record.index + _MODULAR for record in modes if record.cv_type.is_gkp}
@@ -241,9 +227,9 @@ class SubsystemGraph(Record):
     """Modes and edges; each mode's three nodes are derived from its record.
 
     An edge endpoint names its mode (``id // 3``) and kind (``id % 3``)
-    without a lookup table.  The mode index and the node tuple are kept in
-    the instance ``__dict__`` beside the fields; equality and hashing read
-    only the fields.  ``alpha`` is a finite float (:func:`require_bin_size`),
+    without a lookup table.  The mode index is kept in the instance
+    ``__dict__`` beside the fields; equality and hashing read only the
+    fields.  ``alpha`` is a finite float (:func:`require_bin_size`),
     ``modes`` and ``edges`` hold :class:`ModeRecord` and
     :class:`SubsystemEdge` records, and repeated mode indices or edges, edge
     ends in missing modes and edges at pinned modular-position nodes are
@@ -293,10 +279,6 @@ class SubsystemGraph(Record):
         set_field(self, "modes", modes)
         set_field(self, "edges", edges)
         set_field(self, "_mode_index", mode_index)
-
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        return _graph_nodes(self.modes)
 
     def node_by_id(self, node_id: int) -> Node:
         record = self._mode_index.get(node_id // 3)
@@ -410,27 +392,30 @@ _DOT_SHAPE = {
 }
 
 
-def _dot_label(graph: SubsystemGraph, node: Node) -> str:
-    if node.kind is SubsystemKind.LOGICAL:
-        if node.state is NodeState.LOGICAL_LABELED:
-            record = graph.mode_by_index(node.mode)
-            return record.label or "psi"
-        return "+"
-    if node.kind is SubsystemKind.GAUGE_BIN:
-        return "m"
-    return "u=0" if node.state is NodeState.MODULAR_ZERO else "u"
+#: Each node state's DOT label and style; a labeled logical node shows its
+#: mode's label instead, and the open markers are labeled or pinned states.
+_DOT_NODE = {
+    NodeState.LOGICAL_PLUS: ("+", ", style=filled"),
+    NodeState.LOGICAL_LABELED: (None, ""),
+    NodeState.UNIFORM_BIN: ("m", ", style=filled"),
+    NodeState.UNIFORM_MODULAR: ("u", ", style=filled"),
+    NodeState.MODULAR_ZERO: ("u=0", ""),
+}
+
+#: A label as a DOT string: backslashes and quotes escaped, and each line
+#: break written as ``\n`` (``\r\n`` is folded to one first).
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\n"})
 
 
 def render_dot(graph: SubsystemGraph) -> str:
-    """Deterministic DOT text; double edges are emitted as two parallel lines."""
-    ordered = sorted(graph.nodes, key=lambda n: n.id)
+    """Deterministic DOT text, nodes by id; double edges are emitted as two parallel lines."""
     lines = ["graph subsystem_cluster {", "  node [fontsize=10];"]
-    for node in ordered:
-        style = ', style=filled' if node.state.filled else ""
-        lines.append(
-            f'  n{node.id} [shape={_DOT_SHAPE[node.kind]}, '
-            f'label="{_dot_label(graph, node)}"{style}];'
-        )
+    for record in sorted(graph.modes, key=attrgetter("index")):
+        for node_id, _, kind, state in _node_fields(record):
+            label, style = _DOT_NODE[state]
+            if label is None:
+                label = (record.label or "psi").replace("\r\n", "\n").translate(_DOT_ESCAPES)
+            lines.append(f'  n{node_id} [shape={_DOT_SHAPE[kind]}, label="{label}"{style}];')
     for edge in sorted(graph.edges, key=lambda e: (e.a, e.b)):
         lines.extend(f"  n{edge.a} -- n{edge.b};" for _ in range(edge.multiplicity))
     lines.append("}")
@@ -461,8 +446,9 @@ def to_json(graph: SubsystemGraph) -> str:
             for record in graph.modes
         ],
         "nodes": [
-            {"id": n.id, "mode": n.mode, "kind": n.kind.value, "state": n.state.value}
-            for n in graph.nodes
+            {"id": node_id, "mode": mode, "kind": kind.value, "state": state.value}
+            for record in graph.modes
+            for node_id, mode, kind, state in _node_fields(record)
         ],
         "edges": [
             {"a": e.a, "b": e.b, "multiplicity": e.multiplicity} for e in graph.edges
@@ -495,6 +481,8 @@ def from_json(text: str) -> SubsystemGraph:
         raise GraphParseError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except (RecursionError, ValueError) as err:  # too deep, or an int past the digit limit
+        raise GraphParseError(f"invalid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise GraphParseError("top-level document must be an object")
     try:

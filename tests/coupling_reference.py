@@ -1,9 +1,13 @@
-"""Copies of the float route by which ``decompose_cz_multimode`` once derived
-the tuned couplings: the nine coefficients written out term by term, pruned
-with the 2*pi test and sorted into families at run time.  ``test_gates``
-compares the package's integer-table route against it wherever this route
-returns; below a bin size of about 2.64e-154 its ``(4.0 * g) * alpha**2``
-overflows and it raises.  The package never imports this.
+"""Copies of two earlier routes to the coupling coefficients, which
+``test_gates`` compares the package's one formula against.  The package never
+imports this.
+
+The float route (``decompose_cz_two_mode`` and ``decompose_cz_multimode``)
+writes the nine coefficients out term by term, prunes them with the 2*pi test
+and sorts the tuned ones into families at run time; below a bin size of about
+2.64e-154 its ``(4.0 * g) * alpha**2`` overflows and it raises, and so does any
+weight whose ``4.0 * g`` overflows.  The unit route (``decompose_cz_multimode_by_units``)
+stamps the tuned table with coefficients ``units * (g * alpha**(2 - p))``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
     CouplingTerm,
+    TUNED_COUPLINGS,
     MultimodeDecomposition,
     _phase_is_identity,
     as_topology,
@@ -82,3 +87,20 @@ def decompose_cz_multimode(adjacency, alpha: float) -> MultimodeDecomposition:
         )
 
     return MultimodeDecomposition(stamp(logical), stamp(gauge), stamp(interaction))
+
+
+def decompose_cz_multimode_by_units(adjacency, alpha: float) -> MultimodeDecomposition:
+    alpha = require_bin_size(alpha)
+    edges = as_topology(adjacency).edges
+    g = math.pi / (alpha * alpha)
+    unit = (g, g * alpha, g * (alpha * alpha))  # pi/alpha**p, indexed by 2 - p
+
+    def stamp(logical_ends: int) -> tuple[CouplingTerm, ...]:
+        template = [
+            (ka, kb, units * unit[ka.integer_spectrum + kb.integer_spectrum])
+            for ka, kb, units in TUNED_COUPLINGS
+            if (ka, kb).count(SubsystemKind.LOGICAL) == logical_ends
+        ]
+        return tuple(CouplingTerm((i, ka), (j, kb), c) for i, j in edges for ka, kb, c in template)
+
+    return MultimodeDecomposition(stamp(2), stamp(0), stamp(1))

@@ -30,6 +30,7 @@ from hiddencluster.gates import (
 )
 from hiddencluster.graphs import (
     NodeState,
+    _node_fields,
     build_cluster,
     gkp_labeled,
     gkp_plus,
@@ -303,7 +304,12 @@ def test_criterion_7_graph_calculus_soundness():
         if not np.array_equal(logical_subgraph(graph), adjacency):
             failures += 1
             continue
-        pinned = {node.id for node in graph.nodes if node.state is NodeState.MODULAR_ZERO}
+        pinned = {
+            node_id
+            for record in graph.modes
+            for node_id, _, _, state in _node_fields(record)
+            if state is NodeState.MODULAR_ZERO
+        }
         if any(edge.a in pinned or edge.b in pinned for edge in graph.edges):
             failures += 1
     _report(

@@ -135,20 +135,21 @@ class TestBuild:
         )
         assert code == 0
         graph = read_graph(out)
-        assert len(graph.nodes) == 15
+        assert len(json.loads(out.read_text(encoding="utf-8"))["nodes"]) == 15
         assert graph.alpha == 1.7724538509
 
     def test_single_mode(self, tmp_path, capsys):
         assert run("build", "--topology", "chain:1", "--nodes", "p") == 0
-        graph = from_json(capsys.readouterr().out)
-        assert len(graph.nodes) == 3 and graph.edges == ()
+        text = capsys.readouterr().out
+        graph = from_json(text)
+        assert len(json.loads(text)["nodes"]) == 3 and graph.edges == ()
 
     def test_gkp_grid_keeps_logical_edges_only(self, tmp_path):
         out = tmp_path / "grid.json"
         assert run("build", "--topology", "grid:2x3", "--nodes", "gkp+", "-o", str(out)) == 0
         graph = read_graph(out)
         assert len(graph.edges) == 7
-        assert len(graph.nodes) == 18
+        assert len(json.loads(out.read_text(encoding="utf-8"))["nodes"]) == 18
 
     def test_bad_spec_exits_2(self, capsys):
         assert run("build", "--topology", "chain:0", "--nodes", "p") == 2
@@ -254,6 +255,12 @@ class TestSmallestBinSizes:
         terms = doc["logical_terms"] + doc["gauge_terms"] + doc["interaction_terms"]
         assert len(terms) == 12
         assert all(math.isfinite(t["coefficient"]) for t in terms)
+
+    @pytest.mark.parametrize("alpha", ["2.65e-154", "2.7e-154", "3e-154"])
+    def test_verify_passes_where_a_weight_times_four_overflows(self, alpha, capsys):
+        # seed 7 draws a weight above a quarter of the float maximum at each size
+        assert run("verify", "--alpha", alpha, "--seed", "7") == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 class TestMeasureAndWire:
@@ -420,6 +427,16 @@ class TestBadInputExits2:
             ({}, ["render", "--input", "{tmp}/alpha_string.json"]),
             ({}, ["verify", "--alpha", "1.3219564750381271e-154"]),
             ({}, ["verify", "--alpha", "2e-154"]),
+            ({}, ["render", "--input", "{tmp}/deep.json", "-o", "{tmp}/g.json"]),
+            ({}, ["measure", "--input", "{tmp}/deep.json", "--mode", "0", "-o", "{tmp}/g.json"]),
+            ({}, ["run-wire", "--input", "{tmp}/deep.json", "--steps", "1", "-o", "{tmp}/g.json"]),
+            ({}, ["build", "--topology", "{tmp}/deep.json", "--nodes", "p", "-o", "{tmp}/g.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/deep.json", "-o", "{tmp}/g.json"]),
+            ({}, ["render", "--input", "{tmp}/long_int.json", "-o", "{tmp}/g.json"]),
+            ({}, ["measure", "--input", "{tmp}/long_int.json", "--mode", "0", "-o", "{tmp}/g.json"]),
+            ({}, ["run-wire", "--input", "{tmp}/long_int.json", "--steps", "1", "-o", "{tmp}/g.json"]),
+            ({}, ["build", "--topology", "{tmp}/long_int.json", "--nodes", "p", "-o", "{tmp}/g.json"]),
+            ({}, ["decompose", "--topology", "{tmp}/long_int.json", "-o", "{tmp}/g.json"]),
         ],
         ids=[
             "topology-edges-not-a-list",
@@ -454,6 +471,16 @@ class TestBadInputExits2:
             "graph-alpha-string",
             "verify-smallest-bin-size-weight-range-overflows",
             "verify-tiny-bin-size-weight-range-overflows",
+            "render-json-too-deep",
+            "measure-json-too-deep",
+            "run-wire-json-too-deep",
+            "build-json-too-deep",
+            "decompose-json-too-deep",
+            "render-json-integer-too-long",
+            "measure-json-integer-too-long",
+            "run-wire-json-integer-too-long",
+            "build-json-integer-too-long",
+            "decompose-json-integer-too-long",
         ],
     )
     def test_exits_2_without_traceback(self, env, argv, tmp_path, monkeypatch, capsys, recwarn):
@@ -469,6 +496,9 @@ class TestBadInputExits2:
             "n_modes_huge": '{"n_modes": 10000000, "edges": []}',
             "n_modes_zero": '{"n_modes": 0, "edges": [[0, 1]]}',
             "alpha_string": '{"alpha": "1.5", "modes": [], "nodes": [], "edges": []}',
+            # JSON the decoder cannot hold: past its nesting depth, past int's digit limit
+            "deep": "[" * 100_000,
+            "long_int": "1" * 5000,
         }.items():
             (tmp_path / f"{name}.json").write_text(text)
         for name, value in env.items():

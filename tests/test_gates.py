@@ -223,6 +223,37 @@ def test_tuned_table_matches_the_float_route_and_stays_finite(topology, alpha):
     assert repr(result) == repr(expected)
 
 
+def _exact(terms):
+    """Each term's operands and coefficient, the coefficient as ``float.hex``."""
+    return [(t.op_a, t.op_b, t.coefficient.hex()) for t in terms]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(topology=TOPOLOGIES, alpha=BIN_SIZES, fraction=st.floats(-1.0, 1.0))
+def test_one_formula_matches_both_earlier_routes(topology, alpha, fraction):
+    """``_coupling_layout`` gives the unit route's tuned coefficients bit for bit,
+    and the float route's at any weight in [-2*pi/alpha**2, 2*pi/alpha**2] where
+    that route returns; where it overflows, the coefficients are still finite."""
+    result = decompose_cz_multimode(topology, alpha)
+    expected = coupling_reference.decompose_cz_multimode_by_units(topology, alpha)
+    assert _exact(result.logical_terms) == _exact(expected.logical_terms)
+    assert _exact(result.gauge_terms) == _exact(expected.gauge_terms)
+    assert _exact(result.interaction_terms) == _exact(expected.interaction_terms)
+
+    g = (2.0 * fraction) * (PI / (alpha * alpha))
+    if not math.isfinite(g):
+        event("the weight overflows")
+        return
+    terms = decompose_cz_two_mode(g, alpha)
+    try:
+        old = coupling_reference.decompose_cz_two_mode(g, alpha)
+    except DomainError:
+        event("the float route overflows at this weight")
+        assert all(math.isfinite(t.coefficient) for t in terms)
+        return
+    assert _exact(terms) == _exact(old)
+
+
 @pytest.mark.parametrize("alpha", [_MIN_BIN_SIZE, 2e-154, 2.6e-154])
 def test_tiny_bin_sizes_decompose_where_the_float_route_overflows(alpha):
     with pytest.raises(DomainError, match="overflows a coupling coefficient"):

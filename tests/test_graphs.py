@@ -45,6 +45,11 @@ def node_of(graph, mode, kind):
     return node
 
 
+def document_nodes(graph):
+    """The node list of the graph's JSON document, as ``to_json`` writes it."""
+    return json.loads(to_json(graph))["nodes"]
+
+
 def edge_kinds(graph):
     """Multiset of (kind, kind, multiplicity) per edge, kinds sorted."""
     out = []
@@ -72,7 +77,7 @@ def random_specs(rng, n):
 class TestBuildCluster:
     def test_two_mode_cv_cluster_has_six_edges(self):
         graph = build_cluster(chain_adjacency(2), [momentum(), momentum()], DEFAULT_ALPHA)
-        assert len(graph.nodes) == 6
+        assert len(document_nodes(graph)) == 6
         ids = {
             (mode, kind): node_of(graph, mode, kind).id
             for mode in (0, 1)
@@ -115,7 +120,7 @@ class TestBuildCluster:
         assert np.array_equal(logical_subgraph(graph), adjacency)
         # 7 grid edges, 6 subsystem edges each for momentum-momentum pairs
         assert len(graph.edges) == 7 * 6
-        assert len(graph.nodes) == 18
+        assert len(document_nodes(graph)) == 18
 
     def test_mixed_grid_keeps_input_adjacency(self):
         adjacency = topology_matrix(grid_topology(2, 3))
@@ -125,7 +130,7 @@ class TestBuildCluster:
 
     def test_empty_graph(self):
         graph = build_cluster(np.zeros((0, 0)), [], 1.0)
-        assert graph.nodes == () and graph.edges == ()
+        assert document_nodes(graph) == [] and graph.edges == ()
         assert logical_subgraph(graph).shape == (0, 0)
 
     def test_dimension_mismatch_rejected(self):
@@ -146,9 +151,10 @@ class TestInvariants:
             adjacency = upper + upper.T
             graph = build_cluster(adjacency, random_specs(rng, n), DEFAULT_ALPHA)
             assert np.array_equal(logical_subgraph(graph), adjacency)
-            assert len(graph.nodes) == 3 * n
+            nodes = document_nodes(graph)
+            assert len(nodes) == 3 * n
             pinned = {
-                node.id for node in graph.nodes if node.state is NodeState.MODULAR_ZERO
+                node["id"] for node in nodes if node["state"] == NodeState.MODULAR_ZERO.value
             }
             for edge in graph.edges:
                 assert edge.a not in pinned and edge.b not in pinned
@@ -244,6 +250,22 @@ class TestRendering:
         graph = build_cluster(adjacency, random_specs(rng, 6), DEFAULT_ALPHA)
         assert render_dot(graph).encode() == render_dot(graph).encode()
 
+    def test_labels_are_escaped_as_dot_strings(self):
+        amplitudes = (0.6, 0.8)
+        specs = [
+            ModeSpec(CvType.GKP_LABELED, 'a"b\n}', amplitudes),
+            ModeSpec(CvType.GKP_LABELED, "c\\d\r\ne\rf", amplitudes),
+            gkp_labeled(*amplitudes),
+            gkp_plus(),
+        ]
+        dot = render_dot(build_cluster(chain_adjacency(4), specs, DEFAULT_ALPHA))
+        lines = dot.splitlines()
+        assert lines[2] == r'  n0 [shape=diamond, label="a\"b\n}"];'
+        assert lines[5] == r'  n3 [shape=diamond, label="c\\d\ne\nf"];'
+        assert lines[8] == '  n6 [shape=diamond, label="psi"];'
+        assert lines[11] == '  n9 [shape=diamond, label="+", style=filled];'
+        assert len(lines) == 2 + 12 + 3 + 1 and lines[-1] == "}"
+
     def test_empty_graph_renders_header_only(self):
         graph = build_cluster(np.zeros((0, 0)), [], 1.0)
         lines = [line for line in render_dot(graph).splitlines() if line.strip()]
@@ -271,6 +293,19 @@ class TestSerialization:
         graph = hybrid_grid()
         restored = from_json(to_json(graph))
         assert restored == graph
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{\n  "alpha": ,\n}', "^invalid JSON at line 2 column 12: Expecting value$"),
+            ("[" * 100_000, "^invalid JSON: .*recursion"),
+            ("1" * 5000, "^invalid JSON: .*digits"),
+        ],
+        ids=["syntax-error", "too-deep", "integer-too-long"],
+    )
+    def test_undecodable_text_is_a_parse_error(self, text, message):
+        with pytest.raises(GraphParseError, match=message):
+            from_json(text)
 
     def test_empty_document(self):
         graph = build_cluster(np.zeros((0, 0)), [], 1.0)
@@ -411,8 +446,9 @@ class TestSerialization:
     def test_read_graph_derives_its_nodes_as_a_fresh_build(self):
         graph = hybrid_grid()
         read = from_json(to_json(graph))
-        assert "nodes" not in vars(read)
-        assert read.nodes == graph.nodes and read.node_by_id(11) == graph.node_by_id(11)
+        ids = range(3 * len(graph.modes))
+        assert [read.node_by_id(i) for i in ids] == [graph.node_by_id(i) for i in ids]
+        assert document_nodes(read) == document_nodes(graph)
 
 
 def _json_paths(value, prefix=()):

@@ -12,6 +12,7 @@ import ast
 import copy
 import dataclasses
 import inspect
+import json
 import pickle
 import re
 from pathlib import Path
@@ -299,13 +300,33 @@ class TestSubsystemGraphCache:
                  graphs.gkp_labeled(0.6, 0.8j)]
         graph = graphs.build_cluster(topology, specs, DEFAULT_ALPHA)
         fresh = graphs.build_cluster(topology, specs, DEFAULT_ALPHA)
-        assert len(graph.nodes) == 12 and graph.node_by_id(4).mode == 1
-        assert "nodes" in vars(graph) and "nodes" not in vars(fresh)
+        assert len(json.loads(graphs.to_json(graph))["nodes"]) == 12
+        assert graph.node_by_id(4).mode == 1
         assert graph == fresh and hash(graph) == hash(fresh)
         assert repr(graph) == repr(fresh)
         assert repr(graph) == repr(ref.SubsystemGraph(graph.alpha, graph.modes, graph.edges))
         for clone in (copy.copy(graph), pickle.loads(pickle.dumps(graph))):
-            assert clone == fresh and clone.nodes == fresh.nodes
+            assert clone == fresh and clone.node_by_id(4) == fresh.node_by_id(4)
+
+
+def test_no_module_of_the_package_uses_cached_property():
+    """A record holds only its fields and the index it builds at construction:
+    no module uses ``functools.cached_property``, which stores a value on first read."""
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if "cached_property" in names:
+                users.append(path.name)
+    assert len(list(SRC.glob("*.py"))) >= 9
+    assert users == []
 
 
 def test_no_module_of_the_package_imports_dataclasses():
