@@ -425,11 +425,8 @@ def render_dot(graph: SubsystemGraph) -> str:
 # --- serialization -----------------------------------------------------------
 
 
-def _complex_pair(values: tuple[complex, complex]) -> list[list[float]]:
-    return [[z.real, z.imag] for z in values]
-
-
 def to_json(graph: SubsystemGraph) -> str:
+    """The document of ``alpha``, ``modes`` and ``edges``; nodes follow from the modes."""
     doc = {
         "alpha": graph.alpha,
         "modes": [
@@ -438,17 +435,12 @@ def to_json(graph: SubsystemGraph) -> str:
                 "cv_type": record.cv_type.value,
                 **({"label": record.label} if record.label is not None else {}),
                 **(
-                    {"amplitudes": _complex_pair(record.amplitudes)}
+                    {"amplitudes": [[z.real, z.imag] for z in record.amplitudes]}
                     if record.amplitudes is not None
                     else {}
                 ),
             }
             for record in graph.modes
-        ],
-        "nodes": [
-            {"id": node_id, "mode": mode, "kind": kind.value, "state": state.value}
-            for record in graph.modes
-            for node_id, mode, kind, state in _node_fields(record)
         ],
         "edges": [
             {"a": e.a, "b": e.b, "multiplicity": e.multiplicity} for e in graph.edges
@@ -475,6 +467,11 @@ def require_json_int(value: object, what: str) -> int:
 
 
 def from_json(text: str) -> SubsystemGraph:
+    """Read a graph document; anything malformed raises :class:`GraphParseError`.
+
+    Older documents also carry the derived ``nodes`` list; it must hold exactly
+    the nodes the modes imply by the module docstring's layout, or it is refused.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -500,6 +497,7 @@ def from_json(text: str) -> SubsystemGraph:
                 modes.append(ModeRecord(index, cv_type, raw.get("label"), amplitudes))
             except DomainError as err:
                 raise GraphParseError(f"mode {index}: {err}") from err
+        legacy = "nodes" in doc  # the key, not its value: a null node list is refused
         nodes = [
             (
                 require_json_int(raw["id"], "id"),
@@ -507,14 +505,14 @@ def from_json(text: str) -> SubsystemGraph:
                 raw["kind"],
                 raw["state"],
             )
-            for raw in doc["nodes"]
+            for raw in (doc["nodes"] if legacy else ())
         ]
         edges = tuple(
             SubsystemEdge(raw["a"], raw["b"], raw["multiplicity"]) for raw in doc["edges"]
         )
         expected = [
             (node_id, mode, kind.value, state.value)
-            for record in modes
+            for record in (modes if legacy else ())
             for node_id, mode, kind, state in _node_fields(record)
         ]
         # compared in the try: an unhashable kind or state raises TypeError

@@ -9,11 +9,14 @@ here, and compare two density matrices with ``mixed_fidelity``.  A graph's
 grid state, edge coefficients and edge pairs are read here node record by
 node record through ``node_by_id``, the form ``certify`` and ``graphs``
 used before they read an edge end's mode and kind from ``id // 3`` and
-``id % 3``.  ``NODE_DEFECTS`` lists the broken ``nodes`` lists of a graph
+``id % 3``.  ``legacy_document`` writes a graph's document in its older
+form, which also carried the derived ``nodes`` list, with the node layout
+spelled out here; ``NODE_DEFECTS`` lists broken ``nodes`` lists of such a
 document that ``from_json`` and every command reading a graph must refuse.
 The package itself never imports this module.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import CouplingTerm, chain_topology
-from hiddencluster.graphs import EDGE_UNIT_PHASE, NodeState
+from hiddencluster.graphs import EDGE_UNIT_PHASE, CvType, NodeState, to_json
 from hiddencluster.modular import SubsystemKind
 from hiddencluster.oracle import DiscretizedState, coupled_product
 
@@ -108,6 +111,23 @@ def graph_shape(graph):
     return (tuple(record.cv_type for record in order), tuple(edges))
 
 
+def legacy_document(graph):
+    """``graph``'s document as older versions wrote it: the keys ``to_json``
+    writes plus ``nodes``, mode by mode in ``graph.modes`` order, each mode's
+    logical, gauge_m and gauge_u node with id ``3*index + (0, 1, 2)``."""
+    doc = json.loads(to_json(graph))
+    doc["nodes"] = []
+    for record in graph.modes:
+        logical = "logical_labeled" if record.cv_type is CvType.GKP_LABELED else "logical_plus"
+        modular = "modular_zero" if record.cv_type.is_gkp else "uniform_modular"
+        kinds = [("logical", logical), ("gauge_m", "uniform_bin"), ("gauge_u", modular)]
+        doc["nodes"] += [
+            {"id": 3 * record.index + offset, "mode": record.index, "kind": kind, "state": state}
+            for offset, (kind, state) in enumerate(kinds)
+        ]
+    return doc
+
+
 _NODE_MISMATCH = (
     "nodes must be exactly ids 3*index + (0 logical, 1 gauge_m, 2 gauge_u) "
     "of each mode, with states matching its cv_type"
@@ -129,7 +149,7 @@ def _append_node(nodes, n_modes):
     nodes.append({"id": 3 * n_modes, "mode": n_modes, "kind": "logical", "state": "logical_plus"})
 
 
-#: Defects of a graph document's ``nodes`` list, each an edit ``(nodes, n_modes)``
+#: Defects of a legacy document's ``nodes`` list, each an edit ``(nodes, n_modes)``
 #: of a document whose first mode is a momentum mode, with the exact refusal.
 NODE_DEFECTS = {
     "wrong-state": (_set_field(0, "state", "logical_labeled"), _NODE_MISMATCH),

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from grid_reference import NODE_DEFECTS
+from grid_reference import NODE_DEFECTS, legacy_document
 from hiddencluster.certify import direct_cluster_state, run_verification
 from hiddencluster.cli import main, parse_alpha, parse_node_specs, parse_topology
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import Topology, chain_topology
-from hiddencluster.graphs import CvType, build_cluster, from_json, momentum
+from hiddencluster.graphs import CvType, build_cluster, from_json, momentum, render_dot
 from hiddencluster.measurement import run_wire
 from hiddencluster.modular import DEFAULT_ALPHA, require_bin_size
 from hiddencluster.oracle import GridSpec
@@ -31,6 +31,11 @@ def run(*argv):
 
 def read_graph(path):
     return from_json(path.read_text(encoding="utf-8"))
+
+
+def dot_node_count(graph):
+    """The number of node lines in the graph's DOT text."""
+    return sum(" [shape=" in line for line in render_dot(graph).splitlines())
 
 
 class TestParsers:
@@ -135,21 +140,21 @@ class TestBuild:
         )
         assert code == 0
         graph = read_graph(out)
-        assert len(json.loads(out.read_text(encoding="utf-8"))["nodes"]) == 15
+        assert dot_node_count(graph) == 15
         assert graph.alpha == 1.7724538509
 
     def test_single_mode(self, tmp_path, capsys):
         assert run("build", "--topology", "chain:1", "--nodes", "p") == 0
         text = capsys.readouterr().out
         graph = from_json(text)
-        assert len(json.loads(text)["nodes"]) == 3 and graph.edges == ()
+        assert dot_node_count(graph) == 3 and graph.edges == ()
 
     def test_gkp_grid_keeps_logical_edges_only(self, tmp_path):
         out = tmp_path / "grid.json"
         assert run("build", "--topology", "grid:2x3", "--nodes", "gkp+", "-o", str(out)) == 0
         graph = read_graph(out)
         assert len(graph.edges) == 7
-        assert len(json.loads(out.read_text(encoding="utf-8"))["nodes"]) == 18
+        assert dot_node_count(graph) == 18
 
     def test_bad_spec_exits_2(self, capsys):
         assert run("build", "--topology", "chain:0", "--nodes", "p") == 2
@@ -301,6 +306,22 @@ class TestMeasureAndWire:
         assert [entry["step"] for entry in lines] == [1, 2, 3]
         assert [entry["hadamard_count"] for entry in lines] == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "argv", [["measure", "--mode", "2"], ["run-wire", "--steps", "1"]], ids=["measure", "run-wire"]
+    )
+    def test_legacy_input_writes_the_document_without_nodes(self, argv, tmp_path):
+        wire = self.build_wire(tmp_path, 3, "p,p,gkp:0.6,0.8")
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(legacy_document(read_graph(wire)), indent=2), encoding="utf-8")
+        written = {}
+        for name, path in (("legacy", legacy), ("current", wire)):
+            written[name] = tmp_path / f"{name}-out.json"
+            assert run(argv[0], "--input", str(path), *argv[1:], "-o", str(written[name])) == 0
+        assert written["legacy"].read_bytes() == written["current"].read_bytes()
+        assert set(json.loads(written["legacy"].read_text(encoding="utf-8"))) == {
+            "alpha", "modes", "edges"
+        }
+
     def test_run_wire_zero_steps_copies_graph(self, tmp_path):
         wire = self.build_wire(tmp_path, 3, "p,p,gkp+")
         out = tmp_path / "copy.json"
@@ -425,6 +446,9 @@ class TestBadInputExits2:
             ({}, ["decompose", "--g", "-Infinity"]),
             ({}, ["decompose", "--g", "-NaN", "--alpha", "2.0"]),
             ({}, ["render", "--input", "{tmp}/alpha_string.json"]),
+            ({}, ["render", "--input", "{tmp}/nodes_null.json", "-o", "{tmp}/g.json"]),
+            ({}, ["measure", "--input", "{tmp}/nodes_null.json", "--mode", "0", "-o", "{tmp}/g.json"]),
+            ({}, ["run-wire", "--input", "{tmp}/nodes_null.json", "--steps", "1", "-o", "{tmp}/g.json"]),
             ({}, ["verify", "--alpha", "1.3219564750381271e-154"]),
             ({}, ["verify", "--alpha", "2e-154"]),
             ({}, ["render", "--input", "{tmp}/deep.json", "-o", "{tmp}/g.json"]),
@@ -469,6 +493,9 @@ class TestBadInputExits2:
             "weight-negative-infinity-spelled-out",
             "weight-negative-nan-mixed-case",
             "graph-alpha-string",
+            "render-nodes-null",
+            "measure-nodes-null",
+            "run-wire-nodes-null",
             "verify-smallest-bin-size-weight-range-overflows",
             "verify-tiny-bin-size-weight-range-overflows",
             "render-json-too-deep",
@@ -496,6 +523,9 @@ class TestBadInputExits2:
             "n_modes_huge": '{"n_modes": 10000000, "edges": []}',
             "n_modes_zero": '{"n_modes": 0, "edges": [[0, 1]]}',
             "alpha_string": '{"alpha": "1.5", "modes": [], "nodes": [], "edges": []}',
+            # a present nodes key is checked whatever its value
+            "nodes_null": '{"alpha": 1.0, "modes": [{"index": 0, "cv_type": "gkp_plus"}], '
+            '"nodes": null, "edges": []}',
             # JSON the decoder cannot hold: past its nesting depth, past int's digit limit
             "deep": "[" * 100_000,
             "long_int": "1" * 5000,
@@ -566,8 +596,9 @@ def test_cli_refuses_with_the_library_message(case, tmp_path, monkeypatch, capsy
 
 
 class TestBrokenNodeListExits2:
-    """Every command that reads a graph refuses a broken ``nodes`` list with
-    exit 2 and the one-line message ``from_json`` gives, never a traceback."""
+    """Every command that reads a graph refuses an older document's broken
+    ``nodes`` list with exit 2 and the one-line message ``from_json`` gives,
+    never a traceback."""
 
     @pytest.mark.parametrize("defect", sorted(NODE_DEFECTS))
     @pytest.mark.parametrize(
@@ -578,7 +609,7 @@ class TestBrokenNodeListExits2:
     def test_exits_2_without_traceback(self, argv, defect, tmp_path, capsys):
         path, out = tmp_path / "wire.json", tmp_path / "out"
         assert run("build", "--topology", "chain:3", "--nodes", "p,p,gkp+", "-o", str(path)) == 0
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = legacy_document(read_graph(path))
         edit, message = NODE_DEFECTS[defect]
         edit(doc["nodes"], len(doc["modes"]))
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grid_reference import NODE_DEFECTS, chain_adjacency, graph_shape, topology_matrix
+from grid_reference import (
+    NODE_DEFECTS,
+    chain_adjacency,
+    graph_shape,
+    legacy_document,
+    topology_matrix,
+)
 from hiddencluster.cli import parse_topology
 from hiddencluster.errors import DomainError, GraphParseError
-from hiddencluster.gates import Topology, decompose_cz_multimode, grid_topology
+from hiddencluster.gates import Topology, chain_topology, decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
     CvType,
     ModeRecord,
@@ -20,6 +26,7 @@ from hiddencluster.graphs import (
     NodeState,
     SubsystemEdge,
     SubsystemGraph,
+    _node_fields,
     absorb_modular_zero_edges,
     build_cluster,
     from_json,
@@ -32,7 +39,7 @@ from hiddencluster.graphs import (
     structurally_equal,
     to_json,
 )
-from hiddencluster.measurement import LogicalFrame, measure_p0
+from hiddencluster.measurement import LogicalFrame, measure_p0, run_wire
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
@@ -45,9 +52,13 @@ def node_of(graph, mode, kind):
     return node
 
 
-def document_nodes(graph):
-    """The node list of the graph's JSON document, as ``to_json`` writes it."""
-    return json.loads(to_json(graph))["nodes"]
+def graph_nodes(graph):
+    """Every node as ``{"id", "mode", "kind", "state"}``, derived by ``_node_fields``."""
+    return [
+        {"id": node_id, "mode": mode, "kind": kind.value, "state": state.value}
+        for record in graph.modes
+        for node_id, mode, kind, state in _node_fields(record)
+    ]
 
 
 def edge_kinds(graph):
@@ -77,7 +88,7 @@ def random_specs(rng, n):
 class TestBuildCluster:
     def test_two_mode_cv_cluster_has_six_edges(self):
         graph = build_cluster(chain_adjacency(2), [momentum(), momentum()], DEFAULT_ALPHA)
-        assert len(document_nodes(graph)) == 6
+        assert len(graph_nodes(graph)) == 6
         ids = {
             (mode, kind): node_of(graph, mode, kind).id
             for mode in (0, 1)
@@ -120,7 +131,7 @@ class TestBuildCluster:
         assert np.array_equal(logical_subgraph(graph), adjacency)
         # 7 grid edges, 6 subsystem edges each for momentum-momentum pairs
         assert len(graph.edges) == 7 * 6
-        assert len(document_nodes(graph)) == 18
+        assert len(graph_nodes(graph)) == 18
 
     def test_mixed_grid_keeps_input_adjacency(self):
         adjacency = topology_matrix(grid_topology(2, 3))
@@ -130,7 +141,7 @@ class TestBuildCluster:
 
     def test_empty_graph(self):
         graph = build_cluster(np.zeros((0, 0)), [], 1.0)
-        assert document_nodes(graph) == [] and graph.edges == ()
+        assert graph_nodes(graph) == [] and graph.edges == ()
         assert logical_subgraph(graph).shape == (0, 0)
 
     def test_dimension_mismatch_rejected(self):
@@ -151,7 +162,7 @@ class TestInvariants:
             adjacency = upper + upper.T
             graph = build_cluster(adjacency, random_specs(rng, n), DEFAULT_ALPHA)
             assert np.array_equal(logical_subgraph(graph), adjacency)
-            nodes = document_nodes(graph)
+            nodes = graph_nodes(graph)
             assert len(nodes) == 3 * n
             pinned = {
                 node["id"] for node in nodes if node["state"] == NodeState.MODULAR_ZERO.value
@@ -312,7 +323,7 @@ class TestSerialization:
         restored = from_json(to_json(graph))
         assert restored == graph
         doc = json.loads(to_json(graph))
-        assert doc["modes"] == [] and doc["nodes"] == [] and doc["edges"] == []
+        assert doc == {"alpha": 1.0, "modes": [], "edges": []} and graph_nodes(restored) == []
 
     def test_truncated_document_fails_with_location(self):
         text = to_json(hybrid_grid())
@@ -321,7 +332,7 @@ class TestSerialization:
 
     def test_schema_keys_are_lowercase(self):
         doc = json.loads(to_json(hybrid_grid()))
-        assert set(doc) == {"alpha", "modes", "nodes", "edges"}
+        assert set(doc) == {"alpha", "modes", "edges"}
         mode = doc["modes"][3]
         assert mode["cv_type"] == "gkp_labeled"
         assert mode["label"] == "in"
@@ -329,7 +340,7 @@ class TestSerialization:
             [1 / math.sqrt(2), 0.0],
             [0.0, 1 / math.sqrt(2)],
         ]
-        kinds = {node["kind"] for node in doc["nodes"]}
+        kinds = {node["kind"] for node in graph_nodes(from_json(to_json(hybrid_grid())))}
         assert kinds == {"logical", "gauge_m", "gauge_u"}
 
     def test_rejects_unknown_edge_endpoint(self):
@@ -364,12 +375,15 @@ class TestSerialization:
 
     def test_rejects_edge_on_pinned_node(self):
         graph = build_cluster(chain_adjacency(2), [gkp_plus(), gkp_plus()], 1.0)
-        doc = json.loads(to_json(graph))
+        doc = legacy_document(graph)
         pinned = next(n for n in doc["nodes"] if n["state"] == "modular_zero")
         other = next(
             n for n in doc["nodes"] if n["kind"] == "gauge_m" and n["mode"] != pinned["mode"]
         )
         doc["edges"].append({"a": other["id"], "b": pinned["id"], "multiplicity": 1})
+        with pytest.raises(GraphParseError, match="pinned"):
+            from_json(json.dumps(doc))
+        del doc["nodes"]
         with pytest.raises(GraphParseError, match="pinned"):
             from_json(json.dumps(doc))
 
@@ -384,7 +398,7 @@ class TestSerialization:
         ],
     )
     def test_rejects_broken_invariants(self, defect, match):
-        doc = json.loads(to_json(hybrid_grid()))
+        doc = legacy_document(hybrid_grid())
         if defect == "duplicate_edge":
             doc["edges"].append(dict(doc["edges"][0]))
         elif defect == "multiplicity_3":
@@ -401,6 +415,10 @@ class TestSerialization:
             doc["modes"][3]["amplitudes"][0][0] = float("nan")
         with pytest.raises(GraphParseError, match=match):
             from_json(json.dumps(doc))
+        if defect != "shifted_node_ids":  # the other defects are refused in either form
+            del doc["nodes"]
+            with pytest.raises(GraphParseError, match=match):
+                from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -416,7 +434,7 @@ class TestSerialization:
         ],
     )
     def test_rejects_non_integer_numbers(self, field, value, message):
-        doc = json.loads(to_json(hybrid_grid()))
+        doc = legacy_document(hybrid_grid())
         a, b = doc["edges"][0]["a"], doc["edges"][0]["b"]
         if field == "multiplicity":
             doc["edges"][0]["multiplicity"] = value
@@ -433,10 +451,15 @@ class TestSerialization:
         with pytest.raises(GraphParseError) as info:
             from_json(json.dumps(doc))
         assert str(info.value) == "malformed graph document: " + message.format(a=a, b=b)
+        if field != "node_id":  # the other fields are refused in either form
+            del doc["nodes"]
+            with pytest.raises(GraphParseError) as info:
+                from_json(json.dumps(doc))
+            assert str(info.value) == "malformed graph document: " + message.format(a=a, b=b)
 
     @pytest.mark.parametrize("defect", sorted(NODE_DEFECTS))
     def test_rejects_a_broken_node_list(self, defect):
-        doc = json.loads(to_json(hybrid_grid()))
+        doc = legacy_document(hybrid_grid())
         edit, message = NODE_DEFECTS[defect]
         edit(doc["nodes"], len(doc["modes"]))
         with pytest.raises(GraphParseError) as info:
@@ -448,7 +471,22 @@ class TestSerialization:
         read = from_json(to_json(graph))
         ids = range(3 * len(graph.modes))
         assert [read.node_by_id(i) for i in ids] == [graph.node_by_id(i) for i in ids]
-        assert document_nodes(read) == document_nodes(graph)
+        assert graph_nodes(read) == graph_nodes(graph)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (None, "^malformed graph document: 'NoneType' object is not iterable$"),
+            (5, "^malformed graph document: 'int' object is not iterable$"),
+            ("ab", "^malformed graph document: string indices must be integers"),
+        ],
+        ids=["null", "number", "string"],
+    )
+    def test_a_present_nodes_key_is_checked_whatever_its_value(self, nodes, message):
+        doc = json.loads(to_json(hybrid_grid()))
+        doc["nodes"] = nodes
+        with pytest.raises(GraphParseError, match=message):
+            from_json(json.dumps(doc))
 
 
 def _json_paths(value, prefix=()):
@@ -465,7 +503,10 @@ def _json_paths(value, prefix=()):
 
 
 _WIRE = build_cluster(chain_adjacency(4), [momentum()] * 3 + [gkp_plus()], DEFAULT_ALPHA)
-_FUZZ_DOCUMENTS = [to_json(hybrid_grid()), to_json(measure_p0(_WIRE, 3, LogicalFrame()).graph)]
+_FUZZ_GRAPHS = [hybrid_grid(), measure_p0(_WIRE, 3, LogicalFrame()).graph]
+_FUZZ_DOCUMENTS = [to_json(graph) for graph in _FUZZ_GRAPHS] + [
+    json.dumps(legacy_document(graph)) for graph in _FUZZ_GRAPHS
+]
 _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -504,8 +545,9 @@ def test_from_json_mutations_parse_or_reject(data):
 
 def _raw_document(alpha, modes, edges):
     """The document of raw ``[index, cv_type, label, amplitudes]`` modes and
-    ``[a, b, multiplicity]`` edges, laid out as ``to_json`` writes one, with
-    no record built and nothing checked."""
+    ``[a, b, multiplicity]`` edges, laid out in the older form that also
+    carries the derived ``nodes`` list, with no record built and nothing
+    checked."""
     nodes = []
     for index, cv_type, _, _ in modes:
         ids = [3 * index + k for k in range(3)] if isinstance(index, (int, float)) else [index] * 3
@@ -801,3 +843,70 @@ def test_structural_equality_property(data):
         equal = change == "amplitude_small"
     assert structurally_equal(graph, changed) is equal
     assert structurally_equal(changed, graph) is equal
+
+
+@st.composite
+def _written_graphs(draw):
+    """A graph of the three kinds the package writes: a random build, a build's
+    document read back with its modes and edges shuffled, or a wire's residual."""
+    source = draw(st.sampled_from(["build", "shuffled-read", "wire-residual"]), label="source")
+    n = draw(st.integers(0 if source == "build" else 1, 7), label="modes")
+    spec_draws = st.one_of(
+        _SPEC_DRAWS, st.builds(lambda label: ModeSpec(CvType.GKP_PLUS, label), st.text(max_size=4))
+    )
+    specs = draw(st.lists(spec_draws, min_size=n, max_size=n), label="specs")
+    alpha = draw(st.sampled_from([DEFAULT_ALPHA, 1.0, 2.5]), label="alpha")
+    if source == "wire-residual":
+        if not (specs[0].cv_type.is_gkp or specs[-1].cv_type.is_gkp):
+            specs[-1] = gkp_labeled(0.6, 0.8j)
+        wire = build_cluster(chain_topology(n), specs, alpha)
+        return run_wire(wire, draw(st.integers(0, n - 1), label="steps")).graph
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="keep")
+    topology = Topology(n, tuple(pair for pair, kept in zip(pairs, keep) if kept))
+    graph = build_cluster(topology, specs, alpha)
+    if source == "build":
+        return graph
+    doc = json.loads(to_json(graph))
+    doc["modes"] = draw(st.permutations(doc["modes"]), label="mode order")
+    doc["edges"] = draw(st.permutations(doc["edges"]), label="edge order")
+    return from_json(json.dumps(doc))
+
+
+def _reference_document(graph):
+    """The document of ``alpha``, ``modes`` and ``edges`` built field by field from
+    the records, in record order: what ``to_json`` must encode."""
+    modes = []
+    for record in graph.modes:
+        mode = {"index": record.index, "cv_type": record.cv_type.value}
+        if record.label is not None:
+            mode["label"] = record.label
+        if record.amplitudes is not None:
+            mode["amplitudes"] = [[z.real, z.imag] for z in record.amplitudes]
+        modes.append(mode)
+    edges = [{"a": e.a, "b": e.b, "multiplicity": e.multiplicity} for e in graph.edges]
+    return {"alpha": graph.alpha, "modes": modes, "edges": edges}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(graph=_written_graphs())
+def test_to_json_is_the_sorted_indented_dump_of_the_records(graph):
+    """The writer's reference: every written document is exactly
+    ``json.dumps(doc, indent=2, sort_keys=True)`` of the records' fields, and
+    reads back to an equal graph."""
+    text = to_json(graph)
+    assert text == json.dumps(_reference_document(graph), indent=2, sort_keys=True) + "\n"
+    assert from_json(text) == graph
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graph=_written_graphs(), data=st.data())
+def test_a_legacy_document_reads_as_its_new_form(graph, data):
+    """A document in the older form, its ``nodes`` list in any order, reads to the
+    graph its new form reads to, and renders to the same DOT."""
+    doc = legacy_document(graph)
+    doc["nodes"] = data.draw(st.permutations(doc["nodes"]), label="node order")
+    legacy = from_json(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    current = from_json(to_json(graph))
+    assert legacy == current == graph
+    assert render_dot(legacy) == render_dot(current)
