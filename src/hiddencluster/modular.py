@@ -104,10 +104,14 @@ def decompose_position(x: float, alpha: float) -> tuple[int, int, float]:
     the half-open interval.  ``ell = k mod 2`` and ``m = (k - ell) / 2``.
     ``x`` is a real number (:func:`require_real`).
     """
-    alpha = require_bin_size(alpha)
+    # a float alpha inside the band and a float x with |x| <= 2**1023 pass
+    # straight through; every other input takes the full checks
+    if type(alpha) is not float or not _MIN_BIN_SIZE <= alpha <= _MAX_BIN_SIZE:
+        alpha = require_bin_size(alpha)
     if type(x) is not float:
         x = require_real(x, "position value")
-    if not math.isfinite(x):
+    large = not -_LARGE_POSITION <= x <= _LARGE_POSITION  # also true for NaN
+    if large and not math.isfinite(x):
         raise DomainError(f"position value must be finite, got {x!r}")
     try:
         k = math.floor(x / alpha + 0.5)
@@ -132,18 +136,18 @@ def decompose_position(x: float, alpha: float) -> tuple[int, int, float]:
     elif u < -half:
         u = -half
 
-    if abs(x) > _LARGE_POSITION and not math.isfinite(alpha * k + u):
+    if large and not math.isfinite(alpha * k + u):
         # the same sum recompose forms, since ell + 2*m == k
         raise DomainError(
             f"position {x!r} has no split that recomposes to a finite float for alpha={alpha!r}"
         )
-    ell = k % 2
-    return ell, (k - ell) // 2, u
+    return k & 1, k >> 1, u
 
 
 def recompose(q: tuple[int, int, float], alpha: float) -> float:
     """Rebuild alpha*ell + 2*alpha*m + u from ``q = (ell, m, u)``; ``ell`` and ``m`` are ints."""
-    alpha = require_bin_size(alpha)
+    if type(alpha) is not float or not _MIN_BIN_SIZE <= alpha <= _MAX_BIN_SIZE:
+        alpha = require_bin_size(alpha)
     try:
         ell, m, u = q
     except (TypeError, ValueError):

@@ -173,17 +173,22 @@ def _pair_exponents(
     return exponents
 
 
-#: A broadcast factor: (modes, table), where the table has one axis of length
-#: dim per listed mode and the modes are listed in increasing order.
+#: A broadcast factor: (modes, table), where the table has one axis per listed
+#: mode, as long as that mode's support, and the modes are listed in
+#: increasing order.
 Factor = tuple[tuple[int, ...], np.ndarray]
 
 
-def _spread(table: np.ndarray, modes: tuple[int, ...], axes, dim: int) -> np.ndarray:
-    """View a factor's table with one axis per entry of the sorted ``axes``."""
-    return table.reshape([dim if mode in modes else 1 for mode in axes])
+def _spread(table: np.ndarray, modes: tuple[int, ...], axes) -> np.ndarray:
+    """View a factor's table with one axis per entry of the sorted ``axes``.
+
+    The table's axes keep their own lengths; every other axis has length 1.
+    """
+    lengths = iter(table.shape)
+    return table.reshape([next(lengths) if mode in modes else 1 for mode in axes])
 
 
-def _merge_small_factors(dim: int, n_modes: int, factors: list[Factor]) -> list[Factor]:
+def _merge_small_factors(n_modes: int, factors: list[Factor]) -> list[Factor]:
     """Multiply factors together while their product stays below full size.
 
     Each step merges the two factors whose mode union is smallest, the first
@@ -203,49 +208,88 @@ def _merge_small_factors(dim: int, n_modes: int, factors: list[Factor]) -> list[
         i, j, union = best
         modes = tuple(sorted(union))
         (modes_a, table_a), (modes_b, table_b) = factors[i], factors[j]
-        table = _spread(table_a, modes_a, modes, dim) * _spread(table_b, modes_b, modes, dim)
+        table = _spread(table_a, modes_a, modes) * _spread(table_b, modes_b, modes)
         factors[i] = (modes, table)
         del factors[j]
+
+
+def _support(vector: np.ndarray) -> slice:
+    """The tightest strided slice that holds every nonzero entry of ``vector``.
+
+    It runs from the first nonzero index to one past the last, with the gcd
+    of the gaps between nonzero indices as its step: ``slice(None)`` for a
+    vector with no zero, ``slice(n//2, ..., n)`` for a GKP comb, and an empty
+    slice for the zero vector.  A single nonzero entry gets two adjacent
+    points: numpy multiplies one-element arrays in a scalar loop whose
+    complex product can differ in the last bit from its vector loop's, so
+    a one-element table could round differently from the full product.
+    """
+    nonzero = np.flatnonzero(vector)
+    if nonzero.size == vector.size:
+        return slice(None)
+    if nonzero.size == 0:
+        return slice(0, 0)
+    if nonzero.size == 1:
+        start = min(int(nonzero[0]), vector.size - 2)
+        return slice(start, start + 2)
+    step = int(np.gcd.reduce(np.diff(nonzero)))
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1, step)
 
 
 #: Bound below which a product of factor tables provably stays finite.
 _FINITE_BOUND = 2.0**1000
 
 
-def _multiply_factors(grid: GridSpec, n_modes: int, factors: list[Factor]) -> DiscretizedState:
+def _multiply_factors(
+    grid: GridSpec, n_modes: int, factors: list[Factor], supports: list[slice]
+) -> DiscretizedState:
     """Multiply broadcast factors into one fresh (dim,)*n_modes tensor.
 
-    The small factors are contracted first (:func:`_merge_small_factors`),
-    so a state whose factors pair up below full size, such as a 4-mode
-    chain, star or ring, is written by a single broadcast multiply.  Any
-    factors left after that are multiplied in place, so no factor is
-    written.  The result is proven finite from the factor tables'
-    largest moduli; only when that bound fails is the tensor scanned.
+    Each factor's table holds only its modes' ``supports``, and the factors
+    are multiplied straight into the view ``tensor[supports]`` of a zeroed
+    tensor: no sub-tensor is built and no amplitude outside the support is
+    computed, so those are all ``+0.0``, where a product with a zero entry
+    could be ``-0.0``.  When every support is full the view is the whole
+    tensor, which then starts empty, and every table is full size.  The
+    small factors are contracted first (:func:`_merge_small_factors`), so a
+    state whose factors pair up below full size, such as a 4-mode chain,
+    star or ring, is written by a single broadcast multiply.  Any factors
+    left after that are multiplied in place, so no factor is written.
+
+    The result is proven finite from the sliced tables' largest moduli, and
+    only when that bound fails is the tensor scanned.  The bound holds on
+    the sliced tables because every computed amplitude, and every entry of
+    a merged table, is a product of one entry per sliced table, while the
+    amplitudes outside the view are never computed.  So an input is refused
+    exactly when an amplitude on the support overflows: a partial product
+    that overflows only where another mode's vector is zero, and would turn
+    into NaN there (inf * 0), is never formed.
     """
     dim = grid.dim
-    # Every tensor entry, and every entry of a merged table, is a product of
-    # one entry per factor, so each partial product a multiply forms is at
-    # most the product of max(1, max|table|) over the factors; the factor 2
-    # per table covers the rounding of every complex multiply.  Below 2**1000
-    # no partial product, nor any term inside a complex multiply, can
-    # overflow, so finite tables give a finite tensor.  A NaN or inf entry
-    # makes its scale NaN or inf and fails the test, as does a true overflow;
-    # then the tensor is scanned.  A non-finite product is reported by that
-    # scan, not warned about.
+    # Each partial product a multiply forms is at most the product of
+    # max(1, max|table|) over the factors; the factor 2 per table covers the
+    # rounding of every complex multiply.  Below 2**1000 no partial product,
+    # nor any term inside a complex multiply, can overflow, so finite tables
+    # give a finite tensor.  A NaN or inf entry (a fold that overflowed)
+    # makes its scale NaN or inf and fails the test, as does a true
+    # overflow; then the tensor is scanned.  A non-finite product is
+    # reported by that scan, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        scales = np.maximum([2.0 * np.abs(table).max() for _, table in factors], 1.0)
+        scales = np.maximum([2.0 * np.abs(table).max(initial=0.0) for _, table in factors], 1.0)
         proven = math.prod(scales.tolist()) < _FINITE_BOUND
         shaped = [
-            _spread(table, modes, range(n_modes), dim)
-            for modes, table in _merge_small_factors(dim, n_modes, factors)
+            _spread(table, modes, range(n_modes))
+            for modes, table in _merge_small_factors(n_modes, factors)
         ]
-        tensor = np.empty((dim,) * n_modes, dtype=complex)
+        full = all(support == slice(None) for support in supports)
+        tensor = (np.empty if full else np.zeros)((dim,) * n_modes, dtype=complex)
+        view = tensor[tuple(supports)]
         if len(shaped) == 1:
-            tensor[...] = shaped[0]
+            view[...] = shaped[0]
         else:
-            np.multiply(shaped[0], shaped[1], out=tensor)
+            np.multiply(shaped[0], shaped[1], out=view)
             for factor in shaped[2:]:
-                np.multiply(tensor, factor, out=tensor)
+                np.multiply(view, factor, out=view)
     amplitudes = tensor.reshape(-1)
     if not proven:
         _require_finite(amplitudes)
@@ -266,6 +310,15 @@ def coupled_product(
     The product state itself is never built: each mode's vector is folded
     into the first pair table that touches it, and a mode with no coupling
     is its own factor, so the full tensor is written once and then updated.
+    Only the support of the product, the slice where every vector is
+    nonzero, is computed.  Each mode's support is the tightest strided slice
+    of its vector's nonzero entries (:func:`_support`): every n-th point for
+    a GKP comb, the whole mode for a momentum state.  It is read from the
+    vectors alone.  Each pair's phase table is checked finite at every
+    basis point, then sliced to its two modes' supports before it is
+    exponentiated and the vectors are folded in; each vector is checked
+    finite up front.  Amplitudes outside the support are ``+0.0``
+    (:func:`_multiply_factors`).
     """
     if not vectors:
         raise DomainError("a product state needs at least one mode")
@@ -274,22 +327,27 @@ def coupled_product(
     if any(vector.shape != (dim,) for vector in vectors):
         raise DomainError(f"mode vectors must have one entry per basis point ({dim})")
     n_modes = len(vectors)
+    exponents = _pair_exponents(n_modes, dim, couplings)
+    # checked here, not by the product: a non-finite entry may lie beside a
+    # zero vector, whose empty support leaves it out of every product
+    for vector in vectors:
+        _require_finite(vector)
+    supports = [_support(vector) for vector in vectors]
     unfolded = set(range(n_modes))
     factors = []
-    exponents = _pair_exponents(n_modes, dim, couplings)
     # a fold that overflows is reported by _multiply_factors' scan, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for (mode_a, mode_b), exponent in exponents.items():
-            table = np.exp(1j * exponent)
+            table = np.exp(1j * exponent[supports[mode_a], supports[mode_b]])
             if mode_a in unfolded:
-                table *= vectors[mode_a][:, None]
+                table *= vectors[mode_a][supports[mode_a], None]
                 unfolded.discard(mode_a)
             if mode_b in unfolded:
-                table *= vectors[mode_b]
+                table *= vectors[mode_b][supports[mode_b]]
                 unfolded.discard(mode_b)
             factors.append(((mode_a, mode_b), table))
-    factors += [((mode,), vectors[mode]) for mode in sorted(unfolded)]
-    return _multiply_factors(grid, n_modes, factors)
+    factors += [((mode,), vectors[mode][supports[mode]]) for mode in sorted(unfolded)]
+    return _multiply_factors(grid, n_modes, factors, supports)
 
 
 def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, float]:
@@ -386,14 +444,13 @@ def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
     for sub_a, sub_b in pairs:
         _require_mode(sub_a[0], state.n_modes)
         _require_mode(sub_b[0], state.n_modes)
-    dim = state.grid.dim
     probs = np.abs(state._tensor()) ** 2
     total = probs.sum()
     if total == 0.0:
         raise DomainError("state has zero norm")
     values, means = {}, {}
     for mode, kind in dict.fromkeys(sub for pair in pairs for sub in pair):
-        value = _spread(state.grid.basis_values(kind), (mode,), range(state.n_modes), dim)
+        value = _spread(state.grid.basis_values(kind), (mode,), range(state.n_modes))
         values[mode, kind] = value
         means[mode, kind] = float((probs * value).sum() / total)
     return [

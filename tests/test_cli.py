@@ -379,6 +379,26 @@ class TestVerify:
         assert run("verify", "--seed", "7", "-o", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("seed7", ["--seed", "7"]),
+            ("n4-seed11", ["--n", "4", "--seed", "11"]),
+            ("n4-max-modes4-seed5", ["--n", "4", "--max-modes", "4", "--seed", "5"]),
+        ],
+        ids=["seed7", "n4-seed11", "n4-max-modes4-seed5"],
+    )
+    def test_report_bytes_are_pinned(self, name, argv, tmp_path, monkeypatch):
+        """The reports under ``tests/data`` were written when the oracle still
+        computed every amplitude of each state, with numpy 2.4 on x86-64.
+        Their deviations are round-off figures, so these bytes also pin the
+        order of the oracle's floating-point operations."""
+        monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
+        out = tmp_path / "report.json"
+        assert run("verify", *argv, "-o", str(out)) == 0
+        pinned = Path(__file__).parent / "data" / f"verify-{name}.json"
+        assert out.read_bytes() == pinned.read_bytes()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         by_flag = tmp_path / "flag.json"
         by_env = tmp_path / "env.json"

@@ -21,10 +21,12 @@ from hiddencluster.errors import DomainError
 from hiddencluster.gates import CouplingTerm, Topology, chain_topology, decompose_cz_two_mode
 from hiddencluster.graphs import gkp_labeled, gkp_plus, momentum
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
+from hiddencluster import oracle
 from hiddencluster.oracle import (
     DiscretizedState,
     _merge_small_factors,
     _require_mode,
+    _support,
     GridSpec,
     connected_correlators,
     coupled_product,
@@ -380,6 +382,123 @@ class TestFiniteProof:
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-13 * peak
 
 
+SUPPORT_GRID = GridSpec(n=3, alpha=ALPHA)  # dim 18; a GKP comb sits on indices 1 + 3k
+
+
+def only(vector, indices):
+    """``vector`` with every entry outside ``indices`` set to zero."""
+    kept = np.zeros_like(vector)
+    kept[indices] = vector[indices]
+    return kept
+
+
+def gkp_vector(c0, c1):
+    return prepare_gkp_state(SUPPORT_GRID, c0, c1).amplitudes
+
+
+#: name -> (vectors from four random unit vectors, whether every zero amplitude
+#: lies outside the support and so is +0.0)
+SUPPORT_CASES = {
+    "gkp-combs": (
+        lambda r: [gkp_vector(0.6, 0.8), r[1], gkp_vector(1, 0), gkp_vector(0, 1)],
+        True,
+    ),
+    # modes 2 and 3 each hold one entry; each support takes one zero beside it
+    "single-entries": (
+        lambda r: [only(r[0], [0]), r[1], only(r[2], [17]), only(r[3], [5])],
+        False,
+    ),
+    "irregular-gaps": (
+        lambda r: [only(r[0], [1, 2, 7]), only(r[1], [0, 4, 16]), r[2], only(r[3], [3, 9, 11])],
+        False,
+    ),
+    "all-zero": (lambda r: [r[0], np.zeros_like(r[1]), r[2], r[3]], True),
+    "signed-zeros": (lambda r: [r[0], only(r[1], [2, 3, 8]) * -1.0, r[2], -only(r[3], [6])], False),
+}
+
+
+class TestSupport:
+    """``coupled_product`` computes only the slice where every mode vector is nonzero."""
+
+    POSITIONS = SUPPORT_GRID.position_values()
+    COUPLINGS = [
+        (0, POSITIONS, 1, POSITIONS, 0.9),
+        (1, POSITIONS, 2, POSITIONS, -1.4),
+        (2, POSITIONS, 3, POSITIONS, 0.6),
+        (3, POSITIONS, 0, POSITIONS, 2.1),
+        (2, SUPPORT_GRID.basis_values(L), 0, SUPPORT_GRID.basis_values(U), 0.7),
+    ]
+
+    @pytest.mark.parametrize(
+        "nonzero, expected",
+        [
+            (list(range(18)), slice(None)),
+            (list(range(1, 18, 3)), slice(1, 17, 3)),
+            (list(range(10, 18, 3)), slice(10, 17, 3)),
+            ([], slice(0, 0)),
+            ([5], slice(5, 7)),
+            ([17], slice(16, 18)),
+            ([1, 2, 7], slice(1, 8, 1)),
+            ([0, 4, 16], slice(0, 17, 4)),
+        ],
+        ids=["full", "gkp-comb", "gkp-one", "zero", "single", "single-last", "gaps", "gcd-4"],
+    )
+    def test_support_slice(self, nonzero, expected):
+        vector = np.zeros(SUPPORT_GRID.dim, dtype=complex)
+        vector[nonzero] = 1.0 + 0.5j
+        assert _support(vector) == expected
+
+    @pytest.mark.parametrize("case", sorted(SUPPORT_CASES))
+    def test_partial_supports_match_references(self, case, monkeypatch):
+        build, zeros_off_support = SUPPORT_CASES[case]
+        vectors = build(random_vectors(SUPPORT_GRID, 4, seed=8))
+        before = [v.copy() for v in vectors]
+        out = coupled_product(SUPPORT_GRID, vectors, self.COUPLINGS).amplitudes
+        assert all(np.array_equal(v, w) for v, w in zip(vectors, before))
+        product = tensor_product([DiscretizedState(SUPPORT_GRID, 1, v) for v in vectors])
+        expected = sequential_reference(product, self.COUPLINGS)
+        assert np.array_equal(out == 0, expected == 0)
+        assert np.max(np.abs(out - expected)) < 1e-13
+        if zeros_off_support:
+            assert not np.any(np.signbit(out[out == 0].view(float)))
+        # the same multiplies on full-size tables give the same amplitudes
+        monkeypatch.setattr(oracle, "_support", lambda vector: slice(None))
+        full = coupled_product(SUPPORT_GRID, vectors, self.COUPLINGS).amplitudes
+        assert np.array_equal(out, full)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0)],
+        ids=["inf", "imaginary-inf", "nan"],
+    )
+    def test_non_finite_entry_beside_a_zero_vector_is_refused(self, bad):
+        vectors = random_vectors(SUPPORT_GRID, 4, seed=9)
+        vectors[1] = np.zeros_like(vectors[1])
+        vectors[2][4] = bad
+        before = [v.copy() for v in vectors]
+        with pytest.raises(DomainError, match="^amplitudes must be finite$"):
+            coupled_product(SUPPORT_GRID, vectors, self.COUPLINGS)
+        assert all(np.array_equal(v, w, equal_nan=True) for v, w in zip(vectors, before))
+
+    def test_non_finite_phase_off_every_support_is_refused(self):
+        comb = gkp_vector(1, 0)
+        values = SUPPORT_GRID.position_values()
+        values[0] = math.inf  # index 0 is off the comb
+        with pytest.raises(DomainError, match="^coupling phase on modes 0 and 1 is not finite$"):
+            coupled_product(SUPPORT_GRID, [comb, comb], [(0, values, 1, values, 0.5)])
+
+    def test_overflow_is_refused_only_on_the_support(self):
+        """A pair table that overflows is refused only when a zero vector
+        does not leave it out of every amplitude."""
+        vectors = random_vectors(SUPPORT_GRID, 4, seed=10)
+        vectors[0], vectors[1] = vectors[0] * 1e200, vectors[1] * 1e200
+        vectors[3] = gkp_vector(1, 0)
+        with pytest.raises(DomainError, match="^amplitudes must be finite$"):
+            coupled_product(SUPPORT_GRID, vectors, self.COUPLINGS)
+        vectors[3] = np.zeros_like(vectors[3])
+        out = coupled_product(SUPPORT_GRID, vectors, self.COUPLINGS).amplitudes
+        assert not np.any(out.view(float))
+
+
 class TestFactorMerge:
     """The merge order of ``_multiply_factors``: smallest union first, below full size."""
 
@@ -400,7 +519,7 @@ class TestFactorMerge:
         dim = 2
         rng = np.random.default_rng(len(pairs))
         factors = [(modes, rng.normal(size=(dim,) * len(modes))) for modes in pairs]
-        out = _merge_small_factors(dim, n_modes, factors)
+        out = _merge_small_factors(n_modes, factors)
         assert [modes for modes, _ in out] == merged
         assert [modes for modes, _ in factors] == pairs  # the input list is not changed
 
