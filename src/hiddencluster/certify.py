@@ -367,16 +367,16 @@ def run_verification(
 
     ``g_scale`` rescales the direct-route gate weight; any value other than
     1 detunes the gate and the state-equality checks fail, which is the
-    intended negative control.  ``grid_n``, ``max_modes`` and ``seed`` are ints, ``seed`` >= 0.
+    intended negative control.  ``max_modes`` and ``seed`` are ints, ``seed`` >= 0;
+    ``GridSpec`` checks ``grid_n``, and the amplitude budget alone bounds both sizes.
     """
-    for name, value in (("grid_n", grid_n), ("max_modes", max_modes), ("seed", seed)):
+    for name, value in (("max_modes", max_modes), ("seed", seed)):
         if type(value) is not int:
             raise DomainError(f"{name} must be an int, got {value!r}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if grid_n < 1 or grid_n > 4:
-        raise DomainError("grid_n must be in 1..4 (resource bound)")
-    base = max(2 * grid_n * grid_n, 4)
+    grid = GridSpec(n=grid_n, alpha=alpha)
+    base = max(grid.dim, 4)
     # base >= 4 > 2, so a count past the budget's bit length is over budget
     # without raising base to it
     if not 2 <= max_modes <= _VERIFY_BUDGET.bit_length() or base**max_modes > _VERIFY_BUDGET:
@@ -386,7 +386,6 @@ def run_verification(
             f"entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
         )
     rng = np.random.default_rng(seed)
-    grid = GridSpec(n=grid_n, alpha=alpha)
     tuned = math.pi / grid.alpha**2
     # numpy refuses the draws below from [-2*tuned, 2*tuned] when the width overflows
     if math.isinf(4.0 * tuned):

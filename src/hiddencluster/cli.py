@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the oracle-backed identity suite")
     verify.add_argument("--alpha", default="sqrt_pi")
-    verify.add_argument("--n", type=int, default=2, help="oracle grid size (1..4)")
+    verify.add_argument("--n", type=int, default=2, help="grid size n >= 1; see --max-modes")
     verify.add_argument(
         "--max-modes",
         type=int,

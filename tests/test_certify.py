@@ -306,14 +306,27 @@ class TestVerificationReport:
         assert by_name["block_expansion"]["passed"]
 
     def test_resource_bounds(self):
-        with pytest.raises(DomainError, match=r"1\.\.4"):
-            run_verification(grid_n=5)
-        # just past the 2**20 budget on grid amplitudes (32**5, 18**5, 8**7)
-        # or on logical density entries (4**11), then a count too small
-        # and one too large to raise any base to
-        for grid_n, max_modes in [(4, 5), (3, 5), (2, 7), (1, 11), (2, 1), (1, 10**12)]:
+        # just past the 2**20 budget on grid amplitudes (50**4, 128**3,
+        # 1058**2, 32**5, 18**5, 8**7) or on logical density entries (4**11),
+        # then a count too small and one too large to raise any base to; the
+        # budget is the one bound on the grid size too
+        for grid_n, max_modes in [(5, 4), (8, 3), (23, 2), (4, 5), (3, 5), (2, 7), (1, 11),
+                                  (2, 1), (1, 10**12)]:
             with pytest.raises(DomainError, match=r"budget of 2\*\*20 = 1048576"):
                 run_verification(grid_n=grid_n, max_modes=max_modes)
+
+    @pytest.mark.parametrize("grid_n", [0, -1])
+    def test_grid_size_is_checked_by_gridspec(self, grid_n):
+        with pytest.raises(DomainError) as info:
+            run_verification(grid_n=grid_n)
+        assert str(info.value) == f"grid size must be a positive integer, got {grid_n}"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("grid_n, max_modes", [(5, 3), (7, 3), (16, 2)])
+    def test_grids_past_four_pass_within_the_budget(self, grid_n, max_modes, seed):
+        report = run_verification(grid_n=grid_n, max_modes=max_modes, seed=seed)
+        assert report["passed"] is True
+        assert report["config"]["grid_n"] == grid_n
 
     def test_budget_edge_is_accepted(self):
         report = run_verification(grid_n=2, max_modes=4, seed=3)
@@ -328,7 +341,10 @@ class TestVerificationReport:
     def test_integer_arguments_refuse_floats_and_bools(self, name, value):
         with pytest.raises(DomainError) as info:
             run_verification(**{name: value})
-        assert str(info.value) == f"{name} must be an int, got {value!r}"
+        if name == "grid_n":  # GridSpec holds the one grid-size rule
+            assert str(info.value) == f"grid size must be a positive integer, got {value!r}"
+        else:
+            assert str(info.value) == f"{name} must be an int, got {value!r}"
 
     def test_negative_seed_is_refused_as_the_cli_refuses_it(self, capsys, monkeypatch):
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)

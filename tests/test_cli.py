@@ -361,7 +361,12 @@ class TestVerify:
         assert "cv_cluster_identity" in failing
 
     def test_resource_guard(self, capsys):
-        assert run("verify", "--n", "5") == 2
+        # the budget is the one bound on the grid size: 50**4 and 128**3
+        # amplitudes are over it
+        assert run("verify", "--n", "5", "--max-modes", "4") == 2
+        assert "budget of 2**20 = 1048576" in capsys.readouterr().err
+        assert run("verify", "--n", "8") == 2
+        assert "budget of 2**20 = 1048576" in capsys.readouterr().err
         assert run("verify", "--n", "2", "--max-modes", "7") == 2
         assert "budget of 2**20 = 1048576" in capsys.readouterr().err
         assert run("verify", "--n", "4", "--max-modes", "5") == 2
@@ -385,14 +390,18 @@ class TestVerify:
             ("seed7", ["--seed", "7"]),
             ("n4-seed11", ["--n", "4", "--seed", "11"]),
             ("n4-max-modes4-seed5", ["--n", "4", "--max-modes", "4", "--seed", "5"]),
+            ("n16-max-modes2-seed7", ["--n", "16", "--max-modes", "2", "--seed", "7"]),
         ],
-        ids=["seed7", "n4-seed11", "n4-max-modes4-seed5"],
+        ids=["seed7", "n4-seed11", "n4-max-modes4-seed5", "n16-max-modes2-seed7"],
     )
     def test_report_bytes_are_pinned(self, name, argv, tmp_path, monkeypatch):
-        """The reports under ``tests/data`` were written when the oracle still
-        computed every amplitude of each state, with numpy 2.4 on x86-64.
-        Their deviations are round-off figures, so these bytes also pin the
-        order of the oracle's floating-point operations."""
+        """The first three reports under ``tests/data`` were written when the
+        oracle still computed every amplitude of each state, with numpy 2.4 on
+        x86-64.  The n = 16 report was written, on the same numpy, by the
+        change that let ``verify`` take grids past n = 4; it pins a grid size
+        the other three never reach.  Their deviations are round-off figures,
+        so these bytes also pin the order of the oracle's floating-point
+        operations."""
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
         out = tmp_path / "report.json"
         assert run("verify", *argv, "-o", str(out)) == 0
@@ -803,7 +812,7 @@ _COMMAND_FLAGS = {
     "run-wire": {"--input": _GRAPHS, "--steps": _MODES, "--log": _OUTPUTS, "-o": _OUTPUTS},
     "verify": {
         "--alpha": _ALPHAS,
-        "--n": (["1", "2"], ["0", "5", "-1", "x"]),
+        "--n": (["1", "2", "5"], ["0", "23", "-1", "x"]),
         "--max-modes": (["2", "3"], ["1", "0", "100", "x"]),
         "--g-scale": (["1", "0.5", "2", "0", "-1"], ["inf", "-inf", "nan", "x"]),
         "--seed": (["0", "7"], ["-1", "x"]),
