@@ -381,9 +381,9 @@ def run_verification(
     # without raising base to it
     if not 2 <= max_modes <= _VERIFY_BUDGET.bit_length() or base**max_modes > _VERIFY_BUDGET:
         raise DomainError(
-            f"max_modes={max_modes} is out of range for grid n={grid_n}: it must be at least 2, "
-            f"and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical density "
-            f"entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
+            f"grid n={grid_n} with max_modes={max_modes} is out of range: max_modes must be "
+            f"at least 2, and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical "
+            f"density entries must stay within the budget of 2**20 = {_VERIFY_BUDGET}"
         )
     rng = np.random.default_rng(seed)
     tuned = math.pi / grid.alpha**2

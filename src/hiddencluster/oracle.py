@@ -92,8 +92,8 @@ class DiscretizedState(Record):
     amplitudes: np.ndarray
 
     def __init__(self, grid: GridSpec, n_modes: int, amplitudes: np.ndarray) -> None:
-        if n_modes < 0:
-            raise DomainError("mode count must be nonnegative")
+        if type(n_modes) is not int or n_modes < 0:
+            raise DomainError(f"mode count must be a nonnegative integer, got {n_modes!r}")
         amplitudes = np.asarray(amplitudes, dtype=complex)
         expected = grid.dim**n_modes
         if amplitudes.shape != (expected,):
@@ -196,21 +196,27 @@ def _merge_small_factors(n_modes: int, factors: list[Factor]) -> list[Factor]:
     ``n_modes`` modes; the merged factor takes the first one's place.  A
     merged table holds at most 1/dim of the full tensor.
     """
+    # The tie rule makes the product order a function of the list order
+    # alone: with every pair table listed before the one-mode vectors, each
+    # vector is multiplied into the first pair table on its mode, lower mode
+    # first.  Each factor's mode set is kept beside it, as a bit mask.
+    masks = [sum(1 << mode for mode in modes) for modes, _ in factors]
     factors = list(factors)
     while True:
-        best = None
+        best, best_size = None, n_modes
         for i, j in itertools.combinations(range(len(factors)), 2):
-            union = set(factors[i][0]) | set(factors[j][0])
-            if len(union) < n_modes and (best is None or len(union) < len(best[2])):
-                best = (i, j, union)
+            size = (masks[i] | masks[j]).bit_count()
+            if size < best_size:
+                best, best_size = (i, j), size
         if best is None:
             return factors
-        i, j, union = best
-        modes = tuple(sorted(union))
+        i, j = best
+        union = masks[i] | masks[j]
+        modes = tuple(mode for mode in range(n_modes) if union >> mode & 1)
         (modes_a, table_a), (modes_b, table_b) = factors[i], factors[j]
         table = _spread(table_a, modes_a, modes) * _spread(table_b, modes_b, modes)
-        factors[i] = (modes, table)
-        del factors[j]
+        factors[i], masks[i] = (modes, table), union
+        del factors[j], masks[j]
 
 
 def _support(vector: np.ndarray) -> slice:
@@ -241,39 +247,33 @@ _FINITE_BOUND = 2.0**1000
 
 
 def _multiply_factors(
-    grid: GridSpec, n_modes: int, factors: list[Factor], supports: list[slice]
+    grid: GridSpec, factors: list[Factor], supports: list[slice]
 ) -> DiscretizedState:
-    """Multiply broadcast factors into one fresh (dim,)*n_modes tensor.
+    """Multiply broadcast factors into one fresh tensor with one mode per support.
 
-    Each factor's table holds only its modes' ``supports``, and the factors
-    are multiplied straight into the view ``tensor[supports]`` of a zeroed
-    tensor: no sub-tensor is built and no amplitude outside the support is
+    Each factor's table holds only its modes' ``supports``.  The factors are
+    contracted below full size first (:func:`_merge_small_factors`), and what
+    is left is multiplied straight into the view ``tensor[supports]`` of a
+    zeroed tensor (an empty one when every support is full), the later ones
+    in place: no sub-tensor is built and no amplitude outside the support is
     computed, so those are all ``+0.0``, where a product with a zero entry
-    could be ``-0.0``.  When every support is full the view is the whole
-    tensor, which then starts empty, and every table is full size.  The
-    small factors are contracted first (:func:`_merge_small_factors`), so a
-    state whose factors pair up below full size, such as a 4-mode chain,
-    star or ring, is written by a single broadcast multiply.  Any factors
-    left after that are multiplied in place, so no factor is written.
+    could be ``-0.0``.
 
-    The result is proven finite from the sliced tables' largest moduli, and
-    only when that bound fails is the tensor scanned.  The bound holds on
-    the sliced tables because every computed amplitude, and every entry of
-    a merged table, is a product of one entry per sliced table, while the
-    amplitudes outside the view are never computed.  So an input is refused
-    exactly when an amplitude on the support overflows: a partial product
-    that overflows only where another mode's vector is zero, and would turn
-    into NaN there (inf * 0), is never formed.
+    The result is proven finite from the tables' largest moduli, and only
+    when that bound fails is the tensor scanned.  Every computed amplitude,
+    and every entry of a merged table, is a product of one entry per table,
+    while the amplitudes outside the view are never computed.  So an input
+    is refused exactly when an amplitude on the support overflows: a partial
+    product that overflows only where another mode's vector is zero, and
+    would turn into NaN there (inf * 0), is never formed.
     """
-    dim = grid.dim
+    dim, n_modes = grid.dim, len(supports)
     # Each partial product a multiply forms is at most the product of
     # max(1, max|table|) over the factors; the factor 2 per table covers the
     # rounding of every complex multiply.  Below 2**1000 no partial product,
     # nor any term inside a complex multiply, can overflow, so finite tables
-    # give a finite tensor.  A NaN or inf entry (a fold that overflowed)
-    # makes its scale NaN or inf and fails the test, as does a true
-    # overflow; then the tensor is scanned.  A non-finite product is
-    # reported by that scan, not warned about.
+    # give a finite tensor; above it the tensor is scanned, and a non-finite
+    # product is reported by that scan, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         scales = np.maximum([2.0 * np.abs(table).max(initial=0.0) for _, table in factors], 1.0)
         proven = math.prod(scales.tolist()) < _FINITE_BOUND
@@ -307,18 +307,15 @@ def coupled_product(
 ) -> DiscretizedState:
     """The tensor product of the per-mode vectors, times each coupling's phase.
 
-    The product state itself is never built: each mode's vector is folded
-    into the first pair table that touches it, and a mode with no coupling
-    is its own factor, so the full tensor is written once and then updated.
-    Only the support of the product, the slice where every vector is
-    nonzero, is computed.  Each mode's support is the tightest strided slice
-    of its vector's nonzero entries (:func:`_support`): every n-th point for
-    a GKP comb, the whole mode for a momentum state.  It is read from the
-    vectors alone.  Each pair's phase table is checked finite at every
-    basis point, then sliced to its two modes' supports before it is
-    exponentiated and the vectors are folded in; each vector is checked
-    finite up front.  Amplitudes outside the support are ``+0.0``
-    (:func:`_multiply_factors`).
+    The product state itself is never built.  The factors are each pair's
+    phase table, then each mode's vector as a one-mode factor, and
+    :func:`_multiply_factors` writes their product once.  Only the support
+    of the product, the slice where every vector is nonzero, is computed:
+    each mode's support is the tightest strided slice of its vector's
+    nonzero entries (:func:`_support`), read from the vectors alone.  Each
+    pair's phase table is checked finite at every basis point and sliced to
+    its two modes' supports before it is exponentiated; each vector is
+    checked finite up front.
     """
     if not vectors:
         raise DomainError("a product state needs at least one mode")
@@ -326,28 +323,18 @@ def coupled_product(
     vectors = [np.asarray(vector) for vector in vectors]
     if any(vector.shape != (dim,) for vector in vectors):
         raise DomainError(f"mode vectors must have one entry per basis point ({dim})")
-    n_modes = len(vectors)
-    exponents = _pair_exponents(n_modes, dim, couplings)
+    exponents = _pair_exponents(len(vectors), dim, couplings)
     # checked here, not by the product: a non-finite entry may lie beside a
     # zero vector, whose empty support leaves it out of every product
     for vector in vectors:
         _require_finite(vector)
     supports = [_support(vector) for vector in vectors]
-    unfolded = set(range(n_modes))
-    factors = []
-    # a fold that overflows is reported by _multiply_factors' scan, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (mode_a, mode_b), exponent in exponents.items():
-            table = np.exp(1j * exponent[supports[mode_a], supports[mode_b]])
-            if mode_a in unfolded:
-                table *= vectors[mode_a][supports[mode_a], None]
-                unfolded.discard(mode_a)
-            if mode_b in unfolded:
-                table *= vectors[mode_b][supports[mode_b]]
-                unfolded.discard(mode_b)
-            factors.append(((mode_a, mode_b), table))
-    factors += [((mode,), vectors[mode][supports[mode]]) for mode in sorted(unfolded)]
-    return _multiply_factors(grid, n_modes, factors, supports)
+    factors = [
+        ((mode_a, mode_b), np.exp(1j * exponent[supports[mode_a], supports[mode_b]]))
+        for (mode_a, mode_b), exponent in exponents.items()
+    ]
+    factors += [((mode,), vectors[mode][support]) for mode, support in enumerate(supports)]
+    return _multiply_factors(grid, factors, supports)
 
 
 def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, float]:
@@ -402,36 +389,42 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def _as_vector_or_density(obj) -> np.ndarray:
+def _normalized_operand(obj) -> np.ndarray:
+    """A fidelity argument scaled to unit norm (a vector) or unit trace (a density matrix)."""
     if isinstance(obj, DiscretizedState):
-        return obj.amplitudes
-    arr = np.asarray(obj, dtype=complex)
-    if arr.ndim not in (1, 2):
-        raise DomainError("fidelity arguments must be vectors or density matrices")
-    return arr
+        arr = obj.amplitudes  # finite by construction
+    else:
+        arr = np.asarray(obj, dtype=complex)
+        if arr.ndim not in (1, 2):
+            raise DomainError("fidelity arguments must be vectors or density matrices")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("fidelity arguments must be finite")
+    scale = np.linalg.norm(arr) if arr.ndim == 1 else np.trace(arr).real
+    if scale == 0.0:
+        raise DomainError("cannot normalize a zero vector or a zero-trace density matrix")
+    return arr / scale
 
 
 def fidelity(a, b) -> float:
     """State fidelity; 1 iff equal up to global phase in the pure case.
 
     Accepts two amplitude vectors (or :class:`DiscretizedState`), or one
-    vector and one density matrix in either order; pure inputs are
-    normalized first.  Two density matrices are refused.
+    vector and one density matrix in either order; vectors are normalized
+    first, and a density matrix is divided by its trace.  Two density
+    matrices are refused, as are a zero vector, a zero-trace density matrix
+    and any non-finite entry.
     """
-    x, y = _as_vector_or_density(a), _as_vector_or_density(b)
+    x, y = _normalized_operand(a), _normalized_operand(b)
     if x.ndim == 2 and y.ndim == 1:
         x, y = y, x
     if x.ndim == 2:
         raise DomainError("fidelity needs at least one pure state, got two density matrices")
-    x = x / np.linalg.norm(x)
     if y.ndim == 1:
-        y = y / np.linalg.norm(y)
         if x.shape != y.shape:
             raise DomainError("fidelity arguments must have matching dimensions")
         return float(abs(np.vdot(x, y)) ** 2)
     if y.shape != (x.size, x.size):
         raise DomainError("fidelity arguments must have matching dimensions")
-    y = y / np.trace(y).real
     return float(np.real(x.conj() @ y @ x))
 
 

@@ -234,8 +234,8 @@ class DiscretizedState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_modes < 0:
-            raise DomainError("mode count must be nonnegative")
+        if type(self.n_modes) is not int or self.n_modes < 0:
+            raise DomainError(f"mode count must be a nonnegative integer, got {self.n_modes!r}")
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         expected = self.grid.dim**self.n_modes
         if self.amplitudes.shape != (expected,):

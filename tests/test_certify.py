@@ -315,6 +315,16 @@ class TestVerificationReport:
             with pytest.raises(DomainError, match=r"budget of 2\*\*20 = 1048576"):
                 run_verification(grid_n=grid_n, max_modes=max_modes)
 
+    def test_budget_message_names_the_grid_and_the_count(self):
+        # the grid size alone is over budget here; 2 modes is the minimum
+        with pytest.raises(DomainError) as info:
+            run_verification(grid_n=23, max_modes=2)
+        assert str(info.value) == (
+            "grid n=23 with max_modes=2 is out of range: max_modes must be at least 2, "
+            "and (2*n*n)**max_modes grid amplitudes and 4**max_modes logical density "
+            "entries must stay within the budget of 2**20 = 1048576"
+        )
+
     @pytest.mark.parametrize("grid_n", [0, -1])
     def test_grid_size_is_checked_by_gridspec(self, grid_n):
         with pytest.raises(DomainError) as info:

@@ -25,6 +25,7 @@ from hiddencluster import oracle
 from hiddencluster.oracle import (
     DiscretizedState,
     _merge_small_factors,
+    _require_finite,
     _require_mode,
     _support,
     GridSpec,
@@ -321,9 +322,10 @@ class TestFiniteProof:
     """``coupled_product`` proves its result finite from the factor tables and
     scans the tensor only when that bound fails."""
 
-    # pair tables in this order: (3, 4) with modes 3 and 4 folded in, (0, 1)
-    # with modes 0 and 1, and (1, 2) with mode 2; the (0, 1) and (1, 2)
-    # tables merge first, before the (3, 4) table is multiplied in
+    # the pair tables (3, 4), (0, 1) and (1, 2), then the five mode vectors;
+    # each vector merges into the first table on its mode (3 and 4 into
+    # (3, 4), 0 and 1 into (0, 1), 2 into (1, 2)), then the (0, 1) and
+    # (1, 2) tables merge, before the (3, 4) table is multiplied in
     POSITIONS = KERNEL_GRID.position_values()
     COUPLINGS = [
         (3, POSITIONS, 4, POSITIONS, 0.6),
@@ -336,7 +338,7 @@ class TestFiniteProof:
         [
             {0: "nan"},
             {4: "inf"},
-            {0: 1e200, 1: 1e200},  # folded into one pair table, which overflows
+            {0: 1e200, 1: 1e200},  # merged into one pair table, which overflows
             # every table is finite, but the merged (0, 1, 2) table overflows
             # although the tiny (3, 4) table would scale it back into range
             {0: 1e200, 2: 1e200, 3: 1e-300},
@@ -354,26 +356,28 @@ class TestFiniteProof:
             coupled_product(KERNEL_GRID, vectors, self.COUPLINGS)
 
     def finite_bound(self, vectors):
-        """The bound the rule forms over the three pair tables."""
-        phases = [np.exp(1j * c * np.multiply.outer(va, vb)) for _, va, _, vb, c in self.COUPLINGS]
-        tables = [
-            phases[0] * vectors[3][:, None] * vectors[4],
-            phases[1] * vectors[0][:, None] * vectors[1],
-            phases[2] * vectors[2],
-        ]
-        return math.prod(max(2.0 * float(np.abs(table).max()), 1.0) for table in tables)
+        """The bound the rule forms over the factor list: scale 2 for each of
+        the three unimodular pair tables, max(1, 2*max|v|) for each vector."""
+        return 2.0**3 * math.prod(max(2.0 * float(np.abs(v).max()), 1.0) for v in vectors)
 
-    @pytest.mark.parametrize("log2_bound", [999.5, 1000.5], ids=["proven", "scanned"])
-    def test_large_finite_product_matches_reference(self, log2_bound):
+    @pytest.mark.parametrize(
+        "log2_bound, scans", [(999.5, 0), (1000.5, 1)], ids=["proven", "scanned"]
+    )
+    def test_large_finite_product_matches_reference(self, log2_bound, scans, monkeypatch):
         vectors = random_vectors(KERNEL_GRID, 5, 7)
-        vectors[3] = vectors[3] / 4  # keep the (3, 4) table's scale at 1
         vectors[0], vectors[2] = vectors[0] * 1e100, vectors[2] * 1e100
-        # the other two tables' scales now exceed 1, so scaling modes 0 and 2
-        # by f scales the bound by f**2
+        # the scales of vectors 0 and 2 now exceed 1, so scaling them by f
+        # scales the bound by f**2
         f = math.sqrt(2.0**log2_bound / self.finite_bound(vectors))
         vectors[0], vectors[2] = vectors[0] * f, vectors[2] * f
         assert math.isclose(math.log2(self.finite_bound(vectors)), log2_bound)
+        checked = []
+        monkeypatch.setattr(
+            oracle, "_require_finite", lambda a: checked.append(a.size) or _require_finite(a)
+        )
         out = coupled_product(KERNEL_GRID, vectors, self.COUPLINGS)
+        # the five vectors are checked up front; the tensor only when unproven
+        assert checked.count(KERNEL_GRID.dim**5) == scans
         product = tensor_product([DiscretizedState(KERNEL_GRID, 1, v) for v in vectors])
         expected = sequential_reference(product, self.COUPLINGS)
         assert np.all(np.isfinite(out.amplitudes))
@@ -512,8 +516,16 @@ class TestFactorMerge:
             (3, [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (0, 2)]),
             (4, [(0, 1, 2, 3), (0, 1), (2, 3)], [(0, 1, 2, 3), (0, 1), (2, 3)]),
             (6, [(0, 1), (2, 3), (4,), (5,)], [(0, 1, 2, 3), (4, 5)]),
+            # pair tables, then one vector per mode, as coupled_product lists them
+            (4, [(0, 1), (1, 2), (2, 3), (0,), (1,), (2,), (3,)], [(0, 1, 2), (2, 3)]),
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3), (0,), (1,), (2,), (3,)],
+             [(0, 1, 2), (0, 2, 3)]),
+            (2, [(0, 1), (0,), (1,)], [(0, 1), (0,), (1,)]),
         ],
-        ids=["chain", "ring", "star", "chain-5", "ring-3", "full-state", "singles"],
+        ids=[
+            "chain", "ring", "star", "chain-5", "ring-3", "full-state", "singles",
+            "chain-vectors", "ring-vectors", "pair-vectors",
+        ],
     )
     def test_merge_order_and_values(self, n_modes, pairs, merged):
         dim = 2
@@ -530,6 +542,33 @@ class TestFactorMerge:
             return tensor
 
         assert np.allclose(full(out), full(factors), rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def complex_tables(shapes, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+
+    def test_each_vector_lands_in_the_first_table_on_its_mode(self):
+        """On a 4-mode ring each vector is multiplied into the first pair
+        table on its mode, lower mode first, before any two tables merge."""
+        d = 3
+        t01, t12, t23, t03, v0, v1, v2, v3 = self.complex_tables([(d, d)] * 4 + [(d,)] * 4, 1)
+        factors = [((0, 1), t01), ((1, 2), t12), ((2, 3), t23), ((0, 3), t03)]
+        factors += [((mode,), v) for mode, v in enumerate([v0, v1, v2, v3])]
+        out = _merge_small_factors(4, factors)
+        assert [modes for modes, _ in out] == [(0, 1, 2), (0, 2, 3)]
+        expected = [
+            (t01 * v0[:, None] * v1)[:, :, None] * (t12 * v2)[None, :, :],
+            (t23 * v3)[None, :, :] * t03[:, None, :],
+        ]
+        assert all(np.array_equal(table, e) for (_, table), e in zip(out, expected))
+
+    def test_two_modes_merge_nothing(self):
+        """At two modes every union is full size, so the pair table and both
+        vectors are left for the tensor write."""
+        factors = list(zip([(0, 1), (0,), (1,)], self.complex_tables([(3, 3), (3,), (3,)], 2)))
+        out = _merge_small_factors(2, factors)
+        assert all(a is b for a, b in zip(out, factors)) and len(out) == 3
 
 
 class TestProjection:
@@ -666,6 +705,25 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             fidelity(np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (np.zeros(2), np.ones(2), "^cannot normalize a zero vector or a zero-trace"),
+            (np.ones(2), np.zeros(2), "^cannot normalize a zero vector or a zero-trace"),
+            (np.ones(2), np.diag([1.0, -1.0]), "^cannot normalize a zero vector or a zero-trace"),
+            (np.ones(2), np.zeros((2, 2)), "^cannot normalize a zero vector or a zero-trace"),
+            (np.array([1.0, np.nan]), np.ones(2), "^fidelity arguments must be finite$"),
+            (np.ones(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), "must be finite$"),
+        ],
+        ids=["zero-vector", "zero-second-vector", "traceless-density", "zero-density",
+             "nan-vector", "inf-density"],
+    )
+    def test_undefined_fidelity_is_refused(self, a, b, message):
+        with pytest.raises(DomainError, match=message):
+            fidelity(a, b)
+        with pytest.raises(DomainError, match=message):
+            fidelity(b, a)
 
 
 def reference_connected_correlator(state, sub_a, sub_b):

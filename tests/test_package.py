@@ -1,7 +1,7 @@
 """The package's public surface and layout: every exported name resolves,
 the README's library quick start runs as written, only ``modular``
-defines the (ell, m, u) order of a mode's subsystems, and the CLI keeps no
-error type of its own."""
+defines the (ell, m, u) order of a mode's subsystems, the oracle imports
+nothing it checks, and the CLI keeps no error type of its own."""
 
 import ast
 import re
@@ -111,6 +111,53 @@ def test_only_modular_defines_the_kind_layout():
     }
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, at any level of nesting;
+    ``hiddencluster`` itself when it imports the package's top level."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0 and path[0] != "hiddencluster":
+                continue
+            path = path[1:] if node.level == 0 else [name for name in path if name]
+            found |= {path[0]} if path else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "hiddencluster":
+                    found.add(path[1] if len(path) > 1 else "hiddencluster")
+    return found
+
+
+def test_the_import_guard_finds_injected_imports():
+    injected = [
+        "from .graphs import build_cluster",
+        "def f():\n    from .certify import graph_state",
+        "from . import gates",
+        "import hiddencluster.measurement",
+        "from hiddencluster.graphs import SubsystemGraph",
+        "from hiddencluster import certify",
+        "import hiddencluster",
+    ]
+    assert [package_imports(source) for source in injected] == [
+        {"graphs"}, {"certify"}, {"gates"}, {"measurement"}, {"graphs"}, {"certify"},
+        {"hiddencluster"},
+    ]
+    assert package_imports("import numpy as np\nfrom hiddencluster_x import y") == set()
+
+
+def test_oracle_imports_nothing_it_checks():
+    """The oracle stays independent of the symbolic layer it certifies: it
+    imports only the record base, the error types and ``modular``'s
+    subsystem types from the package, at module or function level."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    allowed = {"_record", "errors", "modular"}
+    assert package_imports(source) <= allowed
+    injected = source + "\n\ndef _peek():\n    from .graphs import build_cluster\n"
+    assert package_imports(injected) - allowed == {"graphs"}
 
 
 def test_cli_defines_no_exception_class():

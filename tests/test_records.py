@@ -141,6 +141,9 @@ REFUSED = [
     ("GridSpec", (True, 1.5)),
     ("GridSpec", (2, 10**400)),
     ("DiscretizedState", (GRID, -1, np.ones(1))),
+    ("DiscretizedState", (GRID, 1.0, np.ones(8))),
+    ("DiscretizedState", (GRID, True, np.ones(8))),
+    ("DiscretizedState", (GRID, np.int64(1), np.ones(8))),
     ("DiscretizedState", (GRID, 1, np.ones(3))),
 ]
 
