@@ -35,7 +35,7 @@ from .graphs import (
     momentum,
     structurally_equal,
 )
-from .measurement import HADAMARD, LogicalFrame, measure_p0
+from .measurement import HADAMARD, run_wire
 from .modular import DEFAULT_ALPHA, SubsystemKind, require_real
 from .oracle import (
     DiscretizedState,
@@ -290,11 +290,13 @@ def _wire_unzip_deviation(
 ) -> float:
     """Worst deficit across one full teleportation run down a wire.
 
+    Step k is ``run_wire`` for k steps on the built wire, whose input is its
+    last mode, so the oracle measures the state's last axis at each step.
     Covers, at every step: fidelity of the measured oracle state against the
-    state of the symbolic post-measurement graph, structural equality of
-    that graph with a fresh build on the residual wire, and the neighbor's
-    modular mass away from u = 0.  At the end, the single remaining mode is
-    compared against the Hadamard-evolved label directly.
+    state of the walked graph, structural equality of that graph with a
+    fresh build on the residual wire, and the neighbor's modular mass away
+    from u = 0.  At the end, the single remaining mode is compared against
+    the Hadamard-evolved label directly.
     """
     chain = chain_topology(n_modes)
     specs = [momentum() for _ in range(n_modes - 1)] + [gkp_labeled(*label)]
@@ -302,35 +304,25 @@ def _wire_unzip_deviation(
     state = direct_cluster_state(grid, chain, specs, g_scale=g_scale)
 
     worst = 0.0
-    remaining = list(range(n_modes))
-    frame = LogicalFrame(0, label)
-    current = n_modes - 1
     expected_label = np.array(label, dtype=complex)
-    for _ in range(n_modes - 1):
-        axis = remaining.index(current)
-        projected, weight = project_p0(state, axis)
+    for steps in range(1, n_modes):
+        rest = n_modes - steps
+        projected, weight = project_p0(state, rest)
         if weight == 0.0:
             return float("inf")
         state = projected.normalized()
-        remaining.pop(axis)
-
-        result = measure_p0(graph, current, frame)
-        graph, frame = result.graph, result.frame
+        run = run_wire(graph, steps)
         expected_label = HADAMARD @ expected_label
-        neighbor = result.record.converted_node // 3
 
-        worst = max(worst, 1.0 - fidelity(state, graph_state(grid, graph)))
+        worst = max(worst, 1.0 - fidelity(state, graph_state(grid, run.graph)))
 
-        residual_specs = [
-            gkp_labeled(*frame.current_label) if index == neighbor else momentum()
-            for index in remaining
-        ]
-        rebuilt = build_cluster(chain_topology(len(remaining)), residual_specs, grid.alpha)
-        if not structurally_equal(graph, rebuilt):
+        residual_specs = [momentum() for _ in range(rest - 1)]
+        residual_specs.append(gkp_labeled(*run.frame.current_label))
+        rebuilt = build_cluster(chain_topology(rest), residual_specs, grid.alpha)
+        if not structurally_equal(run.graph, rebuilt):
             return float("inf")
 
-        axis = remaining.index(neighbor)
-        rho_u = reduced_density(state, [(axis, SubsystemKind.GAUGE_MODULAR)])
+        rho_u = reduced_density(state, [(rest - 1, SubsystemKind.GAUGE_MODULAR)])
         off_mass = float(
             sum(
                 rho_u[j, j].real
@@ -341,12 +333,11 @@ def _wire_unzip_deviation(
         # the off-mass bound is far tighter than the fidelity bound; scale it
         # so one worst-case number covers both
         worst = max(worst, off_mass * 1e10)
-        current = neighbor
 
     final = prepare_gkp_state(grid, *expected_label)
     worst = max(worst, 1.0 - fidelity(state, final))
     label_drift = float(
-        np.max(np.abs(np.array(frame.current_label) - expected_label))
+        np.max(np.abs(np.array(run.frame.current_label) - expected_label))
     )
     return max(worst, label_drift)
 

@@ -277,8 +277,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
-    frame = LogicalFrame(0, graph.mode_amplitudes(args.mode))
-    result = measure_p0(graph, args.mode, frame)
+    result = measure_p0(graph, args.mode, LogicalFrame())
     _write_text(args.output, to_json(result.graph))
     if args.log is not None:
         _write_text(args.log, _log_line(1, result.record, result.frame))

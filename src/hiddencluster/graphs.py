@@ -218,11 +218,6 @@ def _node_fields(record: ModeRecord) -> list[tuple[int, int, SubsystemKind, Node
     ]
 
 
-def _pinned_nodes(modes: tuple[ModeRecord, ...]) -> set[int]:
-    """The modular-position nodes pinned at u = 0: one per GKP-type mode."""
-    return {3 * record.index + _MODULAR for record in modes if record.cv_type.is_gkp}
-
-
 class SubsystemGraph(Record):
     """Modes and edges; each mode's three nodes are derived from its record.
 
@@ -272,7 +267,8 @@ class SubsystemGraph(Record):
                 f"an edge references unknown node {unknown[0]}: "
                 f"the graph has no mode {unknown[0] // 3}"
             )
-        pinned = ends & _pinned_nodes(modes)
+        # one modular-position node per GKP-type mode is pinned at u = 0
+        pinned = ends & {3 * m.index + _MODULAR for m in modes if m.cv_type.is_gkp}
         if pinned:
             raise DomainError(f"an edge is incident to pinned modular-position node {min(pinned)}")
         set_field(self, "alpha", alpha)
@@ -299,14 +295,6 @@ class SubsystemGraph(Record):
             return record.amplitudes
         inv = 1.0 / math.sqrt(2.0)
         return (complex(inv), complex(inv))
-
-
-def absorb_modular_zero_edges(
-    modes: tuple[ModeRecord, ...], edges: tuple[SubsystemEdge, ...]
-) -> tuple[SubsystemEdge, ...]:
-    """Delete every edge incident to a modular-position node pinned at u = 0."""
-    pinned = _pinned_nodes(modes)
-    return tuple(e for e in edges if e.a not in pinned and e.b not in pinned)
 
 
 def cluster_topology(adjacency: Topology | np.ndarray, specs: list[ModeSpec]) -> Topology:

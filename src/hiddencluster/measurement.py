@@ -5,8 +5,11 @@ factorizes into a logical X measurement with outcome +1 and a gauge
 momentum projection.  On the graph this deletes the measured mode, pins the
 neighbor's modular-position node to u = 0 (which absorbs all of that node's
 edges), and teleports the measured logical label onto the neighbor with a
-Hadamard applied.  Only outcome 0 is modeled and only degree-1 nodes may be
-measured; anything else raises instead of producing an unproved rewrite.
+Hadamard applied.  A walk down a wire pins only the last neighbor's node;
+every other GKP-type mode's is pinned already.  Only outcome 0 is modeled,
+only degree-1 nodes may be measured, and the neighbor may not be labeled
+(its label would multiply the teleported one); anything else raises instead
+of producing an unproved rewrite.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .graphs import (
     CvType,
     ModeRecord,
     SubsystemGraph,
-    absorb_modular_zero_edges,
     logical_neighbors,
     norm_sq,
 )
@@ -69,17 +71,17 @@ def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, compl
 def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> MeasurementResult:
     """Measure the momentum of a GKP-type mode with outcome 0.
 
-    The measured mode must have exactly one neighbor at the mode level.  The
-    neighbor becomes a GKP-labeled mode carrying the Hadamard of the measured
-    label, its modular-position node is pinned to u = 0 and stripped of
-    edges, and the frame's Hadamard count increments by one.
+    The measured mode must have exactly one neighbor at the mode level, not a
+    labeled one.  The neighbor becomes a GKP-labeled mode carrying the Hadamard
+    of the measured label, its modular-position node is pinned to u = 0 and
+    stripped of edges, and the frame's Hadamard count increments by one.
 
     Only ``frame.hadamard_count`` is read.  The label teleported is the
     measured mode's own amplitudes in ``graph``, and the returned frame's
     ``current_label`` is the Hadamard of that label, whatever
     ``frame.current_label`` holds.
     """
-    run = _walk(graph, logical_neighbors(graph), mode, 1, frame)
+    run = _walk(graph, logical_neighbors(graph), mode, 1, frame.hadamard_count)
     return MeasurementResult(graph=run.graph, frame=run.frame, record=run.records[0])
 
 
@@ -119,13 +121,14 @@ def _walk(
     neighbors: dict[int, set[int]],
     mode: int,
     steps: int,
-    frame: LogicalFrame,
+    hadamard_count: int,
 ) -> WireRun:
-    """Measure ``steps`` modes in turn, starting at ``mode``.
+    """Measure ``steps`` modes in turn from ``mode``, counting Hadamards from ``hadamard_count``.
 
     Each hop measures the mode the previous hop relabeled, so its residual
     neighbors are its ``neighbors`` minus the modes already measured.  The
-    residual graph is built once, after the last hop.
+    residual graph is built once, after the last hop, without the edges of
+    the measured modes and of the one node pinned.
     """
     record = graph.mode_by_index(mode)
     if not record.cv_type.is_gkp:
@@ -134,6 +137,7 @@ def _walk(
             "nodes (use the grid oracle instead)"
         )
     amplitudes, label = graph.mode_amplitudes(mode), record.label
+    frame = LogicalFrame(hadamard_count, amplitudes)
     measured: set[int] = set()
     records: list[MeasurementRecord] = []
     frames: list[LogicalFrame] = []
@@ -145,6 +149,11 @@ def _walk(
                 "are supported"
             )
         (neighbor,) = remaining
+        if graph.mode_by_index(neighbor).cv_type is CvType.GKP_LABELED:
+            raise UnsupportedMeasurement(
+                f"mode {neighbor} is labeled; teleporting onto a labeled neighbor is not "
+                "derived (use the grid oracle instead)"
+            )
         amplitudes = _apply_hadamard(amplitudes)
         label = f"H({label or '+'})"
         frame = LogicalFrame(hadamard_count=frame.hadamard_count + 1, current_label=amplitudes)
@@ -169,10 +178,9 @@ def _walk(
         for m in graph.modes
         if m.index not in measured
     )
-    kept = tuple(e for e in graph.edges if e.a // 3 not in measured and e.b // 3 not in measured)
-    residual = SubsystemGraph(
-        alpha=graph.alpha, modes=modes, edges=absorb_modular_zero_edges(modes, kept)
-    )
+    dropped = {node for r in records for node in r.removed_nodes} | {records[-1].converted_node}
+    kept = tuple(e for e in graph.edges if e.a not in dropped and e.b not in dropped)
+    residual = SubsystemGraph(alpha=graph.alpha, modes=modes, edges=kept)
     return WireRun(graph=residual, frame=frame, records=tuple(records), frames=tuple(frames))
 
 
@@ -185,6 +193,4 @@ def run_wire(graph: SubsystemGraph, steps: int) -> WireRun:
             f"steps must be between 0 and {len(graph.modes) - 1}, got {steps}"
         )
     neighbors = logical_neighbors(graph)
-    start = _wire_input_mode(graph, neighbors)
-    frame = LogicalFrame(hadamard_count=0, current_label=graph.mode_amplitudes(start))
-    return _walk(graph, neighbors, start, steps, frame)
+    return _walk(graph, neighbors, _wire_input_mode(graph, neighbors), steps, 0)

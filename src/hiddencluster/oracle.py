@@ -84,6 +84,33 @@ def _require_finite(amplitudes: np.ndarray) -> None:
         raise DomainError("amplitudes must be finite")
 
 
+#: Smallest norm, trace or total used as computed: below it a norm's squares
+#: near the float minimum lose precision, and dividing by it can overflow.
+_TINY_SIZE = 2.0**-500
+
+
+def _rescaling(sized, array: np.ndarray):
+    """``sized(array)``, a ``(value, size)`` pair whose size is a norm, trace or total.
+
+    When the size overflows or falls below :data:`_TINY_SIZE` in magnitude,
+    ``sized`` runs again on ``array`` divided by its largest real or
+    imaginary part; the size is then 0 only for a zero array.  Any other
+    array takes one pass, bit-identical to ``sized(array)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, size = sized(array)
+    if not _TINY_SIZE <= abs(size) < math.inf:
+        peak = max(np.abs(array.real).max(initial=0.0), np.abs(array.imag).max(initial=0.0))
+        if peak > 0.0:
+            # part by part: a complex quotient overflows by a subnormal divisor
+            value, size = sized(array.real / peak + 1j * (array.imag / peak))
+    return value, size
+
+
+def _with_norm(vector: np.ndarray) -> tuple[np.ndarray, float]:
+    return vector, np.linalg.norm(vector)
+
+
 class DiscretizedState(Record):
     """Dense amplitude vector over the grid of ``n_modes`` modes."""
 
@@ -109,10 +136,10 @@ class DiscretizedState(Record):
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "DiscretizedState":
-        norm = self.norm()
+        amplitudes, norm = _rescaling(_with_norm, self.amplitudes)
         if norm == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return DiscretizedState(self.grid, self.n_modes, self.amplitudes / norm)
+        return DiscretizedState(self.grid, self.n_modes, amplitudes / norm)
 
     def _tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((self.grid.dim,) * self.n_modes)
@@ -377,9 +404,12 @@ def reduced_density(
     moved = np.transpose(tensor, axes + rest)
     sizes = moved.shape[: len(axes)]
     kept = int(np.prod(sizes))
-    flat = moved.reshape(kept, -1)
-    rho = flat @ flat.conj().T
-    trace = float(np.trace(rho).real)
+
+    def with_trace(flat: np.ndarray) -> tuple[np.ndarray, float]:
+        rho = flat @ flat.conj().T
+        return rho, float(np.trace(rho).real)
+
+    rho, trace = _rescaling(with_trace, moved.reshape(kept, -1))
     if trace <= 0.0:
         raise DomainError("state has zero norm; no reduced state exists")
     return rho / trace
@@ -399,7 +429,8 @@ def _normalized_operand(obj) -> np.ndarray:
             raise DomainError("fidelity arguments must be vectors or density matrices")
         if not np.all(np.isfinite(arr)):
             raise DomainError("fidelity arguments must be finite")
-    scale = np.linalg.norm(arr) if arr.ndim == 1 else np.trace(arr).real
+    sized = _with_norm if arr.ndim == 1 else lambda matrix: (matrix, np.trace(matrix).real)
+    arr, scale = _rescaling(sized, arr)
     if scale == 0.0:
         raise DomainError("cannot normalize a zero vector or a zero-trace density matrix")
     return arr / scale
@@ -437,8 +468,12 @@ def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
     for sub_a, sub_b in pairs:
         _require_mode(sub_a[0], state.n_modes)
         _require_mode(sub_b[0], state.n_modes)
-    probs = np.abs(state._tensor()) ** 2
-    total = probs.sum()
+
+    def with_total(tensor: np.ndarray) -> tuple[np.ndarray, float]:
+        probs = np.abs(tensor) ** 2
+        return probs, probs.sum()
+
+    probs, total = _rescaling(with_total, state._tensor())
     if total == 0.0:
         raise DomainError("state has zero norm")
     values, means = {}, {}

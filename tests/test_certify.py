@@ -13,6 +13,7 @@ from grid_reference import (
     reference_graph_state,
     topology_matrix,
 )
+from hiddencluster import certify
 from hiddencluster.certify import (
     align_global_phase,
     decomposed_cluster_state,
@@ -29,6 +30,8 @@ from hiddencluster.cli import main
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import Topology, chain_topology, grid_topology
 from hiddencluster.graphs import (
+    CvType,
+    SubsystemGraph,
     build_cluster,
     edge_coefficient,
     gkp_labeled,
@@ -36,9 +39,15 @@ from hiddencluster.graphs import (
     logical_neighbors,
     momentum,
 )
-from hiddencluster.measurement import LogicalFrame, measure_p0, run_wire
+from hiddencluster.measurement import LogicalFrame, WireRun, measure_p0, run_wire
 from hiddencluster.modular import DEFAULT_ALPHA
-from hiddencluster.oracle import GridSpec, fidelity, prepare_gkp_state, qubit_cluster_state
+from hiddencluster.oracle import (
+    GridSpec,
+    fidelity,
+    prepare_gkp_state,
+    project_p0,
+    qubit_cluster_state,
+)
 
 ALPHA = DEFAULT_ALPHA
 RING_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -93,11 +102,12 @@ def assert_matches_node_record_reference(grid, graph):
 
 
 @st.composite
-def mode_specs(draw, n_modes):
-    """Momentum, plus and labeled GKP modes, the labels away from the poles."""
+def mode_specs(draw, n_modes, labeled=True):
+    """Momentum, plus and, when ``labeled``, labeled GKP modes, the labels away
+    from the poles."""
     specs = []
     for _ in range(n_modes):
-        kind = draw(st.sampled_from(["p", "gkp+", "gkp"]))
+        kind = draw(st.sampled_from(["p", "gkp+", "gkp"] if labeled else ["p", "gkp+"]))
         if kind == "p":
             specs.append(momentum())
         elif kind == "gkp+":
@@ -135,14 +145,18 @@ class TestGraphStateMatchesNodeRecordReference:
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(drawn=grid_and_graph(max_modes=5), data=st.data())
     def test_residual_graphs_of_measure_p0(self, drawn, data):
-        """Measured degree-1 GKP-type modes leave gaps in the mode indices."""
+        """Measured degree-1 GKP-type modes leave gaps in the mode indices.  Only
+        modes whose neighbor is unlabeled are measured: the walk refuses the rest."""
         grid, graph = drawn
         for _ in range(data.draw(st.integers(1, 3), label="measurements")):
             neighbors = logical_neighbors(graph)
             candidates = [
                 record.index
                 for record in graph.modes
-                if record.cv_type.is_gkp and len(neighbors[record.index]) == 1
+                if record.cv_type.is_gkp
+                and len(neighbors[record.index]) == 1
+                and graph.mode_by_index(min(neighbors[record.index])).cv_type
+                is not CvType.GKP_LABELED
             ]
             if not candidates:
                 break
@@ -153,10 +167,11 @@ class TestGraphStateMatchesNodeRecordReference:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_residual_graphs_of_run_wire(self, data):
-        """A wire whose input is mode 0 keeps only its high mode indices."""
+        """A wire whose input is mode 0 keeps only its high mode indices.  Only the
+        input is labeled: the walk refuses to hop into a labeled mode."""
         grid = GridSpec(n=data.draw(st.integers(1, 3), label="grid n"), alpha=ALPHA)
         n_modes = data.draw(st.integers(2, 5), label="n_modes")
-        specs = data.draw(mode_specs(n_modes), label="specs")
+        specs = data.draw(mode_specs(n_modes, labeled=False), label="specs")
         input_mode = data.draw(st.sampled_from([0, n_modes - 1]), label="input")
         specs[input_mode] = gkp_labeled(0.6, 0.8j)
         graph = build_cluster(chain_topology(n_modes), specs, ALPHA)
@@ -368,3 +383,46 @@ class TestVerificationReport:
     def test_non_finite_g_scale_is_rejected(self, g_scale):
         with pytest.raises(DomainError, match="g_scale must be finite"):
             run_verification(grid_n=2, max_modes=2, g_scale=g_scale)
+
+
+def _zero_weight_projection(state, mode):
+    return project_p0(state, mode)[0], 0.0
+
+
+def _walk_without_edges(graph, steps):
+    run = run_wire(graph, steps)
+    bare = SubsystemGraph(run.graph.alpha, run.graph.modes, ())
+    return WireRun(graph=bare, frame=run.frame, records=run.records, frames=run.frames)
+
+
+def _no_logical_neighbors(graph):
+    return {record.index: set() for record in graph.modes}
+
+
+class TestFailureBranches:
+    """Each failure branch of the teleport and soundness checks, forced by
+    patching one call the check makes, fails that check alone and makes
+    ``verify`` exit 5."""
+
+    @pytest.mark.parametrize(
+        "name, replacement, failing, deviation",
+        [
+            ("project_p0", _zero_weight_projection, "unzip_teleportation", math.inf),
+            ("run_wire", _walk_without_edges, "unzip_teleportation", math.inf),
+            ("logical_neighbors", _no_logical_neighbors, "graph_soundness", None),
+        ],
+        ids=["zero-weight", "structure-mismatch", "soundness"],
+    )
+    def test_forced_failure(self, name, replacement, failing, deviation, monkeypatch, capsys):
+        monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
+        monkeypatch.setattr(certify, name, replacement)
+        report = run_verification(seed=3)
+        failed = [check for check in report["checks"] if not check["passed"]]
+        assert [check["name"] for check in failed] == [failing]
+        if deviation is None:  # one failure per random topology with an edge
+            assert 1.0 <= failed[0]["max_deviation"] <= 50.0
+        else:
+            assert failed[0]["max_deviation"] == deviation
+        assert report["passed"] is False
+        assert main(["verify", "--seed", "3"]) == 5
+        assert '"passed": false' in capsys.readouterr().out

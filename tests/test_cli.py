@@ -295,6 +295,22 @@ class TestMeasureAndWire:
         assert run("measure", "--input", str(wire), "--mode", "0") == 4
         assert "unsupported:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n, nodes, argv",
+        [
+            (2, "gkp:0.6,0.8,gkp:1,0", ["measure", "--mode", "1"]),
+            (3, "gkp:1,0,p,gkp:0.6,0.8", ["run-wire", "--steps", "2"]),
+        ],
+        ids=["measure", "run-wire"],
+    )
+    def test_hop_into_labeled_mode_exits_4(self, n, nodes, argv, tmp_path, capsys):
+        wire = self.build_wire(tmp_path, n, nodes)
+        out = tmp_path / "out.json"
+        assert run(argv[0], "--input", str(wire), *argv[1:], "-o", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported: mode 0 is labeled;") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_run_wire_full(self, tmp_path):
         wire = self.build_wire(tmp_path, 4, "p,p,p,gkp:0.6,0.8")
         out = tmp_path / "final.json"
@@ -391,17 +407,21 @@ class TestVerify:
             ("n4-seed11", ["--n", "4", "--seed", "11"]),
             ("n4-max-modes4-seed5", ["--n", "4", "--max-modes", "4", "--seed", "5"]),
             ("n16-max-modes2-seed7", ["--n", "16", "--max-modes", "2", "--seed", "7"]),
+            ("n1-max-modes10-seed3", ["--n", "1", "--max-modes", "10", "--seed", "3"]),
         ],
-        ids=["seed7", "n4-seed11", "n4-max-modes4-seed5", "n16-max-modes2-seed7"],
+        ids=["seed7", "n4-seed11", "n4-max-modes4-seed5", "n16-max-modes2-seed7",
+             "n1-max-modes10-seed3"],
     )
     def test_report_bytes_are_pinned(self, name, argv, tmp_path, monkeypatch):
         """The first three reports under ``tests/data`` were written when the
         oracle still computed every amplitude of each state, with numpy 2.4 on
         x86-64.  The n = 16 report was written, on the same numpy, by the
         change that let ``verify`` take grids past n = 4; it pins a grid size
-        the other three never reach.  Their deviations are round-off figures,
-        so these bytes also pin the order of the oracle's floating-point
-        operations."""
+        the other three never reach.  The n = 1 report, written on the same
+        numpy while ``verify`` still folded one-step measurements, pins wires
+        of up to ten modes, so walks of up to nine steps.  Their deviations
+        are round-off figures, so these bytes also pin the order of the
+        oracle's floating-point operations."""
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
         out = tmp_path / "report.json"
         assert run("verify", *argv, "-o", str(out)) == 0

@@ -27,7 +27,6 @@ from hiddencluster.graphs import (
     SubsystemEdge,
     SubsystemGraph,
     _node_fields,
-    absorb_modular_zero_edges,
     build_cluster,
     from_json,
     gkp_labeled,
@@ -767,8 +766,9 @@ def _with_mode(graph, place, **fields):
     old = records[place]
     values = {"cv_type": old.cv_type, "label": old.label, "amplitudes": old.amplitudes}
     records[place] = ModeRecord(old.index, **{**values, **fields})
-    modes = tuple(records)
-    return SubsystemGraph(graph.alpha, modes, absorb_modular_zero_edges(modes, graph.edges))
+    pinned = 3 * old.index + U.offset if records[place].cv_type.is_gkp else None
+    edges = tuple(e for e in graph.edges if pinned not in (e.a, e.b))
+    return SubsystemGraph(graph.alpha, tuple(records), edges)
 
 
 _SPEC_DRAWS = st.one_of(
@@ -857,6 +857,9 @@ def _written_graphs(draw):
     specs = draw(st.lists(spec_draws, min_size=n, max_size=n), label="specs")
     alpha = draw(st.sampled_from([DEFAULT_ALPHA, 1.0, 2.5]), label="alpha")
     if source == "wire-residual":
+        # the walk refuses to hop into a labeled mode, so only the last mode
+        # keeps a label; labeled, it is the input
+        specs[:-1] = [gkp_plus() if s.cv_type is CvType.GKP_LABELED else s for s in specs[:-1]]
         if not (specs[0].cv_type.is_gkp or specs[-1].cv_type.is_gkp):
             specs[-1] = gkp_labeled(0.6, 0.8j)
         wire = build_cluster(chain_topology(n), specs, alpha)

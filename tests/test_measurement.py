@@ -110,6 +110,30 @@ class TestMeasureP0:
         with pytest.raises(UnsupportedTopology):
             measure_p0(graph, 0, LogicalFrame())
 
+    @pytest.mark.parametrize(
+        "neighbor_label, written_fidelity", [((0.6, 0.8), 0.98), ((1.0, 0.0), 0.5)]
+    )
+    def test_hop_into_labeled_neighbor_is_refused(self, neighbor_label, written_fidelity):
+        """On the oracle the neighbor's own label d multiplies the teleported H c
+        entrywise.  A graph labeled H c alone misses d, so the walk refuses the
+        hop and names the neighbor."""
+        grid = GridSpec(n=2, alpha=ALPHA)
+        label = (1.0, 0.0)
+        specs = [gkp_labeled(*neighbor_label), gkp_labeled(*label)]
+        projected, _ = project_p0(direct_cluster_state(grid, chain_adjacency(2), specs), 1)
+        state = projected.normalized()
+
+        def single_mode(amplitudes):
+            return graph_state(grid, wire(1, amplitudes / np.linalg.norm(amplitudes)))
+
+        teleported = HADAMARD @ np.array(label)
+        assert fidelity(state, single_mode(teleported)) == pytest.approx(written_fidelity)
+        exact = single_mode(np.array(neighbor_label) * teleported)
+        assert fidelity(state, exact) >= 1 - 1e-12
+        graph = build_cluster(chain_adjacency(2), specs, ALPHA)
+        with pytest.raises(UnsupportedMeasurement, match="^mode 0 is labeled;"):
+            measure_p0(graph, 1, LogicalFrame())
+
     def test_rewrite_is_input_independent(self):
         rng = np.random.default_rng(12)
         shapes = {
@@ -225,6 +249,14 @@ class TestRunWire:
         graph = build_cluster(chain_adjacency(3), specs, ALPHA)
         with pytest.raises(UnsupportedMeasurement):
             run_wire(graph, 1)
+
+    def test_hop_into_labeled_mode_is_refused(self):
+        graph = build_cluster(
+            chain_adjacency(3), [gkp_labeled(1.0, 0.0), momentum(), gkp_labeled(0.6, 0.8)], ALPHA
+        )
+        assert run_wire(graph, 1).records[0].measured_mode == 2
+        with pytest.raises(UnsupportedMeasurement, match="^mode 0 is labeled;"):
+            run_wire(graph, 2)
 
     def test_input_end_prefers_labeled(self):
         specs = [gkp_labeled(0.6, 0.8), momentum(), gkp_plus()]

@@ -726,6 +726,65 @@ class TestFidelity:
             fidelity(b, a)
 
 
+class TestScaledStates:
+    """A state scaled so far that its squared norm overflows or underflows, or
+    comes near the float minimum, gives what the unit state gives.  Before
+    these were rescaled, ``[1e200, 1e200]`` read as a fidelity of 0.0 with
+    itself, normalized to the zero vector, and gave an all-NaN reduced
+    density and NaN correlators, while ``[1e-200, 1e-200]`` was refused as a
+    zero vector."""
+
+    SCALES = [1e200, 1e-200, 1e-160, 1e300]
+
+    @staticmethod
+    def scaled(scale):
+        unit = random_state(GridSpec(n=2, alpha=ALPHA), 2, seed=4)
+        return unit, DiscretizedState(unit.grid, 2, unit.amplitudes * scale)
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_the_two_entry_vector(self, value):
+        x = np.array([value, value])
+        assert fidelity(x, x) == pytest.approx(1.0, abs=1e-15)
+        state = DiscretizedState(GridSpec(n=1, alpha=ALPHA), 1, x)
+        assert np.allclose(state.normalized().amplitudes, [math.sqrt(0.5)] * 2, rtol=0, atol=1e-15)
+        assert np.allclose(reduced_density(state, [(0, L)]), 0.5, rtol=0, atol=1e-15)
+        bell = DiscretizedState(GridSpec(n=1, alpha=ALPHA), 2, np.array([value, 0, 0, value]))
+        assert connected_correlators(bell, [((0, L), (1, L))]) == [0.25]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_fidelity(self, scale):
+        unit, state = self.scaled(scale)
+        assert fidelity(state, state) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(state, unit) == pytest.approx(1.0, abs=1e-14)
+        rho, vector = reduced_density(unit, [(0, L)]), np.array([0.6, 0.8j])
+        assert fidelity(vector * scale, rho * scale) == pytest.approx(
+            fidelity(vector, rho), abs=1e-14
+        )
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_normalized(self, scale):
+        unit, state = self.scaled(scale)
+        assert np.allclose(state.normalized().amplitudes, unit.amplitudes, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_reduced_density(self, scale):
+        unit, state = self.scaled(scale)
+        for selection in ([(0, L)], [(1, M), (0, U)]):
+            expected = reduced_density(unit, selection)
+            assert np.allclose(reduced_density(state, selection), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_connected_correlators(self, scale):
+        unit, state = self.scaled(scale)
+        pairs = [((0, L), (1, L)), ((0, M), (1, U)), ((1, U), (1, M))]
+        assert np.allclose(
+            connected_correlators(state, pairs),
+            connected_correlators(unit, pairs),
+            rtol=0,
+            atol=1e-14,
+        )
+
+
 def reference_connected_correlator(state, sub_a, sub_b):
     """An earlier revision's one-pair correlator, with the same arithmetic."""
     (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
