@@ -89,6 +89,11 @@ def _require_finite(amplitudes: np.ndarray) -> None:
 _TINY_SIZE = 2.0**-500
 
 
+def _peak(array: np.ndarray) -> float:
+    """Largest magnitude of any real or imaginary part of ``array``."""
+    return max(np.abs(array.real).max(initial=0.0), np.abs(array.imag).max(initial=0.0))
+
+
 def _rescaling(sized, array: np.ndarray):
     """``sized(array)``, a ``(value, size)`` pair whose size is a norm, trace or total.
 
@@ -100,7 +105,7 @@ def _rescaling(sized, array: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         value, size = sized(array)
     if not _TINY_SIZE <= abs(size) < math.inf:
-        peak = max(np.abs(array.real).max(initial=0.0), np.abs(array.imag).max(initial=0.0))
+        peak = _peak(array)
         if peak > 0.0:
             # part by part: a complex quotient overflows by a subnormal divisor
             value, size = sized(array.real / peak + 1j * (array.imag / peak))
@@ -133,7 +138,12 @@ class DiscretizedState(Record):
         set_field(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm, taken on the amplitudes over their peak part when it
+        overflows or falls below :data:`_TINY_SIZE`, as :func:`_rescaling` does."""
+        scaled, norm = _rescaling(_with_norm, self.amplitudes)
+        if scaled is not self.amplitudes:  # the norm of the rescaled amplitudes
+            return float(norm) * float(_peak(self.amplitudes))
+        return float(norm)
 
     def normalized(self) -> "DiscretizedState":
         amplitudes, norm = _rescaling(_with_norm, self.amplitudes)

@@ -21,12 +21,16 @@ import math
 
 import numpy as np
 
-from hiddencluster.certify import mode_state
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import CouplingTerm, chain_topology
+from hiddencluster.gates import chain_topology
 from hiddencluster.graphs import EDGE_UNIT_PHASE, CvType, NodeState, to_json
 from hiddencluster.modular import SubsystemKind
-from hiddencluster.oracle import DiscretizedState, coupled_product
+from hiddencluster.oracle import (
+    DiscretizedState,
+    coupled_product,
+    prepare_gkp_state,
+    prepare_momentum_state,
+)
 
 
 def tensor_product(states):
@@ -44,9 +48,18 @@ def tensor_product(states):
     return DiscretizedState(grid, total_modes, amps)
 
 
+def spec_state(grid, spec):
+    """A mode spec's one-mode grid state: uniform for momentum, a comb for GKP."""
+    if spec.cv_type is CvType.MOMENTUM:
+        return prepare_momentum_state(grid)
+    if spec.cv_type is CvType.GKP_PLUS:
+        return prepare_gkp_state(grid, 1 / math.sqrt(2), 1 / math.sqrt(2))
+    return prepare_gkp_state(grid, *spec.amplitudes)
+
+
 def product_state(grid, specs):
     """The unentangled product of each mode spec's grid state."""
-    return tensor_product([mode_state(grid, spec) for spec in specs])
+    return tensor_product([spec_state(grid, spec) for spec in specs])
 
 
 def _on_mode(values, mode, n_modes, dim):

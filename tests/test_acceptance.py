@@ -16,9 +16,9 @@ from hiddencluster.certify import (
     graph_edge_pairs,
     graph_state,
     max_amplitude_deviation,
+    phase_deviation,
     sample_label,
     sample_quantum_numbers,
-    two_mode_phase_deviation,
 )
 from hiddencluster.cli import main as cli_main
 from hiddencluster.gates import (
@@ -73,7 +73,8 @@ def test_criterion_1_phase_identity_suite():
         tuned = PI / alpha**2
         weights = list(rng.uniform(-2 * tuned, 2 * tuned, size=20)) + [tuned, tuned / 2, 0.0]
         for g in weights:
-            worst = max(worst, two_mode_phase_deviation(g, alpha, tuples))
+            terms = decompose_cz_two_mode(g, alpha)
+            worst = max(worst, phase_deviation([(0, 1, g)], alpha, terms, tuples))
         assert len(decompose_cz_two_mode(tuned, alpha)) == 6
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 5.0

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,12 @@ from grid_reference import (
 )
 from hiddencluster import certify
 from hiddencluster.certify import (
-    align_global_phase,
+    _mode_vectors,
     decomposed_cluster_state,
     direct_cluster_state,
     graph_edge_pairs,
     graph_state,
     max_amplitude_deviation,
-    mode_state,
     random_topology,
     run_verification,
     sample_label,
@@ -42,14 +43,17 @@ from hiddencluster.graphs import (
 from hiddencluster.measurement import LogicalFrame, WireRun, measure_p0, run_wire
 from hiddencluster.modular import DEFAULT_ALPHA
 from hiddencluster.oracle import (
+    DiscretizedState,
     GridSpec,
     fidelity,
     prepare_gkp_state,
+    prepare_momentum_state,
     project_p0,
     qubit_cluster_state,
 )
 
 ALPHA = DEFAULT_ALPHA
+DATA = Path(__file__).parent / "data"
 RING_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
 STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
 
@@ -278,20 +282,25 @@ class TestTopologyBoundary:
 
 
 class TestHelpers:
-    def test_mode_state_dispatch(self):
+    def test_mode_vectors_dispatch(self):
         grid = GridSpec(n=2, alpha=ALPHA)
         inv = 1 / math.sqrt(2)
-        plus = mode_state(grid, gkp_plus())
-        assert fidelity(plus, prepare_gkp_state(grid, inv, inv)) == pytest.approx(1.0)
-        labeled = mode_state(grid, gkp_labeled(0.6, 0.8))
-        assert fidelity(labeled, prepare_gkp_state(grid, 0.6, 0.8)) == pytest.approx(1.0)
+        specs = [momentum(), gkp_plus(), gkp_labeled(0.6, 0.8)]
+        expected = [
+            prepare_momentum_state(grid),
+            prepare_gkp_state(grid, inv, inv),
+            prepare_gkp_state(grid, 0.6, 0.8),
+        ]
+        for vector, state in zip(_mode_vectors(grid, specs), expected, strict=True):
+            assert np.array_equal(vector, state.amplitudes)
 
-    def test_align_global_phase(self):
+    def test_deviation_ignores_global_phase(self):
         rng = np.random.default_rng(40)
-        base = rng.normal(size=8) + 1j * rng.normal(size=8)
-        rotated = base * np.exp(1.23j)
-        aligned = align_global_phase(base, rotated)
-        assert np.allclose(aligned, base, atol=1e-12)
+        grid = GridSpec(n=2, alpha=ALPHA)
+        base = rng.normal(size=grid.dim) + 1j * rng.normal(size=grid.dim)
+        state = DiscretizedState(grid, 1, base)
+        rotated = DiscretizedState(grid, 1, base * np.exp(1.23j))
+        assert max_amplitude_deviation(state, rotated) < 1e-12
 
     def test_deviation_requires_matching_shapes(self):
         grid = GridSpec(n=1, alpha=1.0)
@@ -407,22 +416,55 @@ class TestFailureBranches:
     @pytest.mark.parametrize(
         "name, replacement, failing, deviation",
         [
-            ("project_p0", _zero_weight_projection, "unzip_teleportation", math.inf),
-            ("run_wire", _walk_without_edges, "unzip_teleportation", math.inf),
-            ("logical_neighbors", _no_logical_neighbors, "graph_soundness", None),
+            ("project_p0", _zero_weight_projection, "unzip_teleportation", None),
+            ("run_wire", _walk_without_edges, "unzip_teleportation", None),
+            ("logical_neighbors", _no_logical_neighbors, "graph_soundness", (1.0, 50.0)),
         ],
         ids=["zero-weight", "structure-mismatch", "soundness"],
     )
     def test_forced_failure(self, name, replacement, failing, deviation, monkeypatch, capsys):
+        """An infinite deviation is written as ``null``; the soundness check
+        counts one failure per random topology with an edge."""
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
         monkeypatch.setattr(certify, name, replacement)
         report = run_verification(seed=3)
         failed = [check for check in report["checks"] if not check["passed"]]
         assert [check["name"] for check in failed] == [failing]
-        if deviation is None:  # one failure per random topology with an edge
-            assert 1.0 <= failed[0]["max_deviation"] <= 50.0
+        if deviation is None:
+            assert failed[0]["max_deviation"] is None
         else:
-            assert failed[0]["max_deviation"] == deviation
+            assert deviation[0] <= failed[0]["max_deviation"] <= deviation[1]
         assert report["passed"] is False
         assert main(["verify", "--seed", "3"]) == 5
-        assert '"passed": false' in capsys.readouterr().out
+        printed = strict_json(capsys.readouterr().out)
+        assert printed == report
+
+
+def strict_json(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``,
+    which RFC 8259 JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_strict_json_refuses_non_finite_numbers():
+    for text in ('{"max_deviation": Infinity}', "[NaN]", "-Infinity"):
+        with pytest.raises(ValueError, match="not JSON"):
+            strict_json(text)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.name)
+def test_pinned_reports_are_strict_json(path):
+    report = strict_json(path.read_text(encoding="utf-8"))
+    assert all(check["max_deviation"] is not None for check in report["checks"])
+
+
+def test_non_finite_deviation_is_a_failing_null():
+    assert certify._check("c", math.inf, 1.0) == {
+        "name": "c", "passed": False, "max_deviation": None, "tolerance": 1.0
+    }
+    assert certify._check("c", math.nan, 1.0)["max_deviation"] is None
+    assert certify._check("c", 0.5, 1.0)["passed"] is True

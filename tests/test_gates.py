@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 import coupling_reference
 from grid_reference import chain_adjacency, topology_matrix
-from hiddencluster.certify import (
-    multimode_phase_deviation,
-    random_topology,
-    sample_quantum_numbers,
-    two_mode_phase_deviation,
-)
+from hiddencluster.certify import phase_deviation, random_topology, sample_quantum_numbers
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import (
     COUPLINGS,
@@ -111,7 +106,8 @@ class TestPhaseIdentity:
         )
         tuned = PI / alpha**2
         for g in [tuned, tuned / 2, 0.0, *rng.uniform(-2 * tuned, 2 * tuned, 12)]:
-            assert two_mode_phase_deviation(g, alpha, tuples) < 1e-10
+            terms = decompose_cz_two_mode(g, alpha)
+            assert phase_deviation([(0, 1, g)], alpha, terms, tuples) < 1e-10
 
     def test_pruned_factors_are_unit_phases_on_integers(self):
         alpha = DEFAULT_ALPHA
@@ -133,7 +129,9 @@ class TestPhaseIdentity:
             upper = np.triu(rng.integers(0, 2, size=(n_modes, n_modes)), k=1).astype(float)
             topology = as_topology(upper + upper.T)
             samples = [sample_quantum_numbers(rng, alpha, 1000) for _ in range(n_modes)]
-            assert multimode_phase_deviation(topology, alpha, samples) < 1e-10
+            edges = [(i, j, PI / alpha**2) for i, j in topology.edges]
+            terms = decompose_cz_multimode(topology, alpha).all_terms
+            assert phase_deviation(edges, alpha, terms, samples) < 1e-10
 
 
 class TestCouplingLayout:

@@ -761,6 +761,22 @@ class TestScaledStates:
             fidelity(vector, rho), abs=1e-14
         )
 
+    @pytest.mark.parametrize("value", [2e200, 2e-200])
+    def test_norm_and_projection_weight(self, value):
+        """Before ``norm`` rescaled, 2e200 overflowed with a warning and 2e-200
+        read as a zero norm, so a projection's weight read as zero."""
+        state = DiscretizedState(GridSpec(n=1, alpha=ALPHA), 2, np.full(4, value))
+        assert state.norm() == pytest.approx(2 * value, rel=1e-15, abs=0)
+        projected, weight = project_p0(state, 1)
+        assert weight == pytest.approx(2 * value, rel=1e-15, abs=0)
+        assert projected.norm() == weight
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_norm(self, scale):
+        unit, state = self.scaled(scale)
+        assert state.norm() == pytest.approx(scale * unit.norm(), rel=1e-14, abs=0)
+        assert unit.norm() == float(np.linalg.norm(unit.amplitudes))
+
     @pytest.mark.parametrize("scale", SCALES)
     def test_normalized(self, scale):
         unit, state = self.scaled(scale)

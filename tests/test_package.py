@@ -1,7 +1,8 @@
 """The package's public surface and layout: every exported name resolves,
 the README's library quick start runs as written, only ``modular``
 defines the (ell, m, u) order of a mode's subsystems, the oracle imports
-nothing it checks, and the CLI keeps no error type of its own."""
+nothing it checks, every public ``certify`` function has a caller in the
+package, and the CLI keeps no error type of its own."""
 
 import ast
 import re
@@ -158,6 +159,47 @@ def test_oracle_imports_nothing_it_checks():
     assert package_imports(source) <= allowed
     injected = source + "\n\ndef _peek():\n    from .graphs import build_cluster\n"
     assert package_imports(injected) - allowed == {"graphs"}
+
+
+def called_names(source: str) -> set[str]:
+    """Names ``source`` calls, as ``f(...)`` or ``obj.f(...)``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                found.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                found.add(node.func.attr)
+    return found
+
+
+def uncalled_public_functions(source: str, callers: list[str]) -> list[str]:
+    """Public module-level functions of ``source`` that no ``callers`` source calls."""
+    calls = set().union(*map(called_names, callers))
+    return [
+        statement.name
+        for statement in ast.parse(source).body
+        if isinstance(statement, ast.FunctionDef)
+        and not statement.name.startswith("_")
+        and statement.name not in calls
+    ]
+
+
+def test_every_public_certify_function_has_a_package_caller():
+    """No public ``certify`` function exists only for its tests.  Only the
+    CLI imports ``certify`` (the package does not re-export it), so its
+    callers are ``certify`` itself and ``cli``."""
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        if "certify" in package_imports(path.read_text(encoding="utf-8"))
+    }
+    assert importers == {"cli.py"}
+    source = (SRC / "certify.py").read_text(encoding="utf-8")
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert uncalled_public_functions(source, [source, cli]) == []
+    injected = source + "\n\ndef only_tests_call_this(state):\n    return state.norm()\n"
+    assert uncalled_public_functions(injected, [injected, cli]) == ["only_tests_call_this"]
 
 
 def test_cli_defines_no_exception_class():
