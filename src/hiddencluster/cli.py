@@ -214,21 +214,21 @@ def _term_dict(term) -> dict:
     }
 
 
-def _log_line(step: int, record: MeasurementRecord, frame: LogicalFrame) -> str:
-    label = [[z.real, z.imag] for z in frame.current_label]
-    return (
-        json.dumps(
+def _write_walk(args: argparse.Namespace, graph, records: tuple[MeasurementRecord, ...]) -> None:
+    """Write the residual ``graph`` and, with ``--log``, one JSON line per step record."""
+    _write_text(args.output, to_json(graph))
+    if args.log is not None:
+        lines = (
             {
                 "step": step,
                 "measured_mode": record.measured_mode,
-                "outcome": 0,
-                "hadamard_count": frame.hadamard_count,
-                "label": label,
-            },
-            sort_keys=True,
+                "outcome": record.outcome,
+                "hadamard_count": record.frame.hadamard_count,
+                "label": [[z.real, z.imag] for z in record.frame.current_label],
+            }
+            for step, record in enumerate(records, 1)
         )
-        + "\n"
-    )
+        _write_text(args.log, "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -278,22 +278,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
     result = measure_p0(graph, args.mode, LogicalFrame())
-    _write_text(args.output, to_json(result.graph))
-    if args.log is not None:
-        _write_text(args.log, _log_line(1, result.record, result.frame))
+    _write_walk(args, result.graph, (result.record,))
     return 0
 
 
 def cmd_run_wire(args: argparse.Namespace) -> int:
     graph = _read_graph(args.input)
     run = run_wire(graph, args.steps)
-    _write_text(args.output, to_json(run.graph))
-    if args.log is not None:
-        lines = "".join(
-            _log_line(step + 1, record, frame)
-            for step, (record, frame) in enumerate(zip(run.records, run.frames))
-        )
-        _write_text(args.log, lines)
+    _write_walk(args, run.graph, run.records)
     return 0
 
 

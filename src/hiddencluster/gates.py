@@ -118,23 +118,6 @@ def decompose_cz_two_mode(g: float, alpha: float) -> list[CouplingTerm]:
     return [t for t in terms if not _phase_is_identity(t)]
 
 
-def _edge_fault(edge: object, n_modes: int, previous: tuple[int, int]) -> str:
-    """Why :class:`Topology` refuses ``edge``, which follows the edge ``previous``."""
-    try:
-        i, j = edge
-    except (TypeError, ValueError):
-        return f"edge {edge!r} must be an (i, j) pair"
-    if type(edge) is not tuple:
-        return f"edge {edge!r} must be a tuple, got {type(edge).__name__}"
-    if type(i) is not int or type(j) is not int:
-        return f"edge ({i!r}, {j!r}) must have int ends"
-    if i == j:
-        return f"self-loop at mode {i}"
-    if not 0 <= i < j < n_modes:
-        return f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={n_modes}"
-    return f"edge ({i}, {j}) repeats or breaks the row-major order after {previous}"
-
-
 class Topology(Record):
     """Mode-level graph: ``n_modes`` modes and the ``(i, j)`` pairs they share.
 
@@ -156,22 +139,25 @@ class Topology(Record):
             edges = tuple(edges)
         except TypeError:
             raise DomainError(f"edges must be an iterable of pairs, got {edges!r}") from None
-        last_i = last_j = -1
+        last = (-1, -1)
         for edge in edges:
-            # one test per valid edge; _edge_fault names the rule a refused one breaks
             try:
                 i, j = edge
             except (TypeError, ValueError):
-                i = j = None
-            if not (
-                type(edge) is tuple
-                and type(i) is int
-                and type(j) is int
-                and 0 <= i < j < n_modes
-                and (i > last_i or i == last_i and j > last_j)
-            ):
-                raise DomainError(_edge_fault(edge, n_modes, (last_i, last_j)))
-            last_i, last_j = i, j
+                raise DomainError(f"edge {edge!r} must be an (i, j) pair") from None
+            if type(edge) is not tuple:
+                raise DomainError(f"edge {edge!r} must be a tuple, got {type(edge).__name__}")
+            if type(i) is not int or type(j) is not int:
+                raise DomainError(f"edge ({i!r}, {j!r}) must have int ends")
+            if i == j:
+                raise DomainError(f"self-loop at mode {i}")
+            if not 0 <= i < j < n_modes:
+                raise DomainError(f"edge ({i}, {j}) must have ends 0 <= i < j < n_modes={n_modes}")
+            if edge <= last:
+                raise DomainError(
+                    f"edge ({i}, {j}) repeats or breaks the row-major order after {last}"
+                )
+            last = edge
         set_field(self, "n_modes", n_modes)
         set_field(self, "edges", edges)
 

@@ -41,16 +41,26 @@ class LogicalFrame(Record):
 
 
 class MeasurementRecord(Record):
+    """One outcome-0 momentum measurement and the logical ``frame`` after it.
+
+    The step removes ``measured_mode``'s three nodes and pins ``converted_node``,
+    the neighbor's modular-position node, to u = 0; ``outcome`` is always 0.
+    """
+
     measured_mode: int
-    outcome: float
-    removed_nodes: tuple[int, int, int]
+    outcome: int
     converted_node: int
+    frame: LogicalFrame
 
 
 class MeasurementResult(Record):
     graph: SubsystemGraph
-    frame: LogicalFrame
     record: MeasurementRecord
+
+    @property
+    def frame(self) -> LogicalFrame:
+        # bench/workloads.py:367 passes ``result.frame`` to the next measure_p0
+        return self.record.frame
 
 
 def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -74,23 +84,23 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
     The measured mode must have exactly one neighbor at the mode level, not a
     labeled one.  The neighbor becomes a GKP-labeled mode carrying the Hadamard
     of the measured label, its modular-position node is pinned to u = 0 and
-    stripped of edges, and the frame's Hadamard count increments by one.
+    stripped of edges, and the step's record holds the frame after it, whose
+    Hadamard count is one more than ``frame``'s.
 
     Only ``frame.hadamard_count`` is read.  The label teleported is the
-    measured mode's own amplitudes in ``graph``, and the returned frame's
+    measured mode's own amplitudes in ``graph``, and the record frame's
     ``current_label`` is the Hadamard of that label, whatever
     ``frame.current_label`` holds.
     """
     run = _walk(graph, logical_neighbors(graph), mode, 1, frame.hadamard_count)
-    return MeasurementResult(graph=run.graph, frame=run.frame, record=run.records[0])
+    return MeasurementResult(graph=run.graph, record=run.records[0])
 
 
 class WireRun(Record):
     graph: SubsystemGraph
+    #: the last record's frame, or the input's after zero steps
     frame: LogicalFrame
     records: tuple[MeasurementRecord, ...]
-    #: frame after each step, aligned with ``records``
-    frames: tuple[LogicalFrame, ...] = ()
 
 
 def _wire_input_mode(graph: SubsystemGraph, neighbors: dict[int, set[int]]) -> int:
@@ -140,7 +150,6 @@ def _walk(
     frame = LogicalFrame(hadamard_count, amplitudes)
     measured: set[int] = set()
     records: list[MeasurementRecord] = []
-    frames: list[LogicalFrame] = []
     for _ in range(steps):
         remaining = neighbors[mode] - measured
         if len(remaining) != 1:
@@ -156,20 +165,13 @@ def _walk(
             )
         amplitudes = _apply_hadamard(amplitudes)
         label = f"H({label or '+'})"
-        frame = LogicalFrame(hadamard_count=frame.hadamard_count + 1, current_label=amplitudes)
-        records.append(
-            MeasurementRecord(
-                measured_mode=mode,
-                outcome=0.0,
-                removed_nodes=(3 * mode, 3 * mode + 1, 3 * mode + 2),
-                converted_node=3 * neighbor + SubsystemKind.GAUGE_MODULAR.offset,
-            )
-        )
-        frames.append(frame)
+        frame = LogicalFrame(frame.hadamard_count + 1, amplitudes)
+        converted_node = 3 * neighbor + SubsystemKind.GAUGE_MODULAR.offset
+        records.append(MeasurementRecord(mode, 0, converted_node, frame))
         measured.add(mode)
         mode = neighbor
     if not records:
-        return WireRun(graph=graph, frame=frame, records=(), frames=())
+        return WireRun(graph=graph, frame=frame, records=())
 
     modes = tuple(
         ModeRecord(m.index, CvType.GKP_LABELED, label, amplitudes)
@@ -178,16 +180,20 @@ def _walk(
         for m in graph.modes
         if m.index not in measured
     )
-    dropped = {node for r in records for node in r.removed_nodes} | {records[-1].converted_node}
+    offsets = [kind.offset for kind in SubsystemKind]
+    dropped = {3 * m + offset for m in measured for offset in offsets}
+    dropped.add(records[-1].converted_node)
     kept = tuple(e for e in graph.edges if e.a not in dropped and e.b not in dropped)
     residual = SubsystemGraph(alpha=graph.alpha, modes=modes, edges=kept)
-    return WireRun(graph=residual, frame=frame, records=tuple(records), frames=tuple(frames))
+    return WireRun(graph=residual, frame=frame, records=tuple(records))
 
 
 def run_wire(graph: SubsystemGraph, steps: int) -> WireRun:
     """Measure a linear wire step by step from its GKP-type input end; ``steps`` is an int."""
     if type(steps) is not int:
         raise DomainError(f"steps must be an int, got {steps!r}")
+    if not graph.modes:
+        raise DomainError("run_wire needs a wire of at least one mode, got a graph with none")
     if steps < 0 or steps > len(graph.modes) - 1:
         raise DomainError(
             f"steps must be between 0 and {len(graph.modes) - 1}, got {steps}"

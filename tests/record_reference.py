@@ -196,16 +196,19 @@ class LogicalFrame:
 @dataclass(frozen=True)
 class MeasurementRecord:
     measured_mode: int
-    outcome: float
-    removed_nodes: tuple
+    outcome: int
     converted_node: int
+    frame: object
 
 
 @dataclass(frozen=True)
 class MeasurementResult:
     graph: object
-    frame: object
     record: object
+
+    @property
+    def frame(self):
+        return self.record.frame
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,6 @@ class WireRun:
     graph: object
     frame: object
     records: tuple
-    frames: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -401,7 +401,7 @@ def _zero_weight_projection(state, mode):
 def _walk_without_edges(graph, steps):
     run = run_wire(graph, steps)
     bare = SubsystemGraph(run.graph.alpha, run.graph.modes, ())
-    return WireRun(graph=bare, frame=run.frame, records=run.records, frames=run.frames)
+    return WireRun(graph=bare, frame=run.frame, records=run.records)
 
 
 def _no_logical_neighbors(graph):

@@ -344,6 +344,37 @@ class TestMeasureAndWire:
         assert run("run-wire", "--input", str(wire), "--steps", "0", "-o", str(out)) == 0
         assert read_graph(out) == read_graph(wire)
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run-wire-steps5", ["run-wire", "--steps", "5"]),
+            ("run-wire-steps0", ["run-wire", "--steps", "0"]),
+            ("measure-mode5", ["measure", "--mode", "5"]),
+        ],
+    )
+    def test_walk_bytes_are_pinned(self, name, argv, tmp_path):
+        """The residual graphs and JSON-lines logs under ``tests/data/walk`` pin every
+        byte ``measure`` and ``run-wire`` write for a six-mode wire whose label
+        has an imaginary amplitude, so a float outcome or a changed
+        rounding of the label fails here.  Zero steps write the input graph and
+        an empty log."""
+        wire = self.build_wire(tmp_path, 6, "p,p,p,p,p,gkp:0.6,0.8j")
+        out, log = tmp_path / "out.json", tmp_path / "log.jsonl"
+        options = ["-o", str(out), "--log", str(log)]
+        assert run(argv[0], "--input", str(wire), *argv[1:], *options) == 0
+        data = Path(__file__).parent / "data" / "walk"
+        assert out.read_bytes() == (data / f"{name}.json").read_bytes()
+        assert log.read_bytes() == (data / f"{name}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_graph_without_modes_exits_2(self, steps, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"alpha": DEFAULT_ALPHA, "modes": [], "edges": []}))
+        assert run("run-wire", "--input", str(path), "--steps", steps) == 2
+        assert capsys.readouterr().err == (
+            "error: run_wire needs a wire of at least one mode, got a graph with none\n"
+        )
+
     def test_too_many_steps_exits_2(self, tmp_path):
         wire = self.build_wire(tmp_path, 3, "p,p,gkp+")
         assert run("run-wire", "--input", str(wire), "--steps", "5") == 2

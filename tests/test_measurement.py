@@ -73,9 +73,13 @@ class TestMeasureP0:
         assert not any(u_node.id in (e.a, e.b) for e in result.graph.edges)
         assert result.frame.hadamard_count == 1
         assert result.record.measured_mode == 4
-        assert result.record.outcome == 0
-        assert len(result.record.removed_nodes) == 3
+        assert result.record.outcome == 0 and type(result.record.outcome) is int
         assert result.record.converted_node == u_node.id
+        assert result.record.frame is result.frame
+        # the measured mode's three nodes are gone from the residual graph
+        for kind in SubsystemKind:
+            with pytest.raises(DomainError, match=f"^no node with id {12 + kind.offset}$"):
+                result.graph.node_by_id(3 * 4 + kind.offset)
 
     def test_plus_label_becomes_zero(self):
         inv = 1 / math.sqrt(2)
@@ -211,7 +215,7 @@ class TestRunWire:
                 mode = result.record.converted_node // 3
             assert run.graph == folded
             assert run.records == tuple(records)
-            assert run.frames == tuple(frames)
+            assert tuple(record.frame for record in run.records) == tuple(frames)
             assert run.frame == frame
             if k:
                 base = "psi" if label is not None else "+"
@@ -236,6 +240,14 @@ class TestRunWire:
         with pytest.raises(DomainError) as info:
             run_wire(wire(3), steps)
         assert str(info.value) == f"steps must be an int, got {steps!r}"
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_graph_without_modes_rejected(self, steps):
+        empty = from_json(f'{{"alpha": {ALPHA!r}, "modes": [], "edges": []}}')
+        with pytest.raises(DomainError) as info:
+            run_wire(empty, steps)
+        message = "run_wire needs a wire of at least one mode, got a graph with none"
+        assert str(info.value) == message
 
     def test_non_wire_rejected(self):
         star = np.zeros((4, 4))

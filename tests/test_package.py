@@ -245,3 +245,33 @@ def test_matrix_entry_points_the_benchmark_calls():
     for route in (direct_cluster_state, decomposed_cluster_state):
         from_matrix = route(grid, adjacency, specs).amplitudes
         assert from_matrix.tobytes() == route(grid, topology, specs).amplitudes.tobytes()
+
+
+def test_measurement_entry_points_the_benchmark_calls():
+    """The benchmark's teleport passes each ``measure_p0`` result's ``frame`` to
+    the next call and reads the next mode to measure off the record's
+    ``converted_node``; its wire workload reads ``run_wire(...).frame``.  Each
+    call is made here the same way, on the dense chain matrix the benchmark
+    builds."""
+    import numpy as np
+
+    hc, alpha, label = hiddencluster, hiddencluster.DEFAULT_ALPHA, (0.6, 0.8j)
+    adjacency = np.zeros((4, 4))
+    i = np.arange(3)
+    adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
+    specs = [hc.momentum()] * 3 + [hc.gkp_labeled(*label)]
+
+    graph = hc.build_cluster(adjacency, specs, alpha)
+    frame, current = hc.LogicalFrame(0, label), 3
+    for step in range(1, 4):
+        result = hc.measure_p0(graph, current, frame)
+        graph, frame = result.graph, result.frame
+        current = graph.node_by_id(result.record.converted_node).mode
+        assert frame is result.record.frame and frame.hadamard_count == step
+        assert current == 3 - step
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    for k in range(4):
+        run = hc.run_wire(hc.build_cluster(adjacency, specs, alpha), k)
+        expected = np.linalg.matrix_power(hadamard, k) @ np.array(label)
+        assert run.frame.hadamard_count == k
+        assert np.max(np.abs(np.array(run.frame.current_label) - expected)) <= 1e-12

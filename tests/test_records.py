@@ -37,7 +37,7 @@ MODES = (MODE, graphs.ModeRecord(1, graphs.CvType.MOMENTUM))
 EDGE = graphs.SubsystemEdge(0, 3, 1)
 GRAPH = graphs.SubsystemGraph(1.5, MODES, (EDGE,))
 FRAME = measurement.LogicalFrame(2, (0.6 + 0j, -0.8j))
-RECORD = measurement.MeasurementRecord(1, 0.0, (3, 4, 5), 2)
+RECORD = measurement.MeasurementRecord(1, 0, 2, FRAME)
 GRID = oracle.GridSpec(2, 1.5)
 
 # (record, its reference copy, positional args, different args, the required
@@ -67,13 +67,12 @@ CASES = {
     "LogicalFrame": (measurement.LogicalFrame, ref.LogicalFrame,
                      (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), ()),
     "MeasurementRecord": (measurement.MeasurementRecord, ref.MeasurementRecord,
-                          (1, 0.0, (3, 4, 5), 2), (1, 0.0, (3, 4, 5), 8), None),
+                          (1, 0, 2, FRAME), (1, 0, 2, measurement.LogicalFrame()), None),
     "MeasurementResult": (measurement.MeasurementResult, ref.MeasurementResult,
-                          (GRAPH, FRAME, RECORD), (GRAPH, measurement.LogicalFrame(), RECORD),
+                          (GRAPH, RECORD), (GRAPH, measurement.MeasurementRecord(1, 0, 8, FRAME)),
                           None),
     "WireRun": (measurement.WireRun, ref.WireRun,
-                (GRAPH, FRAME, (RECORD,), (FRAME,)), (GRAPH, FRAME, (RECORD,), ()),
-                (GRAPH, FRAME, (RECORD,))),
+                (GRAPH, FRAME, (RECORD,)), (GRAPH, FRAME, ()), None),
     "GridSpec": (oracle.GridSpec, ref.GridSpec, (2, 1.5), (3, 1.5), None),
     # zero modes hold one amplitude, so comparing the arrays gives one bool
     "DiscretizedState": (oracle.DiscretizedState, ref.DiscretizedState,
