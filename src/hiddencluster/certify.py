@@ -55,20 +55,13 @@ from .oracle import (
 # --- evaluating symbolic objects on the grid ---------------------------------
 
 
-def _kind_values(grid: GridSpec) -> list[np.ndarray]:
-    """Each kind's basis values, indexed by its offset."""
-    return [grid.basis_values(kind) for kind in SubsystemKind]
-
-
-def _term_couplings(grid: GridSpec, terms) -> list:
-    values = _kind_values(grid)
-    couplings = []
-    for t in terms:
-        (mode_a, kind_a), (mode_b, kind_b) = t.op_a, t.op_b
-        couplings.append(
-            (mode_a, values[kind_a.offset], mode_b, values[kind_b.offset], t.coefficient)
-        )
-    return couplings
+def _couplings(grid: GridSpec, operands) -> list:
+    """Oracle couplings for ``((mode_a, kind_a), (mode_b, kind_b), coefficient)`` triples."""
+    values = {kind: grid.basis_values(kind) for kind in SubsystemKind}
+    return [
+        (mode_a, values[kind_a], mode_b, values[kind_b], coefficient)
+        for (mode_a, kind_a), (mode_b, kind_b), coefficient in operands
+    ]
 
 
 def _mode_vectors(grid: GridSpec, specs: list[ModeSpec]) -> list[np.ndarray]:
@@ -114,44 +107,43 @@ def decomposed_cluster_state(
     """Route two: the surviving symbolic coupling terms."""
     topology = cluster_topology(adjacency, specs)
     terms = decompose_cz_multimode(topology, grid.alpha).all_terms
-    return coupled_product(grid, _mode_vectors(grid, specs), _term_couplings(grid, terms))
+    operands = [(t.op_a, t.op_b, t.coefficient) for t in terms]
+    return coupled_product(grid, _mode_vectors(grid, specs), _couplings(grid, operands))
 
 
 def graph_state(grid: GridSpec, graph: SubsystemGraph) -> DiscretizedState:
     """Evaluate a subsystem graph as a grid state.
 
-    Each mode becomes the product of its logical amplitudes (``|+>`` unless
-    labeled), a uniform bin vector, and a modular vector that is pinned at
-    u = 0 for GKP-type modes and uniform otherwise; each edge applies its
-    coupling phase.  Mode axes follow the graph's mode list order, and an
-    edge end ``id`` is kind offset ``id % 3`` of mode ``id // 3``.
+    Each mode becomes the outer product of its logical amplitudes (``|+>``
+    unless labeled), a uniform bin vector, and a modular vector that is
+    pinned at u = 0 for GKP-type modes and uniform otherwise; each edge
+    applies its coupling phase.  Mode axes follow the graph's mode list
+    order, and an edge end ``id`` is kind offset ``id % 3`` of mode
+    ``id // 3``.  Edges reach the oracle through the same coupling builder
+    as the decomposed route's terms.
     """
     if grid.alpha != graph.alpha:
         raise DomainError("grid and graph disagree on the bin size")
     n = grid.n
-    axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
+    bins = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    pinned = np.zeros(n, dtype=complex)
+    pinned[grid.zero_u_index] = 1.0
     vectors = []
     for record in graph.modes:
         logical = np.array(graph.mode_amplitudes(record.index), dtype=complex)
-        bins = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        if record.cv_type.is_gkp:
-            modular = np.zeros(n, dtype=complex)
-            modular[grid.zero_u_index] = 1.0
-        else:
-            modular = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        vectors.append(np.kron(np.kron(logical, bins), modular))
-    values = _kind_values(grid)
-    couplings = [
+        modular = pinned if record.cv_type.is_gkp else bins
+        vectors.append(np.multiply.outer(np.multiply.outer(logical, bins), modular).ravel())
+    axis_of = {record.index: axis for axis, record in enumerate(graph.modes)}
+    kinds = tuple(SubsystemKind)
+    operands = [
         (
-            axis_of[edge.a // 3],
-            values[edge.a % 3],
-            axis_of[edge.b // 3],
-            values[edge.b % 3],
+            (axis_of[edge.a // 3], kinds[edge.a % 3]),
+            (axis_of[edge.b // 3], kinds[edge.b % 3]),
             edge_coefficient(graph, edge),
         )
         for edge in graph.edges
     ]
-    return coupled_product(grid, vectors, couplings)
+    return coupled_product(grid, vectors, _couplings(grid, operands))
 
 
 def max_amplitude_deviation(a: DiscretizedState, b: DiscretizedState) -> float:

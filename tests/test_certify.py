@@ -13,6 +13,8 @@ from grid_reference import (
     reference_edge_coefficient,
     reference_edge_pairs,
     reference_graph_state,
+    spec_state,
+    term_couplings,
     topology_matrix,
 )
 from hiddencluster import certify
@@ -29,7 +31,7 @@ from hiddencluster.certify import (
 )
 from hiddencluster.cli import main
 from hiddencluster.errors import DomainError
-from hiddencluster.gates import Topology, chain_topology, grid_topology
+from hiddencluster.gates import Topology, chain_topology, decompose_cz_multimode, grid_topology
 from hiddencluster.graphs import (
     CvType,
     SubsystemGraph,
@@ -45,6 +47,7 @@ from hiddencluster.modular import DEFAULT_ALPHA
 from hiddencluster.oracle import (
     DiscretizedState,
     GridSpec,
+    coupled_product,
     fidelity,
     prepare_gkp_state,
     prepare_momentum_state,
@@ -92,6 +95,25 @@ class TestGraphStateSemantics:
         graph = build_cluster(chain_adjacency(2), [momentum()] * 2, 1.0)
         with pytest.raises(DomainError):
             graph_state(GridSpec(n=2, alpha=2.0), graph)
+
+
+class TestDecomposedRouteMatchesReference:
+    """The decomposed route equals the spec states' product under the terms'
+    couplings, each built in ``grid_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_mixed_builds(self, n):
+        rng = np.random.default_rng(40 + n)
+        grid = GridSpec(n=n, alpha=ALPHA)
+        for _ in range(10):
+            topology = random_topology(rng, int(rng.integers(1, 4)))
+            specs = random_specs(rng, topology.n_modes)
+            terms = decompose_cz_multimode(topology, ALPHA).all_terms
+            vectors = [spec_state(grid, spec).amplitudes for spec in specs]
+            reference = coupled_product(grid, vectors, term_couplings(grid, terms))
+            state = decomposed_cluster_state(grid, topology_matrix(topology), specs)
+            assert state.n_modes == reference.n_modes == topology.n_modes
+            assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
 
 
 def assert_matches_node_record_reference(grid, graph):
@@ -456,7 +478,7 @@ def test_strict_json_refuses_non_finite_numbers():
             strict_json(text)
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(DATA.glob("verify-*.json")), ids=lambda path: path.name)
 def test_pinned_reports_are_strict_json(path):
     report = strict_json(path.read_text(encoding="utf-8"))
     assert all(check["max_deviation"] is not None for check in report["checks"])

@@ -432,30 +432,34 @@ class TestVerify:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
-        "name, argv",
+        "name, argv, code",
         [
-            ("seed7", ["--seed", "7"]),
-            ("n4-seed11", ["--n", "4", "--seed", "11"]),
-            ("n4-max-modes4-seed5", ["--n", "4", "--max-modes", "4", "--seed", "5"]),
-            ("n16-max-modes2-seed7", ["--n", "16", "--max-modes", "2", "--seed", "7"]),
-            ("n1-max-modes10-seed3", ["--n", "1", "--max-modes", "10", "--seed", "3"]),
+            ("seed7", ["--seed", "7"], 0),
+            ("n4-seed11", ["--n", "4", "--seed", "11"], 0),
+            ("n4-max-modes4-seed5", ["--n", "4", "--max-modes", "4", "--seed", "5"], 0),
+            ("n16-max-modes2-seed7", ["--n", "16", "--max-modes", "2", "--seed", "7"], 0),
+            ("n1-max-modes10-seed3", ["--n", "1", "--max-modes", "10", "--seed", "3"], 0),
+            ("g-scale0.5-seed9", ["--g-scale", "0.5", "--seed", "9"], 5),
         ],
         ids=["seed7", "n4-seed11", "n4-max-modes4-seed5", "n16-max-modes2-seed7",
-             "n1-max-modes10-seed3"],
+             "n1-max-modes10-seed3", "g-scale0.5-seed9"],
     )
-    def test_report_bytes_are_pinned(self, name, argv, tmp_path, monkeypatch):
+    def test_report_bytes_are_pinned(self, name, argv, code, tmp_path, monkeypatch):
         """The first three reports under ``tests/data`` were written when the
         oracle still computed every amplitude of each state, with numpy 2.4 on
         x86-64.  The n = 16 report was written, on the same numpy, by the
         change that let ``verify`` take grids past n = 4; it pins a grid size
         the other three never reach.  The n = 1 report, written on the same
         numpy while ``verify`` still folded one-step measurements, pins wires
-        of up to ten modes, so walks of up to nine steps.  Their deviations
-        are round-off figures, so these bytes also pin the order of the
-        oracle's floating-point operations."""
+        of up to ten modes, so walks of up to nine steps.  The detuned
+        g_scale = 0.5 report, written on the same numpy, is the negative
+        control: it exits 5 with five failing checks, and pins the sizes of
+        their deviations.  Deviations that pass are round-off figures, so
+        these bytes also pin the order of the oracle's floating-point
+        operations."""
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
         out = tmp_path / "report.json"
-        assert run("verify", *argv, "-o", str(out)) == 0
+        assert run("verify", *argv, "-o", str(out)) == code
         pinned = Path(__file__).parent / "data" / f"verify-{name}.json"
         assert out.read_bytes() == pinned.read_bytes()
 
