@@ -92,7 +92,18 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
     ``current_label`` is the Hadamard of that label, whatever
     ``frame.current_label`` holds.
     """
-    run = _walk(graph, logical_neighbors(graph), mode, 1, frame.hadamard_count)
+    if not graph.mode_by_index(mode).cv_type.is_gkp:
+        raise UnsupportedMeasurement(
+            f"mode {mode} is a momentum node; the rewrite is only derived for GKP-type "
+            "nodes (use the grid oracle instead)"
+        )
+    neighbors = logical_neighbors(graph)[mode]
+    if len(neighbors) != 1:
+        raise UnsupportedTopology(
+            f"measured mode {mode} has {len(neighbors)} neighbors; only degree-1 nodes "
+            "are supported"
+        )
+    run = _walk(graph, [mode, *neighbors], frame.hadamard_count)
     return MeasurementResult(graph=run.graph, record=run.records[0])
 
 
@@ -103,61 +114,43 @@ class WireRun(Record):
     records: tuple[MeasurementRecord, ...]
 
 
-def _wire_input_mode(graph: SubsystemGraph, neighbors: dict[int, set[int]]) -> int:
-    """Pick the wire's input end: a GKP-type endpoint of the mode-level path.
+def _wire_path(graph: SubsystemGraph) -> list[int]:
+    """The wire's modes in order from its input end, found by walking the chain.
 
-    Prefers a labeled endpoint; if both ends qualify equally the higher mode
-    index wins, so chains built with the input listed last behave as written.
+    The walk starts at the first mode of degree below 2 and must find exactly
+    one new neighbor per hop until it has met every mode; otherwise the modes
+    do not form a linear chain.  The input end is a GKP-type end, a labeled
+    one first; if both ends qualify equally the higher mode index wins, so
+    chains built with the input listed last behave as written.
     """
-    degrees = [len(neighbors[m.index]) for m in graph.modes]
-    n = len(degrees)
-    if n > 1 and (
-        sum(degrees) // 2 != n - 1 or sorted(degrees) != [1, 1] + [2] * (n - 2)
-    ):
+    neighbors = logical_neighbors(graph)
+    path = [m for m, adjacent in neighbors.items() if len(adjacent) < 2][:1]
+    while path and len(ahead := neighbors[path[-1]].difference(path[-2:])) == 1:
+        path.extend(ahead)
+    # a second new neighbor anywhere leaves a mode the walk never meets
+    if len(path) != len(graph.modes):
         raise UnsupportedTopology("run_wire requires a linear chain of modes")
-    endpoints = [m.index for m, d in zip(graph.modes, degrees) if n == 1 or d == 1]
-    gkp_ends = [i for i in endpoints if graph.mode_by_index(i).cv_type.is_gkp]
+    ends = [graph.mode_by_index(m) for m in (path[0], path[-1])]
+    gkp_ends = [m for m in ends if m.cv_type.is_gkp]
     if not gkp_ends:
         raise UnsupportedMeasurement("wire has no GKP-type input endpoint")
-    labeled = [
-        i for i in gkp_ends if graph.mode_by_index(i).cv_type is CvType.GKP_LABELED
-    ]
-    candidates = labeled or gkp_ends
-    return max(candidates)
+    start = max(gkp_ends, key=lambda m: (m.cv_type is CvType.GKP_LABELED, m.index))
+    return path if start.index == path[0] else path[::-1]
 
 
-def _walk(
-    graph: SubsystemGraph,
-    neighbors: dict[int, set[int]],
-    mode: int,
-    steps: int,
-    hadamard_count: int,
-) -> WireRun:
-    """Measure ``steps`` modes in turn from ``mode``, counting Hadamards from ``hadamard_count``.
+def _walk(graph: SubsystemGraph, path: list[int], hadamard_count: int) -> WireRun:
+    """Measure ``path[:-1]`` in turn, counting Hadamards from ``hadamard_count``.
 
-    Each hop measures the mode the previous hop relabeled, so its residual
-    neighbors are its ``neighbors`` minus the modes already measured.  The
-    residual graph is built once, after the last hop, without the edges of
-    the measured modes and of the one node pinned.
+    Each mode in ``path`` must be the one neighbor of the previous mode once
+    the modes before it are measured; the callers check that, and the walk
+    refuses only a hop onto a labeled neighbor.  The residual graph is built
+    once, after the last hop, without the edges of the measured modes and of
+    the one node pinned.
     """
-    record = graph.mode_by_index(mode)
-    if not record.cv_type.is_gkp:
-        raise UnsupportedMeasurement(
-            f"mode {mode} is a momentum node; the rewrite is only derived for GKP-type "
-            "nodes (use the grid oracle instead)"
-        )
-    amplitudes, label = graph.mode_amplitudes(mode), record.label
+    amplitudes, label = graph.mode_amplitudes(path[0]), graph.mode_by_index(path[0]).label
     frame = LogicalFrame(hadamard_count, amplitudes)
-    measured: set[int] = set()
     records: list[MeasurementRecord] = []
-    for _ in range(steps):
-        remaining = neighbors[mode] - measured
-        if len(remaining) != 1:
-            raise UnsupportedTopology(
-                f"measured mode {mode} has {len(remaining)} neighbors; only degree-1 nodes "
-                "are supported"
-            )
-        (neighbor,) = remaining
+    for mode, neighbor in zip(path, path[1:]):
         if graph.mode_by_index(neighbor).cv_type is CvType.GKP_LABELED:
             raise UnsupportedMeasurement(
                 f"mode {neighbor} is labeled; teleporting onto a labeled neighbor is not "
@@ -168,14 +161,13 @@ def _walk(
         frame = LogicalFrame(frame.hadamard_count + 1, amplitudes)
         converted_node = 3 * neighbor + SubsystemKind.GAUGE_MODULAR.offset
         records.append(MeasurementRecord(mode, 0, converted_node, frame))
-        measured.add(mode)
-        mode = neighbor
     if not records:
         return WireRun(graph=graph, frame=frame, records=())
 
+    measured, last = set(path[:-1]), path[-1]
     modes = tuple(
         ModeRecord(m.index, CvType.GKP_LABELED, label, amplitudes)
-        if m.index == mode
+        if m.index == last
         else m
         for m in graph.modes
         if m.index not in measured
@@ -198,5 +190,4 @@ def run_wire(graph: SubsystemGraph, steps: int) -> WireRun:
         raise DomainError(
             f"steps must be between 0 and {len(graph.modes) - 1}, got {steps}"
         )
-    neighbors = logical_neighbors(graph)
-    return _walk(graph, neighbors, _wire_input_mode(graph, neighbors), steps, 0)
+    return _walk(graph, _wire_path(graph)[: steps + 1], 0)

@@ -82,6 +82,21 @@ class TestParsers:
         with pytest.raises(DomainError):
             parse_node_specs("qubit", 1)
 
+    @pytest.mark.parametrize(
+        "n, nodes, message",
+        [
+            (1, "gkp:abc,1", "invalid amplitude 'abc'"),
+            (2, "p,gkp:1", "'gkp:1' needs two amplitudes: gkp:c0,c1"),
+        ],
+        ids=["bad-amplitude", "one-amplitude"],
+    )
+    def test_malformed_labeled_spec_exits_2(self, n, nodes, message, capsys):
+        with pytest.raises(DomainError) as refused:
+            parse_node_specs(nodes, n)
+        assert str(refused.value) == message
+        assert run("build", "--topology", f"chain:{n}", "--nodes", nodes) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_topology_chain_and_grid(self):
         assert parse_topology("chain:3") == Topology(3, ((0, 1), (1, 2)))
         grid = parse_topology("grid:2x3")
@@ -109,9 +124,10 @@ class TestParsers:
             ("[[-3, -2]]", "edge (-3, -2) must have ends"),
             ('{"n_modes": 3, "edges": [[1, 3]]}', "edge (1, 3) must have ends"),
             ('{"n_modes": -1, "edges": []}', "n_modes must be nonnegative, got -1"),
+            ('{"edges": [[0, 1, 2]]}', "edges must be [i, j] pairs"),
         ],
         ids=["self-loop", "negative-end", "implied-count-negative-ends", "end-past-n-modes",
-             "negative-n-modes"],
+             "negative-n-modes", "edge-triple"],
     )
     @pytest.mark.parametrize("command", ["build", "decompose"])
     def test_invalid_edge_file_exits_2_naming_the_file(
@@ -311,6 +327,19 @@ class TestMeasureAndWire:
         assert err.startswith("unsupported: mode 0 is labeled;") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_path_beside_a_triangle_exits_4(self, tmp_path, capsys):
+        edges = tmp_path / "edges.json"
+        edges.write_text(json.dumps({"n_modes": 5, "edges": [[0, 1], [2, 3], [2, 4], [3, 4]]}))
+        graph = tmp_path / "graph.json"
+        assert run("build", "--topology", str(edges), "--nodes", "gkp+", "-o", str(graph)) == 0
+        out, log = tmp_path / "out.json", tmp_path / "log.jsonl"
+        capsys.readouterr()
+        argv = ["--input", str(graph), "--steps", "1", "-o", str(out), "--log", str(log)]
+        assert run("run-wire", *argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "unsupported: run_wire requires a linear chain of modes\n"
+        assert captured.out == "" and not out.exists() and not log.exists()
+
     def test_run_wire_full(self, tmp_path):
         wire = self.build_wire(tmp_path, 4, "p,p,p,gkp:0.6,0.8")
         out = tmp_path / "final.json"
@@ -470,6 +499,14 @@ class TestVerify:
         monkeypatch.setenv("HIDDENCLUSTER_SEED", "123")
         assert run("verify", "-o", str(by_env)) == 0
         assert by_flag.read_bytes() == by_env.read_bytes()
+
+    def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("HIDDENCLUSTER_SEED", "abc")
+        assert run("verify", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: HIDDENCLUSTER_SEED must be an integer, got 'abc'\n"
+        assert not out.exists()
 
     def test_env_seed_beats_flag(self, tmp_path, monkeypatch):
         base = tmp_path / "base.json"

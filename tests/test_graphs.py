@@ -317,6 +317,12 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match=message):
             from_json(text)
 
+    @pytest.mark.parametrize("text", ["[]", "1.5", '"graph"', "null"])
+    def test_document_that_is_not_an_object_is_refused(self, text):
+        with pytest.raises(GraphParseError) as info:
+            from_json(text)
+        assert str(info.value) == "top-level document must be an object"
+
     def test_empty_document(self):
         graph = build_cluster(np.zeros((0, 0)), [], 1.0)
         restored = from_json(to_json(graph))
@@ -728,6 +734,14 @@ class TestStructuralComparison:
         a = build_cluster(chain_adjacency(2), [momentum(), gkp_labeled(0.6, 0.8)], 1.0)
         b = build_cluster(chain_adjacency(2), [momentum(), gkp_labeled(0.8, 0.6)], 1.0)
         assert graph_shape(a) == graph_shape(b)
+
+    def test_alpha_and_mode_count_matter(self):
+        graph = build_cluster(chain_adjacency(2), [momentum(), gkp_plus()], 1.0)
+        scaled = build_cluster(chain_adjacency(2), [momentum(), gkp_plus()], 2.0)
+        longer = build_cluster(chain_adjacency(3), [momentum(), momentum(), gkp_plus()], 1.0)
+        for other in (scaled, longer):
+            assert not structurally_equal(graph, other)
+            assert not structurally_equal(other, graph)
 
     def test_cv_type_matters(self):
         a = build_cluster(chain_adjacency(2), [momentum(), gkp_plus()], 1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from grid_reference import chain_adjacency, graph_shape, mixed_fidelity
 from hiddencluster.certify import direct_cluster_state, graph_state, sample_label
 from hiddencluster.errors import DomainError, UnsupportedMeasurement, UnsupportedTopology
-from hiddencluster.gates import chain_topology
+from hiddencluster.gates import Topology, chain_topology
 from hiddencluster.graphs import (
     CvType,
     NodeState,
@@ -250,11 +251,40 @@ class TestRunWire:
         assert str(info.value) == message
 
     def test_non_wire_rejected(self):
-        star = np.zeros((4, 4))
-        star[0, 1:] = star[1:, 0] = 1.0
-        graph = build_cluster(star, [gkp_plus()] * 4, ALPHA)
-        with pytest.raises(UnsupportedTopology):
-            run_wire(graph, 1)
+        star = Topology(4, ((0, 1), (0, 2), (0, 3)))
+        path_beside_triangle = Topology(5, ((0, 1), (2, 3), (2, 4), (3, 4)))
+        for topology in (star, path_beside_triangle):
+            graph = build_cluster(topology, [gkp_plus()] * topology.n_modes, ALPHA)
+            for steps in range(topology.n_modes):
+                with pytest.raises(UnsupportedTopology) as info:
+                    run_wire(graph, steps)
+                assert str(info.value) == "run_wire requires a linear chain of modes"
+
+    def test_refuses_exactly_the_graphs_that_are_not_paths(self):
+        """Over every graph of 1-5 modes, ``run_wire`` accepts a graph exactly
+        when it is connected, has n - 1 edges and no mode of degree above 2.
+        A degree sequence alone also passes a path beside disjoint cycles."""
+        counts = {True: 0, False: 0}
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = tuple(pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+                degrees = [sum(m in pair for pair in edges) for m in range(n)]
+                reached = {0}
+                for _ in range(n):
+                    reached |= {m for pair in edges if reached & set(pair) for m in pair}
+                is_path = len(reached) == n and len(edges) == n - 1 and max(degrees) <= 2
+                graph = build_cluster(Topology(n, edges), [gkp_plus()] * n, ALPHA)
+                try:
+                    run_wire(graph, 0)
+                except UnsupportedTopology as err:
+                    assert str(err) == "run_wire requires a linear chain of modes"
+                    assert not is_path, edges
+                else:
+                    assert is_path, edges
+                counts[is_path] += 1
+        # 1099 graphs, of which 1 + 1 + 3 + 12 + 60 are labeled paths
+        assert counts == {True: 77, False: 1022}
 
     def test_wire_without_gkp_end_rejected(self):
         specs = [momentum(), gkp_plus(), momentum()]

@@ -62,6 +62,13 @@ def test_recompose_examples():
     assert recompose((0, -2, 0.25), 1.0) == pytest.approx(-3.75)
 
 
+def test_recompose_takes_an_int_bin_size_as_its_float():
+    for q in [(1, 1, -0.5), (0, -2, 0.25)]:
+        assert recompose(q, 1) == recompose(q, 1.0)
+    with pytest.raises(DomainError, match="^bin size must be finite and positive, got 0.0$"):
+        recompose((0, 0, 0.0), 0)
+
+
 @given(x=positions, alpha=alphas)
 @settings(max_examples=300, derandomize=True)
 def test_round_trip(x, alpha):

@@ -656,6 +656,16 @@ class TestReducedDensity:
         swap = ab.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         assert np.allclose(ba, swap, atol=1e-14)
 
+    def test_zero_state_has_no_reduced_state(self):
+        grid = GridSpec(n=2, alpha=ALPHA)
+        zero = DiscretizedState(grid, 1, np.zeros(grid.dim))
+        with pytest.raises(DomainError) as info:
+            reduced_density(zero, [(0, L)])
+        assert str(info.value) == "state has zero norm; no reduced state exists"
+        with pytest.raises(DomainError) as info:
+            zero.normalized()
+        assert str(info.value) == "cannot normalize the zero vector"
+
     def test_bad_selection_rejected(self):
         grid = GridSpec(n=2, alpha=ALPHA)
         state = random_state(grid, 1, seed=7)
@@ -703,8 +713,17 @@ class TestFidelity:
         assert fidelity(rho, plus) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            fidelity(np.ones(2), np.ones(3))
+        # a longer vector, a larger density matrix, a non-square matrix
+        for other in (np.ones(3), np.eye(3), np.eye(2)[:, :1]):
+            for a, b in ((np.ones(2), other), (other, np.ones(2))):
+                with pytest.raises(DomainError) as info:
+                    fidelity(a, b)
+                assert str(info.value) == "fidelity arguments must have matching dimensions"
+
+    def test_three_index_argument_is_refused(self):
+        with pytest.raises(DomainError) as info:
+            fidelity(np.ones((2, 2, 2)), np.ones(2))
+        assert str(info.value) == "fidelity arguments must be vectors or density matrices"
 
     @pytest.mark.parametrize(
         "a, b, message",

@@ -23,6 +23,13 @@ def test_every_exported_name_resolves():
     assert set(hiddencluster.__all__) <= set(namespace)
 
 
+def test_dir_lists_every_exported_name():
+    # the oracle's names load lazily, so dir() lists __all__ beside the loaded globals
+    listed = dir(hiddencluster)
+    assert listed == sorted(set(listed))
+    assert {"__version__", *hiddencluster.__all__} <= set(listed)
+
+
 def test_readme_quick_start_runs():
     section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)

@@ -285,6 +285,15 @@ class TestRecordsMatchTheirDataclasses:
             case _:
                 pytest.fail("edge did not match")
 
+    def test_a_record_needs_two_fields(self):
+        # one field would make the attrgetter behind _values return a bare value
+        with pytest.raises(TypeError) as info:
+
+            class Single(Record):
+                a: int
+
+        assert str(info.value) == "a record needs at least two fields, Single has ('a',)"
+
     def test_a_field_without_a_default_cannot_follow_one_with(self):
         # a dataclass refuses this order too; the defaults would shift onto the wrong fields
         with pytest.raises(TypeError, match="'b' of Shifted without a default"):
