@@ -39,7 +39,6 @@ from .measurement import (
     HADAMARD,
     LogicalFrame,
     MeasurementRecord,
-    MeasurementResult,
     WireRun,
     measure_p0,
     run_wire,

@@ -41,7 +41,7 @@ from .graphs import (
     require_json_int,
     to_json,
 )
-from .measurement import LogicalFrame, MeasurementRecord, measure_p0, run_wire
+from .measurement import LogicalFrame, WireRun, measure_p0, run_wire
 from .modular import DEFAULT_ALPHA
 
 
@@ -214,9 +214,9 @@ def _term_dict(term) -> dict:
     }
 
 
-def _write_walk(args: argparse.Namespace, graph, records: tuple[MeasurementRecord, ...]) -> None:
-    """Write the residual ``graph`` and, with ``--log``, one JSON line per step record."""
-    _write_text(args.output, to_json(graph))
+def _write_walk(args: argparse.Namespace, run: WireRun) -> None:
+    """Write the run's residual graph and, with ``--log``, one JSON line per step record."""
+    _write_text(args.output, to_json(run.graph))
     if args.log is not None:
         lines = (
             {
@@ -226,7 +226,7 @@ def _write_walk(args: argparse.Namespace, graph, records: tuple[MeasurementRecor
                 "hadamard_count": record.frame.hadamard_count,
                 "label": [[z.real, z.imag] for z in record.frame.current_label],
             }
-            for step, record in enumerate(records, 1)
+            for step, record in enumerate(run.records, 1)
         )
         _write_text(args.log, "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
 
@@ -276,16 +276,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.input)
-    result = measure_p0(graph, args.mode, LogicalFrame())
-    _write_walk(args, result.graph, (result.record,))
+    _write_walk(args, measure_p0(_read_graph(args.input), args.mode, LogicalFrame()))
     return 0
 
 
 def cmd_run_wire(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.input)
-    run = run_wire(graph, args.steps)
-    _write_walk(args, run.graph, run.records)
+    _write_walk(args, run_wire(_read_graph(args.input), args.steps))
     return 0
 
 

@@ -105,9 +105,9 @@ def _checked_amplitudes(
 class ModeRecord(Record):
     """One physical mode: its index, input type and, when labeled, its amplitudes.
 
-    Construction checks that ``index`` is an int and the rest of the mode as
-    :class:`ModeSpec` does, so a graph of records always writes a document
-    that :func:`from_json` reads back.
+    Construction checks that ``index`` is a nonnegative int, so every node id
+    is one too, and the rest of the mode as :class:`ModeSpec` does, so a graph
+    of records always writes a document that :func:`from_json` reads back.
     """
 
     index: int
@@ -124,6 +124,8 @@ class ModeRecord(Record):
     ) -> None:
         if type(index) is not int:
             raise DomainError(f"mode index must be an int, got {index!r}")
+        if index < 0:
+            raise DomainError(f"mode index must be nonnegative, got {index}")
         set_field(self, "index", index)
         set_field(self, "cv_type", cv_type)
         set_field(self, "label", label)
@@ -199,6 +201,11 @@ class SubsystemEdge(Record):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "multiplicity", multiplicity)
+
+
+def _display_name(record: ModeRecord) -> str:
+    """The logical name drawn and teleported: a labeled mode's label or ``psi``, else ``+``."""
+    return (record.label or "psi") if record.cv_type is CvType.GKP_LABELED else "+"
 
 
 def _node_states_for(cv_type: CvType) -> tuple[NodeState, NodeState, NodeState]:
@@ -380,10 +387,10 @@ _DOT_SHAPE = {
 }
 
 
-#: Each node state's DOT label and style; a labeled logical node shows its
-#: mode's label instead, and the open markers are labeled or pinned states.
+#: Each node state's DOT label and style; a logical node shows its mode's
+#: display name instead, and the open markers are labeled or pinned states.
 _DOT_NODE = {
-    NodeState.LOGICAL_PLUS: ("+", ", style=filled"),
+    NodeState.LOGICAL_PLUS: (None, ", style=filled"),
     NodeState.LOGICAL_LABELED: (None, ""),
     NodeState.UNIFORM_BIN: ("m", ", style=filled"),
     NodeState.UNIFORM_MODULAR: ("u", ", style=filled"),
@@ -402,7 +409,7 @@ def render_dot(graph: SubsystemGraph) -> str:
         for node_id, _, kind, state in _node_fields(record):
             label, style = _DOT_NODE[state]
             if label is None:
-                label = (record.label or "psi").replace("\r\n", "\n").translate(_DOT_ESCAPES)
+                label = _display_name(record).replace("\r\n", "\n").translate(_DOT_ESCAPES)
             lines.append(f'  n{node_id} [shape={_DOT_SHAPE[kind]}, label="{label}"{style}];')
     for edge in sorted(graph.edges, key=lambda e: (e.a, e.b)):
         lines.extend(f"  n{edge.a} -- n{edge.b};" for _ in range(edge.multiplicity))

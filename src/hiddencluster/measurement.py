@@ -22,6 +22,7 @@ from .graphs import (
     CvType,
     ModeRecord,
     SubsystemGraph,
+    _display_name,
     logical_neighbors,
     norm_sq,
 )
@@ -53,14 +54,16 @@ class MeasurementRecord(Record):
     frame: LogicalFrame
 
 
-class MeasurementResult(Record):
+class WireRun(Record):
     graph: SubsystemGraph
-    record: MeasurementRecord
+    #: the last record's frame, or the input's after zero steps
+    frame: LogicalFrame
+    records: tuple[MeasurementRecord, ...]
 
     @property
-    def frame(self) -> LogicalFrame:
-        # bench/workloads.py:367 passes ``result.frame`` to the next measure_p0
-        return self.record.frame
+    def record(self) -> MeasurementRecord:
+        """The last step's record; a zero-step run has none and raises ``IndexError``."""
+        return self.records[-1]
 
 
 def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -78,14 +81,14 @@ def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, compl
     return c0, c1
 
 
-def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> MeasurementResult:
+def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> WireRun:
     """Measure the momentum of a GKP-type mode with outcome 0.
 
     The measured mode must have exactly one neighbor at the mode level, not a
     labeled one.  The neighbor becomes a GKP-labeled mode carrying the Hadamard
     of the measured label, its modular-position node is pinned to u = 0 and
-    stripped of edges, and the step's record holds the frame after it, whose
-    Hadamard count is one more than ``frame``'s.
+    stripped of edges.  The returned run's one record holds the frame after the
+    step, whose Hadamard count is one more than ``frame``'s.
 
     Only ``frame.hadamard_count`` is read.  The label teleported is the
     measured mode's own amplitudes in ``graph``, and the record frame's
@@ -103,15 +106,7 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> Measure
             f"measured mode {mode} has {len(neighbors)} neighbors; only degree-1 nodes "
             "are supported"
         )
-    run = _walk(graph, [mode, *neighbors], frame.hadamard_count)
-    return MeasurementResult(graph=run.graph, record=run.records[0])
-
-
-class WireRun(Record):
-    graph: SubsystemGraph
-    #: the last record's frame, or the input's after zero steps
-    frame: LogicalFrame
-    records: tuple[MeasurementRecord, ...]
+    return _walk(graph, [mode, *neighbors], frame.hadamard_count)
 
 
 def _wire_path(graph: SubsystemGraph) -> list[int]:
@@ -147,7 +142,8 @@ def _walk(graph: SubsystemGraph, path: list[int], hadamard_count: int) -> WireRu
     once, after the last hop, without the edges of the measured modes and of
     the one node pinned.
     """
-    amplitudes, label = graph.mode_amplitudes(path[0]), graph.mode_by_index(path[0]).label
+    amplitudes = graph.mode_amplitudes(path[0])
+    label = _display_name(graph.mode_by_index(path[0]))
     frame = LogicalFrame(hadamard_count, amplitudes)
     records: list[MeasurementRecord] = []
     for mode, neighbor in zip(path, path[1:]):
@@ -157,7 +153,7 @@ def _walk(graph: SubsystemGraph, path: list[int], hadamard_count: int) -> WireRu
                 "derived (use the grid oracle instead)"
             )
         amplitudes = _apply_hadamard(amplitudes)
-        label = f"H({label or '+'})"
+        label = f"H({label})"
         frame = LogicalFrame(frame.hadamard_count + 1, amplitudes)
         converted_node = 3 * neighbor + SubsystemKind.GAUGE_MODULAR.offset
         records.append(MeasurementRecord(mode, 0, converted_node, frame))

@@ -8,7 +8,8 @@ record now is.  ``ModeSpec``, ``ModeRecord``, ``SubsystemEdge`` and
 took a float or bool where an int belongs (and ``Topology`` a list where an
 edge tuple belongs); their copies carry the checks the
 records have now, written out edge by edge, so each pair refuses the same
-arguments with the same messages.
+arguments with the same messages.  ``WireRun``'s copy has the record's
+``record`` property.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class ModeRecord:
     def __post_init__(self) -> None:
         if type(self.index) is not int:
             raise DomainError(f"mode index must be an int, got {self.index!r}")
+        if self.index < 0:
+            raise DomainError(f"mode index must be nonnegative, got {self.index}")
         _check_mode(self)
 
 
@@ -202,20 +205,14 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True)
-class MeasurementResult:
-    graph: object
-    record: object
-
-    @property
-    def frame(self):
-        return self.record.frame
-
-
-@dataclass(frozen=True)
 class WireRun:
     graph: object
     frame: object
     records: tuple
+
+    @property
+    def record(self):
+        return self.records[-1]
 
 
 @dataclass(frozen=True)

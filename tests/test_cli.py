@@ -404,6 +404,50 @@ class TestMeasureAndWire:
             "error: run_wire needs a wire of at least one mode, got a graph with none\n"
         )
 
+    @pytest.mark.parametrize(
+        "input_mode, name",
+        [
+            ({"cv_type": "gkp_labeled", "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}, "psi"),
+            ({"cv_type": "gkp_plus", "label": "phi"}, "+"),
+        ],
+        ids=["labeled-without-label", "plus-type-with-label"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["measure", "--mode", "1"], ["run-wire", "--steps", "1"]], ids=["measure", "run-wire"]
+    )
+    def test_walk_names_its_input_as_render_draws_it(self, input_mode, name, argv, tmp_path):
+        """A hand-written input mode that ``render`` draws as ``name`` teleports as
+        ``H(name)``: a labeled mode is its label or ``psi``, a plus-type mode ``+``."""
+        path, dot, out = tmp_path / "wire.json", tmp_path / "wire.dot", tmp_path / "out.json"
+        modes = [{"index": 0, "cv_type": "gkp_plus"}, {"index": 1, **input_mode}]
+        edges = [{"a": 0, "b": 3, "multiplicity": 1}]
+        path.write_text(json.dumps({"alpha": DEFAULT_ALPHA, "modes": modes, "edges": edges}))
+        assert run("render", "--input", str(path), "-o", str(dot)) == 0
+        assert f'  n3 [shape=diamond, label="{name}"' in dot.read_text().splitlines()[5]
+        assert run(argv[0], "--input", str(path), *argv[1:], "-o", str(out)) == 0
+        assert read_graph(out).mode_by_index(0).label == f"H({name})"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["render"], ["measure", "--mode", "-1", "--log", "{tmp}/log.jsonl"],
+         ["run-wire", "--steps", "1", "--log", "{tmp}/log.jsonl"]],
+        ids=["render", "measure", "run-wire"],
+    )
+    def test_negative_mode_index_exits_2(self, argv, tmp_path, capsys):
+        """A mode index of -1 would give node ids such as ``n-3``, which DOT cannot
+        read; every command that reads the document refuses it and writes nothing."""
+        path, out = tmp_path / "graph.json", tmp_path / "out"
+        modes = [{"index": -1, "cv_type": "gkp_plus"}, {"index": 0, "cv_type": "gkp_plus"}]
+        edges = [{"a": -3, "b": 0, "multiplicity": 1}]
+        path.write_text(json.dumps({"alpha": DEFAULT_ALPHA, "modes": modes, "edges": edges}))
+        options = [arg.format(tmp=tmp_path) for arg in argv[1:]]
+        assert run(argv[0], "--input", str(path), *options, "-o", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: malformed graph document: mode -1: mode index must be nonnegative, got -1\n"
+        )
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == [path]
+
     def test_too_many_steps_exits_2(self, tmp_path):
         wire = self.build_wire(tmp_path, 3, "p,p,gkp+")
         assert run("run-wire", "--input", str(wire), "--steps", "5") == 2

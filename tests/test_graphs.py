@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -927,3 +928,14 @@ def test_a_legacy_document_reads_as_its_new_form(graph, data):
     current = from_json(to_json(graph))
     assert legacy == current == graph
     assert render_dot(legacy) == render_dot(current)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(graph=_written_graphs())
+def test_every_dot_node_id_is_n_and_digits(graph):
+    """Every node and edge line of the DOT text names its nodes ``n`` followed by
+    digits, an ID graphviz reads unquoted: mode indices are nonnegative."""
+    lines = render_dot(graph).splitlines()[2:-1]
+    assert len(lines) == 3 * len(graph.modes) + sum(e.multiplicity for e in graph.edges)
+    for line in lines:
+        assert re.fullmatch(r"  n\d+ (\[shape=.*\]|-- n\d+);", line), line

@@ -159,6 +159,19 @@ class TestMeasureP0:
             rebuilt = build_cluster(chain_adjacency(n_modes - 1), residual_specs, ALPHA)
             assert structurally_equal(result.graph, rebuilt)
 
+    @pytest.mark.parametrize("input_mode", [0, 1])
+    @pytest.mark.parametrize("label", [(0.6, 0.8j), None], ids=["labeled", "gkp_plus"])
+    def test_one_hop_is_the_one_step_wire(self, input_mode, label):
+        """``measure_p0`` on a 2-mode wire's input end returns the ``WireRun`` that
+        ``run_wire(graph, 1)`` does, whose ``record`` is its one record."""
+        specs = [momentum(), gkp_labeled(*label) if label is not None else gkp_plus()]
+        if input_mode == 0:
+            specs.reverse()
+        graph = build_cluster(chain_topology(2), specs, ALPHA)
+        result = measure_p0(graph, input_mode, LogicalFrame())
+        assert result == run_wire(graph, 1)
+        assert result.records == (result.record,) and result.record.measured_mode == input_mode
+
 
 class TestRunWire:
     def test_zero_steps_is_identity(self):
@@ -166,6 +179,8 @@ class TestRunWire:
         run = run_wire(graph, 0)
         assert run.graph == graph
         assert run.records == ()
+        with pytest.raises(IndexError):
+            run.record
         assert run.frame.hadamard_count == 0
         assert run.frame.current_label == (0.6, 0.8)
 
@@ -179,6 +194,7 @@ class TestRunWire:
         assert np.allclose(np.array(run.frame.current_label), expected, atol=1e-12)
         assert run.frame.hadamard_count == 3
         assert len(run.records) == 3
+        assert run.record is run.records[-1] and run.record.frame is run.frame
         assert len(run.graph.modes) == 1
 
     def test_all_gkp_wire_gives_same_logical_result(self):

@@ -68,9 +68,6 @@ CASES = {
                      (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), ()),
     "MeasurementRecord": (measurement.MeasurementRecord, ref.MeasurementRecord,
                           (1, 0, 2, FRAME), (1, 0, 2, measurement.LogicalFrame()), None),
-    "MeasurementResult": (measurement.MeasurementResult, ref.MeasurementResult,
-                          (GRAPH, RECORD), (GRAPH, measurement.MeasurementRecord(1, 0, 8, FRAME)),
-                          None),
     "WireRun": (measurement.WireRun, ref.WireRun,
                 (GRAPH, FRAME, (RECORD,)), (GRAPH, FRAME, ()), None),
     "GridSpec": (oracle.GridSpec, ref.GridSpec, (2, 1.5), (3, 1.5), None),
@@ -108,6 +105,8 @@ REFUSED = [
     ("ModeRecord", (1, LABELED, "psi", ("0.6", "0.8"))),
     ("ModeRecord", (0.5, graphs.CvType.GKP_PLUS)),
     ("ModeRecord", (True, MOMENTUM)),
+    ("ModeRecord", (-1, MOMENTUM)),
+    ("ModeRecord", (-3, LABELED, "psi", (0.6, 0.8))),
     ("SubsystemGraph", (float("nan"), (), ())),
     ("SubsystemGraph", (0.0, (MODE,), ())),
     ("SubsystemGraph", (1.5, (MODE, MODE), ())),
@@ -301,6 +300,35 @@ class TestRecordsMatchTheirDataclasses:
             class Shifted(Record):
                 a: int = 0
                 b: int
+
+
+# a wire run's records: one step, two steps (the last differs from the first), none
+RUN_RECORDS = {
+    "one-step": (RECORD,),
+    "two-step": (measurement.MeasurementRecord(4, 0, 8, measurement.LogicalFrame(1)), RECORD),
+    "zero-step": (),
+}
+
+
+class TestWireRunRecord:
+    """``WireRun.record`` is the last step's record, read-only and not a field, as
+    the reference's property is; a zero-step run has none."""
+
+    @pytest.mark.parametrize("records", sorted(RUN_RECORDS))
+    def test_record_is_the_last_of_the_records(self, records):
+        for cls in (measurement.WireRun, ref.WireRun):
+            run = cls(GRAPH, FRAME, RUN_RECORDS[records])
+            if run.records:
+                assert run.record is run.records[-1] and run.record == RECORD
+            else:
+                with pytest.raises(IndexError, match="^tuple index out of range$"):
+                    run.record
+
+    def test_record_cannot_be_assigned_and_is_not_a_field(self):
+        run = measurement.WireRun(GRAPH, FRAME, (RECORD,))
+        with pytest.raises(AttributeError):
+            run.record = RECORD
+        assert "record" not in measurement.WireRun._fields and "record=" not in repr(run)
 
 
 class TestSubsystemGraphCache:
