@@ -1,18 +1,17 @@
 """Base class of the package's immutable value records.
 
-A subclass lists its fields as class annotations; a class attribute of the
-same name is that field's default.  This base turns the annotations into
-``_fields`` and gives every record the frozen guard, ``==``, ``hash``,
-``repr`` and ``__match_args__`` of a frozen dataclass, without importing
-``dataclasses``.
+A subclass lists its fields as class annotations.  This base turns the
+annotations into ``_fields`` and gives every record the frozen guard,
+``==``, ``hash``, ``repr`` and ``__match_args__`` of a frozen dataclass,
+without importing ``dataclasses``.
 
 A record that checks its arguments writes its own ``__init__`` and stores
 each field with :data:`set_field`.  Every other record gets the constructor
-of a frozen dataclass: it takes each field by position or by name, in
-declaration order, and stores it with :data:`set_field`.  That constructor
-is compiled once per class from the field names, as
-``collections.namedtuple`` compiles its ``__new__``, so a call runs the
-same ``set_field`` calls a hand-written one would.
+of a frozen dataclass without field defaults: it takes every field, by
+position or by name, in declaration order, and stores it with
+:data:`set_field`.  That constructor is compiled once per class from the
+field names, as ``collections.namedtuple`` compiles its ``__new__``, so a
+call runs the same ``set_field`` calls a hand-written one would.
 """
 
 from operator import attrgetter
@@ -23,18 +22,11 @@ set_field = object.__setattr__
 
 
 def _storing_init(cls: type):
-    """The ``__init__`` that stores each field of ``cls``, with its class-attribute defaults."""
-    defaults = []
-    for name in cls._fields:
-        if name in cls.__dict__:
-            defaults.append(cls.__dict__[name])
-        elif defaults:
-            raise TypeError(f"field {name!r} of {cls.__name__} without a default follows one with")
+    """The ``__init__`` that takes and stores every field of ``cls``."""
     stores = "".join(f"\n    set_field(self, {name!r}, {name})" for name in cls._fields)
     namespace = {"set_field": set_field}
     exec(f"def __init__(self, {', '.join(cls._fields)}):{stores}", namespace)
     init = namespace["__init__"]
-    init.__defaults__ = tuple(defaults) or None
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     return init
 

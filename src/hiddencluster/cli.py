@@ -41,7 +41,7 @@ from .graphs import (
     require_json_int,
     to_json,
 )
-from .measurement import LogicalFrame, WireRun, measure_p0, run_wire
+from .measurement import WireRun, measure_p0, run_wire
 from .modular import DEFAULT_ALPHA
 
 
@@ -215,8 +215,7 @@ def _term_dict(term) -> dict:
 
 
 def _write_walk(args: argparse.Namespace, run: WireRun) -> None:
-    """Write the run's residual graph and, with ``--log``, one JSON line per step record."""
-    _write_text(args.output, to_json(run.graph))
+    """Write one JSON line per step record to ``--log``, then the residual graph to ``-o``."""
     if args.log is not None:
         lines = (
             {
@@ -229,6 +228,8 @@ def _write_walk(args: argparse.Namespace, run: WireRun) -> None:
             for step, record in enumerate(run.records, 1)
         )
         _write_text(args.log, "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    # the graph goes last, so a failed log write leaves no -o result behind
+    _write_text(args.output, to_json(run.graph))
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -276,7 +277,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    _write_walk(args, measure_p0(_read_graph(args.input), args.mode, LogicalFrame()))
+    _write_walk(args, measure_p0(_read_graph(args.input), args.mode))
     return 0
 
 

@@ -37,8 +37,8 @@ HADAMARD = ((_S, _S), (_S, -_S))
 class LogicalFrame(Record):
     """Accumulated logical byproduct along a wire: one Hadamard per hop."""
 
-    hadamard_count: int = 0
-    current_label: tuple[complex, complex] = (1.0 + 0.0j, 0.0 + 0.0j)
+    hadamard_count: int
+    current_label: tuple[complex, complex]
 
 
 class MeasurementRecord(Record):
@@ -81,14 +81,14 @@ def _apply_hadamard(amplitudes: tuple[complex, complex]) -> tuple[complex, compl
     return c0, c1
 
 
-def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> WireRun:
+def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame | None = None) -> WireRun:
     """Measure the momentum of a GKP-type mode with outcome 0.
 
     The measured mode must have exactly one neighbor at the mode level, not a
     labeled one.  The neighbor becomes a GKP-labeled mode carrying the Hadamard
     of the measured label, its modular-position node is pinned to u = 0 and
     stripped of edges.  The returned run's one record holds the frame after the
-    step, whose Hadamard count is one more than ``frame``'s.
+    step, whose Hadamard count is one more than ``frame``'s, or 1 without one.
 
     Only ``frame.hadamard_count`` is read.  The label teleported is the
     measured mode's own amplitudes in ``graph``, and the record frame's
@@ -106,7 +106,7 @@ def measure_p0(graph: SubsystemGraph, mode: int, frame: LogicalFrame) -> WireRun
             f"measured mode {mode} has {len(neighbors)} neighbors; only degree-1 nodes "
             "are supported"
         )
-    return _walk(graph, [mode, *neighbors], frame.hadamard_count)
+    return _walk(graph, [mode, *neighbors], 0 if frame is None else frame.hadamard_count)
 
 
 def _wire_path(graph: SubsystemGraph) -> list[int]:

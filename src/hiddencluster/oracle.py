@@ -137,6 +137,15 @@ class DiscretizedState(Record):
         set_field(self, "n_modes", n_modes)
         set_field(self, "amplitudes", amplitudes)
 
+    # The amplitudes compare as one array, never elementwise inside the field
+    # tuple; an array is unhashable, so defining __eq__ leaves no __hash__.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid, self.n_modes) == (other.grid, other.n_modes) and np.array_equal(
+            self.amplitudes, other.amplitudes
+        )
+
     def norm(self) -> float:
         """The 2-norm, taken on the amplitudes over their peak part when it
         overflows or falls below :data:`_TINY_SIZE`, as :func:`_rescaling` does."""

@@ -9,7 +9,8 @@ took a float or bool where an int belongs (and ``Topology`` a list where an
 edge tuple belongs); their copies carry the checks the
 records have now, written out edge by edge, so each pair refuses the same
 arguments with the same messages.  ``WireRun``'s copy has the record's
-``record`` property.
+``record`` property.  ``DiscretizedState``'s copy compares its amplitudes
+with ``np.array_equal`` and is unhashable, as the record is.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ class SubsystemGraph:
 
 @dataclass(frozen=True)
 class LogicalFrame:
-    hadamard_count: int = 0
-    current_label: tuple = (1.0 + 0.0j, 0.0 + 0.0j)
+    hadamard_count: int
+    current_label: tuple
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,18 @@ class GridSpec:
         object.__setattr__(self, "alpha", require_bin_size(self.alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedState:
     grid: object
     n_modes: int
     amplitudes: np.ndarray
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid, self.n_modes) == (other.grid, other.n_modes) and np.array_equal(
+            self.amplitudes, other.amplitudes
+        )
 
     def __post_init__(self) -> None:
         if type(self.n_modes) is not int or self.n_modes < 0:

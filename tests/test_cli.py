@@ -340,6 +340,25 @@ class TestMeasureAndWire:
         assert captured.err == "unsupported: run_wire requires a linear chain of modes\n"
         assert captured.out == "" and not out.exists() and not log.exists()
 
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize(
+        "argv", [["measure", "--mode", "2"], ["run-wire", "--steps", "1"]], ids=["measure", "run-wire"]
+    )
+    def test_failed_log_leaves_the_output_untouched(self, argv, existing, tmp_path, capsys):
+        """A ``--log`` that cannot be written exits 3 before ``-o`` is written: an
+        absent output stays absent and an existing one keeps its bytes."""
+        wire = self.build_wire(tmp_path, 3, "p,p,gkp+")
+        out, log = tmp_path / "out.json", tmp_path / "no-such-dir" / "log.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        capsys.readouterr()
+        options = ["--log", str(log), "-o", str(out)]
+        assert run(argv[0], "--input", str(wire), *argv[1:], *options) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not log.exists()
+        assert (out.read_bytes() if out.exists() else None) == existing
+
     def test_run_wire_full(self, tmp_path):
         wire = self.build_wire(tmp_path, 4, "p,p,p,gkp:0.6,0.8")
         out = tmp_path / "final.json"

@@ -39,7 +39,7 @@ from hiddencluster.graphs import (
     structurally_equal,
     to_json,
 )
-from hiddencluster.measurement import LogicalFrame, measure_p0, run_wire
+from hiddencluster.measurement import measure_p0, run_wire
 from hiddencluster.modular import DEFAULT_ALPHA, SubsystemKind
 
 L, M, U = SubsystemKind.LOGICAL, SubsystemKind.GAUGE_BIN, SubsystemKind.GAUGE_MODULAR
@@ -509,7 +509,7 @@ def _json_paths(value, prefix=()):
 
 
 _WIRE = build_cluster(chain_adjacency(4), [momentum()] * 3 + [gkp_plus()], DEFAULT_ALPHA)
-_FUZZ_GRAPHS = [hybrid_grid(), measure_p0(_WIRE, 3, LogicalFrame()).graph]
+_FUZZ_GRAPHS = [hybrid_grid(), measure_p0(_WIRE, 3).graph]
 _FUZZ_DOCUMENTS = [to_json(graph) for graph in _FUZZ_GRAPHS] + [
     json.dumps(legacy_document(graph)) for graph in _FUZZ_GRAPHS
 ]
@@ -587,7 +587,7 @@ def _raw_document(alpha, modes, edges):
     return json.dumps(doc)
 
 
-_MUTATED_GRAPHS = [hybrid_grid(), _WIRE, measure_p0(_WIRE, 3, LogicalFrame()).graph]
+_MUTATED_GRAPHS = [hybrid_grid(), _WIRE, measure_p0(_WIRE, 3).graph]
 _FIELD_VALUES = st.one_of(
     st.integers(-4, 24),
     st.floats(allow_nan=True, allow_infinity=True),

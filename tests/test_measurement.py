@@ -101,19 +101,19 @@ class TestMeasureP0:
     def test_momentum_node_rejected(self):
         graph = build_cluster(chain_adjacency(2), [momentum(), gkp_plus()], ALPHA)
         with pytest.raises(UnsupportedMeasurement):
-            measure_p0(graph, 0, LogicalFrame())
+            measure_p0(graph, 0)
 
     def test_high_degree_rejected(self):
         star = np.zeros((4, 4))
         star[0, 1:] = star[1:, 0] = 1.0
         graph = build_cluster(star, [gkp_plus()] * 4, ALPHA)
         with pytest.raises(UnsupportedTopology):
-            measure_p0(graph, 0, LogicalFrame())
+            measure_p0(graph, 0)
 
     def test_isolated_node_rejected(self):
         graph = build_cluster(np.zeros((1, 1)), [gkp_plus()], ALPHA)
         with pytest.raises(UnsupportedTopology):
-            measure_p0(graph, 0, LogicalFrame())
+            measure_p0(graph, 0)
 
     @pytest.mark.parametrize(
         "neighbor_label, written_fidelity", [((0.6, 0.8), 0.98), ((1.0, 0.0), 0.5)]
@@ -137,12 +137,12 @@ class TestMeasureP0:
         assert fidelity(state, exact) >= 1 - 1e-12
         graph = build_cluster(chain_adjacency(2), specs, ALPHA)
         with pytest.raises(UnsupportedMeasurement, match="^mode 0 is labeled;"):
-            measure_p0(graph, 1, LogicalFrame())
+            measure_p0(graph, 1)
 
     def test_rewrite_is_input_independent(self):
         rng = np.random.default_rng(12)
         shapes = {
-            graph_shape(measure_p0(wire(4, sample_label(rng)), 3, LogicalFrame()).graph)
+            graph_shape(measure_p0(wire(4, sample_label(rng)), 3).graph)
             for _ in range(8)
         }
         assert len(shapes) == 1
@@ -168,9 +168,35 @@ class TestMeasureP0:
         if input_mode == 0:
             specs.reverse()
         graph = build_cluster(chain_topology(2), specs, ALPHA)
-        result = measure_p0(graph, input_mode, LogicalFrame())
+        result = measure_p0(graph, input_mode)
         assert result == run_wire(graph, 1)
         assert result.records == (result.record,) and result.record.measured_mode == input_mode
+
+    @pytest.mark.parametrize(
+        "label", [(1.0, 0.0), (0.6, 0.8j), (-1j, 0.0), (0.0, 1.0)],
+        ids=["zero", "psi", "phase", "one"],
+    )
+    def test_no_frame_is_a_frame_counting_from_zero(self, label):
+        """Without a frame the walk counts Hadamards from 0, as it does for a
+        zero-count frame of any label: the same graph, records and document."""
+        graph = wire(3, (0.28, 0.96j))
+        bare, framed = measure_p0(graph, 2), measure_p0(graph, 2, LogicalFrame(0, label))
+        assert bare == framed
+        assert to_json(bare.graph) == to_json(framed.graph)
+        assert bare.record.frame.hadamard_count == 1
+
+    def test_a_frame_sets_the_count_the_step_adds_one_to(self):
+        graph = wire(3, (0.6, 0.8))
+        result = measure_p0(graph, 2, LogicalFrame(3, (1.0, 0.0)))
+        assert result.record.frame.hadamard_count == result.frame.hadamard_count == 4
+        # the label teleported is the graph's, not the frame's
+        assert result.frame.current_label == measure_p0(graph, 2).frame.current_label
+
+    def test_a_frame_takes_both_fields(self):
+        with pytest.raises(TypeError):
+            LogicalFrame()
+        with pytest.raises(TypeError):
+            LogicalFrame(0)
 
 
 class TestRunWire:

@@ -65,16 +65,15 @@ CASES = {
     "SubsystemGraph": (graphs.SubsystemGraph, ref.SubsystemGraph,
                        (1.5, MODES, (EDGE,)), (1.5, MODES, ()), None),
     "LogicalFrame": (measurement.LogicalFrame, ref.LogicalFrame,
-                     (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), ()),
+                     (2, (0.6 + 0j, -0.8j)), (3, (0.6 + 0j, -0.8j)), None),
     "MeasurementRecord": (measurement.MeasurementRecord, ref.MeasurementRecord,
-                          (1, 0, 2, FRAME), (1, 0, 2, measurement.LogicalFrame()), None),
+                          (1, 0, 2, FRAME), (1, 0, 2, measurement.LogicalFrame(0, (1 + 0j, 0j))),
+                          None),
     "WireRun": (measurement.WireRun, ref.WireRun,
                 (GRAPH, FRAME, (RECORD,)), (GRAPH, FRAME, ()), None),
     "GridSpec": (oracle.GridSpec, ref.GridSpec, (2, 1.5), (3, 1.5), None),
-    # zero modes hold one amplitude, so comparing the arrays gives one bool
     "DiscretizedState": (oracle.DiscretizedState, ref.DiscretizedState,
-                         (GRID, 0, np.array([0.5 + 0.5j])), (GRID, 0, np.array([1.0 + 0j])),
-                         None),
+                         (GRID, 1, np.arange(8) + 0.5j), (GRID, 1, np.arange(8) + 0.25j), None),
 }
 
 # arguments each record refuses, with the reference's message
@@ -293,19 +292,26 @@ class TestRecordsMatchTheirDataclasses:
 
         assert str(info.value) == "a record needs at least two fields, Single has ('a',)"
 
-    def test_a_field_without_a_default_cannot_follow_one_with(self):
-        # a dataclass refuses this order too; the defaults would shift onto the wrong fields
-        with pytest.raises(TypeError, match="'b' of Shifted without a default"):
+    def test_a_class_attribute_is_no_default(self):
+        # the generated constructor takes every field, whatever the class body assigns
+        class Pair(Record):
+            a: int
+            b: int = 0
 
-            class Shifted(Record):
-                a: int = 0
-                b: int
+        assert [p.default for p in inspect.signature(Pair).parameters.values()] == [
+            inspect.Parameter.empty
+        ] * 2
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'b'"):
+            Pair(1)
+        assert Pair(1, 2).b == 2
 
 
 # a wire run's records: one step, two steps (the last differs from the first), none
 RUN_RECORDS = {
     "one-step": (RECORD,),
-    "two-step": (measurement.MeasurementRecord(4, 0, 8, measurement.LogicalFrame(1)), RECORD),
+    "two-step": (
+        measurement.MeasurementRecord(4, 0, 8, measurement.LogicalFrame(1, (1 + 0j, 0j))), RECORD
+    ),
     "zero-step": (),
 }
 
@@ -329,6 +335,52 @@ class TestWireRunRecord:
         with pytest.raises(AttributeError):
             run.record = RECORD
         assert "record" not in measurement.WireRun._fields and "record=" not in repr(run)
+
+
+# a state over GridSpec(1, 1.0) holds 2**n_modes amplitudes
+EQUALITY_GRID = oracle.GridSpec(1, 1.0)
+
+
+class TestDiscretizedStateEquality:
+    """States compare their grid, mode count and amplitude arrays, so ``==``
+    gives a bool for any size and never raises; a state is unhashable."""
+
+    @staticmethod
+    def state(n_modes, amplitudes, grid=EQUALITY_GRID):
+        return oracle.DiscretizedState(grid, n_modes, amplitudes)
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 4])
+    def test_equal_states(self, n_modes):
+        amplitudes = np.arange(2**n_modes) * (0.5 - 0.25j)
+        for cls in (oracle.DiscretizedState, ref.DiscretizedState):
+            same = cls(EQUALITY_GRID, n_modes, amplitudes)
+            assert same == cls(EQUALITY_GRID, n_modes, amplitudes.copy())
+            assert not same != cls(EQUALITY_GRID, n_modes, amplitudes.copy())
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 4])
+    def test_states_that_differ_in_one_field(self, n_modes):
+        amplitudes = np.arange(2**n_modes) + 0.5j
+        changed = amplitudes.copy()
+        changed[-1] += 1e-15
+        base = self.state(n_modes, amplitudes)
+        others = {
+            "amplitude": self.state(n_modes, changed),
+            "grid": self.state(n_modes, amplitudes, oracle.GridSpec(1, 2.0)),
+            "mode count": self.state(n_modes + 1, np.tile(amplitudes, 2)),
+        }
+        for name, other in others.items():
+            assert (base == other) is False and (base != other) is True, name
+
+    def test_a_different_grid_and_count_with_the_same_amplitudes(self):
+        # 8 amplitudes are one mode of an n = 2 grid or three of an n = 1 grid
+        amplitudes = np.ones(8)
+        one = self.state(1, amplitudes, oracle.GridSpec(2, 1.0))
+        assert one != self.state(3, amplitudes)
+
+    def test_a_state_is_unhashable(self):
+        for cls in (oracle.DiscretizedState, ref.DiscretizedState):
+            with pytest.raises(TypeError, match="^unhashable type: 'DiscretizedState'$"):
+                hash(cls(EQUALITY_GRID, 1, np.ones(2)))
 
 
 class TestSubsystemGraphCache:
