@@ -11,9 +11,9 @@ truncation error.  The unnormalizable ideal states become ordinary unit
 vectors here, and all in-scope gate and measurement identities hold on the
 grid to floating round-off.
 
-States are dense complex vectors ordered mode-major, then (ell, m-index,
-u-index) within a mode, the order of ``SubsystemKind.offset``.  Operations
-never mutate their inputs.
+States are dense complex vectors ordered mode-major, then by the (ell,
+m-index, u-index) axes of ``GridSpec.shape`` within a mode, the order of
+``SubsystemKind.offset``.  Operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -41,29 +41,31 @@ class GridSpec(Record):
         set_field(self, "alpha", require_bin_size(alpha))
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """One mode's (ell, m, u) axes, in the order of ``SubsystemKind.offset``."""
+        return (2, self.n, self.n)
+
+    @property
     def dim(self) -> int:
-        return 2 * self.n * self.n
+        return math.prod(self.shape)
 
     @property
     def zero_u_index(self) -> int:
         return self.n // 2
 
-    def m_values(self) -> np.ndarray:
-        start = -(self.n // 2)
-        return np.arange(start, start + self.n)
-
-    def u_values(self) -> np.ndarray:
-        return self.alpha * self.m_values() / self.n
+    def axis_values(self, kind: SubsystemKind) -> np.ndarray:
+        """Eigenvalue of one subsystem operator along its own axis of ``shape``."""
+        if kind is SubsystemKind.LOGICAL:
+            return np.array([0.0, 1.0])
+        bins = np.arange(-(self.n // 2), self.n - self.n // 2)
+        if kind is SubsystemKind.GAUGE_BIN:
+            return bins.astype(float)
+        return self.alpha * bins / self.n
 
     def basis_values(self, kind: SubsystemKind) -> np.ndarray:
         """Eigenvalue of one subsystem operator at each of the dim basis points."""
-        n = self.n
-        ell = np.repeat(np.arange(2), n * n)
-        if kind is SubsystemKind.LOGICAL:
-            return ell.astype(float)
-        if kind is SubsystemKind.GAUGE_BIN:
-            return np.tile(np.repeat(self.m_values(), n), 2).astype(float)
-        return np.tile(np.tile(self.u_values(), n), 2)
+        values = _spread(self.axis_values(kind), (kind.offset,), range(len(self.shape)))
+        return np.broadcast_to(values, self.shape).flatten()
 
     def position_values(self) -> np.ndarray:
         """Physical position alpha*ell + 2*alpha*m + u at each basis point."""
@@ -160,8 +162,13 @@ class DiscretizedState(Record):
             raise DomainError("cannot normalize the zero vector")
         return DiscretizedState(self.grid, self.n_modes, amplitudes / norm)
 
-    def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((self.grid.dim,) * self.n_modes)
+    def _subsystem_axes(self, subsystems) -> tuple[np.ndarray, list[int]]:
+        """The ``grid.shape * n_modes`` view of the amplitudes and each subsystem's axis."""
+        axes = []
+        for mode, kind in subsystems:
+            _require_mode(mode, self.n_modes)
+            axes.append(3 * mode + kind.offset)
+        return self.amplitudes.reshape(self.grid.shape * self.n_modes), axes
 
 
 def prepare_momentum_state(grid: GridSpec) -> DiscretizedState:
@@ -177,10 +184,9 @@ def prepare_gkp_state(grid: GridSpec, c0: complex, c1: complex) -> DiscretizedSt
     norm_sq = sum(c.real * c.real + c.imag * c.imag for c in (c0, c1))
     if abs(norm_sq - 1.0) > 1e-12:
         raise DomainError(f"logical amplitudes must be normalized, got |c|^2 = {norm_sq}")
-    n = grid.n
-    amps = np.zeros((2, n, n), dtype=complex)
-    amps[0, :, grid.zero_u_index] = c0 / math.sqrt(n)
-    amps[1, :, grid.zero_u_index] = c1 / math.sqrt(n)
+    amps = np.zeros(grid.shape, dtype=complex)
+    amps[0, :, grid.zero_u_index] = c0 / math.sqrt(grid.n)
+    amps[1, :, grid.zero_u_index] = c1 / math.sqrt(grid.n)
     return DiscretizedState(grid, 1, amps.reshape(-1))
 
 
@@ -413,16 +419,10 @@ def reduced_density(
         raise DomainError("subsystem selection must be nonempty")
     if len(set(subsystems)) != len(subsystems):
         raise DomainError("duplicate subsystem in selection")
-    n = state.grid.n
-    axes = []
-    for mode, kind in subsystems:
-        _require_mode(mode, state.n_modes)
-        axes.append(3 * mode + kind.offset)
-    tensor = state.amplitudes.reshape((2, n, n) * state.n_modes)
-    rest = [ax for ax in range(3 * state.n_modes) if ax not in axes]
+    tensor, axes = state._subsystem_axes(subsystems)
+    rest = [ax for ax in range(tensor.ndim) if ax not in axes]
     moved = np.transpose(tensor, axes + rest)
-    sizes = moved.shape[: len(axes)]
-    kept = int(np.prod(sizes))
+    kept = math.prod(moved.shape[: len(axes)])
 
     def with_trace(flat: np.ndarray) -> tuple[np.ndarray, float]:
         rho = flat @ flat.conj().T
@@ -484,22 +484,20 @@ def connected_correlators(state: DiscretizedState, pairs) -> list[float]:
     ``|psi|**2`` and each subsystem's mean are computed once for all pairs.
     """
     pairs = list(pairs)
-    for sub_a, sub_b in pairs:
-        _require_mode(sub_a[0], state.n_modes)
-        _require_mode(sub_b[0], state.n_modes)
+    subsystems = list(dict.fromkeys(sub for pair in pairs for sub in pair))
+    tensor, axes = state._subsystem_axes(subsystems)
 
     def with_total(tensor: np.ndarray) -> tuple[np.ndarray, float]:
         probs = np.abs(tensor) ** 2
         return probs, probs.sum()
 
-    probs, total = _rescaling(with_total, state._tensor())
+    probs, total = _rescaling(with_total, tensor)
     if total == 0.0:
         raise DomainError("state has zero norm")
     values, means = {}, {}
-    for mode, kind in dict.fromkeys(sub for pair in pairs for sub in pair):
-        value = _spread(state.grid.basis_values(kind), (mode,), range(state.n_modes))
-        values[mode, kind] = value
-        means[mode, kind] = float((probs * value).sum() / total)
+    for (mode, kind), axis in zip(subsystems, axes):
+        values[mode, kind] = _spread(state.grid.axis_values(kind), (axis,), range(tensor.ndim))
+        means[mode, kind] = float((probs * values[mode, kind]).sum() / total)
     return [
         float((probs * values[sub_a] * values[sub_b]).sum() / total) - means[sub_a] * means[sub_b]
         for sub_a, sub_b in pairs
@@ -520,15 +518,9 @@ def coupling_strength(
     the state's support carry no phase and are skipped; a subsystem with a
     single grid point yields 0.
     """
-    (mode_a, kind_a), (mode_b, kind_b) = sub_a, sub_b
-    _require_mode(mode_a, state.n_modes)
-    _require_mode(mode_b, state.n_modes)
-    if (mode_a, kind_a) == (mode_b, kind_b):
+    tensor, (axis_a, axis_b) = state._subsystem_axes([sub_a, sub_b])
+    if axis_a == axis_b:
         raise DomainError("coupling strength needs two distinct subsystems")
-    n = state.grid.n
-    tensor = state.amplitudes.reshape((2, n, n) * state.n_modes)
-    axis_a = 3 * mode_a + kind_a.offset
-    axis_b = 3 * mode_b + kind_b.offset
 
     def view(shift_a: bool, shift_b: bool) -> np.ndarray:
         index: list[slice] = [slice(None)] * tensor.ndim

@@ -16,6 +16,7 @@ from grid_reference import (
     term_couplings,
     topology_matrix,
 )
+import layout_reference
 from hiddencluster.certify import direct_cluster_state
 from hiddencluster.errors import DomainError
 from hiddencluster.gates import CouplingTerm, Topology, chain_topology, decompose_cz_two_mode
@@ -61,15 +62,15 @@ class TestGridSpec:
     def test_dimensions_and_ranges(self):
         grid = GridSpec(n=4, alpha=2.0)
         assert grid.dim == 32
-        assert list(grid.m_values()) == [-2, -1, 0, 1]
-        assert np.allclose(grid.u_values(), [-1.0, -0.5, 0.0, 0.5])
-        assert grid.u_values()[grid.zero_u_index] == 0.0
+        assert list(grid.axis_values(M)) == [-2, -1, 0, 1]
+        assert np.allclose(grid.axis_values(U), [-1.0, -0.5, 0.0, 0.5])
+        assert grid.axis_values(U)[grid.zero_u_index] == 0.0
 
     def test_odd_grid_contains_zero(self):
         grid = GridSpec(n=3, alpha=1.0)
-        assert list(grid.m_values()) == [-1, 0, 1]
-        assert grid.u_values()[grid.zero_u_index] == 0.0
-        assert np.all(np.abs(grid.u_values()) <= 0.5)
+        assert list(grid.axis_values(M)) == [-1, 0, 1]
+        assert grid.axis_values(U)[grid.zero_u_index] == 0.0
+        assert np.all(np.abs(grid.axis_values(U)) <= 0.5)
 
     def test_position_values_recompose(self):
         grid = GridSpec(n=2, alpha=ALPHA)
@@ -590,7 +591,8 @@ class TestProjection:
         bra = np.full(grid.dim, 1.0 / math.sqrt(grid.dim))
         for mode in range(n_modes):
             projected, weight = project_p0(state, mode)
-            expected = np.tensordot(bra, state._tensor(), axes=(0, mode)).reshape(-1)
+            tensor = state.amplitudes.reshape((grid.dim,) * n_modes)
+            expected = np.tensordot(bra, tensor, axes=(0, mode)).reshape(-1)
             if mode in (0, n_modes - 1):
                 assert projected.amplitudes.tobytes() == expected.tobytes()
             else:
@@ -826,7 +828,7 @@ def reference_connected_correlator(state, sub_a, sub_b):
     _require_mode(mode_a, state.n_modes)
     _require_mode(mode_b, state.n_modes)
     dim = state.grid.dim
-    probs = np.abs(state._tensor()) ** 2
+    probs = np.abs(state.amplitudes.reshape((dim,) * state.n_modes)) ** 2
     total = probs.sum()
     if total == 0.0:
         raise DomainError("state has zero norm")
@@ -892,6 +894,115 @@ class TestCorrelators:
         state = prepare_momentum_state(GridSpec(n=2, alpha=1.0))
         with pytest.raises(DomainError):
             coupling_strength(tensor_product([state, state]), (0, L), (0, L))
+
+
+def outcome(function, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return function(*args)
+    except DomainError as error:
+        return ("raised", str(error))
+
+
+class TestOneLayout:
+    """``GridSpec.shape`` and ``axis_values`` against the tiled layout, and the
+    readouts' one subsystem view against their own reshapes, byte for byte."""
+
+    ALPHAS = (1.0, ALPHA, 2.5, 0.3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_values_match_the_tiled_layout(self, n):
+        for alpha in self.ALPHAS:
+            grid = GridSpec(n=n, alpha=alpha)
+            assert grid.shape == (2, n, n) and grid.dim == 2 * n * n
+            assert grid.axis_values(L).tobytes() == np.array([0.0, 1.0]).tobytes()
+            m_values = layout_reference.m_values(grid).astype(float)
+            assert grid.axis_values(M).tobytes() == m_values.tobytes()
+            assert grid.axis_values(U).tobytes() == layout_reference.u_values(grid).tobytes()
+            for kind in (L, M, U):
+                values = grid.basis_values(kind)
+                expected = layout_reference.basis_values(grid, kind)
+                assert values.dtype == expected.dtype and values.shape == expected.shape
+                assert values.tobytes() == expected.tobytes()
+                assert values.flags.writeable
+            expected = layout_reference.position_values(grid)
+            assert grid.position_values().tobytes() == expected.tobytes()
+
+    SELECTIONS = [
+        [(0, L)],
+        [(0, U), (0, L)],
+        [(0, M), (0, U), (0, L)],
+        [(-1, U), (0, M)],
+        [(-1, L), (0, L), (-1, M)],
+    ]
+    PAIRS = [((0, L), (-1, M)), ((0, M), (0, U)), ((-1, U), (0, L)), ((0, L), (-1, M))]
+
+    @staticmethod
+    def on_modes(subsystems, n_modes):
+        """Read mode -1 as the last mode, as a list of (mode, kind) pairs."""
+        return [(mode % n_modes, kind) for mode, kind in subsystems]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    def test_readouts_match_their_own_reshapes(self, n, n_modes):
+        state = random_state(GridSpec(n=n, alpha=ALPHA), n_modes, seed=10 * n + n_modes)
+        for selection in self.SELECTIONS:
+            selection = self.on_modes(selection, n_modes)
+            if len(set(selection)) < len(selection):
+                continue
+            expected = layout_reference.reduced_density(state, selection)
+            assert reduced_density(state, selection).tobytes() == expected.tobytes()
+        pairs = [tuple(self.on_modes(pair, n_modes)) for pair in self.PAIRS]
+        pairs = [(a, b) for a, b in pairs if a != b]
+        for sub_a, sub_b in pairs:
+            expected = layout_reference.coupling_strength(state, sub_a, sub_b)
+            assert repr(coupling_strength(state, sub_a, sub_b)) == repr(expected)
+        # subsystems repeat across pairs, and one pair is listed twice
+        expected = layout_reference.connected_correlators(state, pairs)
+        assert repr(connected_correlators(state, pairs)) == repr(expected)
+        assert connected_correlators(state, []) == [] == layout_reference.connected_correlators(
+            state, []
+        )
+
+    def test_readouts_match_on_coupled_states(self):
+        grid = GridSpec(n=4, alpha=ALPHA)
+        state = direct_cluster_state(grid, chain_adjacency(3), [momentum(), gkp_plus(), momentum()])
+        subsystems = [(mode, kind) for mode in range(3) for kind in (L, M, U)]
+        pairs = [(a, b) for a in subsystems for b in subsystems if a != b]
+        expected = layout_reference.connected_correlators(state, pairs)
+        assert repr(connected_correlators(state, pairs)) == repr(expected)
+        for sub_a, sub_b in pairs:
+            expected = layout_reference.coupling_strength(state, sub_a, sub_b)
+            assert repr(coupling_strength(state, sub_a, sub_b)) == repr(expected)
+        for selection in ([(1, L)], [(0, L), (2, L)], [(2, U), (1, M), (0, L)]):
+            expected = layout_reference.reduced_density(state, selection)
+            assert reduced_density(state, selection).tobytes() == expected.tobytes()
+
+    ERRORS = [
+        ("reduced_density", ([],), "subsystem selection must be nonempty"),
+        ("reduced_density", ([(0, L), (0, L)],), "duplicate subsystem in selection"),
+        ("reduced_density", ([(5, L), (5, L)],), "duplicate subsystem in selection"),
+        ("reduced_density", ([(0, L), (5, M), (7, U)],), "mode 5 out of range for 2 modes"),
+        ("reduced_density", ([(-1, L)],), "mode -1 out of range for 2 modes"),
+        ("coupling_strength", ((5, L), (5, L)), "mode 5 out of range for 2 modes"),
+        ("coupling_strength", ((0, L), (9, L)), "mode 9 out of range for 2 modes"),
+        ("coupling_strength", ((1, M), (1, M)), "coupling strength needs two distinct subsystems"),
+        (
+            "connected_correlators",
+            ([((0, L), (1, M)), ((3, U), (2, L))],),
+            "mode 3 out of range for 2 modes",
+        ),
+        ("connected_correlators", ([((0, L), (1, M)), ((1, U), (2, L))],), "mode 2 out of range"),
+    ]
+
+    @pytest.mark.parametrize("name, args, message", ERRORS)
+    def test_errors_keep_their_messages_and_order(self, name, args, message):
+        state = random_state(GridSpec(n=2, alpha=ALPHA), 2, 3)
+        zero = DiscretizedState(state.grid, 2, np.zeros_like(state.amplitudes))
+        for subject in (state, zero):
+            raised = outcome(getattr(oracle, name), subject, *args)
+            assert raised == outcome(getattr(layout_reference, name), subject, *args)
+            assert raised[0] == "raised" and raised[1].startswith(message)
 
 
 class TestTensorProduct:
