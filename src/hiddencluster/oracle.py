@@ -115,7 +115,8 @@ def _rescaling(sized, array: np.ndarray):
 
 
 def _with_norm(vector: np.ndarray) -> tuple[np.ndarray, float]:
-    return vector, np.linalg.norm(vector)
+    # numpy's own pairwise sum: a BLAS norm rounds by its thread count
+    return vector, np.sqrt(np.sum(vector.real**2 + vector.imag**2))
 
 
 class DiscretizedState(Record):
@@ -472,7 +473,7 @@ def fidelity(a, b) -> float:
     if y.ndim == 1:
         if x.shape != y.shape:
             raise DomainError("fidelity arguments must have matching dimensions")
-        return float(abs(np.vdot(x, y)) ** 2)
+        return float(abs(np.sum(x.conj() * y)) ** 2)  # no BLAS, as in _with_norm
     if y.shape != (x.size, x.size):
         raise DomainError("fidelity arguments must have matching dimensions")
     return float(np.real(x.conj() @ y @ x))

@@ -548,7 +548,10 @@ class TestVerify:
         control: it exits 5 with five failing checks, and pins the sizes of
         their deviations.  Deviations that pass are round-off figures, so
         these bytes also pin the order of the oracle's floating-point
-        operations."""
+        operations.  The five passing reports' ``unzip_teleportation``
+        deviations were written again when the oracle's norms and overlaps
+        moved from BLAS to numpy's own sums, which no BLAS thread count
+        changes."""
         monkeypatch.delenv("HIDDENCLUSTER_SEED", raising=False)
         out = tmp_path / "report.json"
         assert run("verify", *argv, "-o", str(out)) == code
