@@ -1,9 +1,10 @@
 """Base class of the package's immutable value records.
 
-A subclass lists its fields as class annotations.  This base turns the
-annotations into ``_fields`` and gives every record the frozen guard,
-``==``, ``hash``, ``repr`` and ``__match_args__`` of a frozen dataclass,
-without importing ``dataclasses``.
+A subclass lists its fields, any number of them, as class annotations.
+This base turns the annotations into ``_fields`` and gives every record the
+frozen guard, ``==``, ``hash``, ``repr`` and ``__match_args__`` of a frozen
+dataclass, without importing ``dataclasses``.  As in a dataclass, ``==``,
+``hash`` and ``repr`` read the tuple of the field values.
 
 A record that checks its arguments writes its own ``__init__`` and stores
 each field with :data:`set_field`.  Every other record gets the constructor
@@ -13,8 +14,6 @@ position or by name, in declaration order, and stores it with
 field names, as ``collections.namedtuple`` compiles its ``__new__``, so a
 call runs the same ``set_field`` calls a hand-written one would.
 """
-
-from operator import attrgetter
 
 #: Stores one field past the guard.  The generic setter keeps the fields in
 #: the instance's compact inline storage, as assignment in a plain class does.
@@ -36,11 +35,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if len(fields) < 2:
-            raise TypeError(f"a record needs at least two fields, {cls.__name__} has {fields}")
-        # the field tuple in one C call (attrgetter of one name would return a bare value)
-        cls._values = attrgetter(*fields)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         if "__init__" not in cls.__dict__:
             cls.__init__ = _storing_init(cls)
 
@@ -50,14 +45,17 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == other._values(other)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        values = zip(self._fields, self._values(self))
+        values = zip(self._fields, self._values())
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in values)})"

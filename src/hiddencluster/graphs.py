@@ -232,10 +232,11 @@ class SubsystemGraph(Record):
     without a lookup table.  The mode index is kept in the instance
     ``__dict__`` beside the fields; equality and hashing read only the
     fields.  ``alpha`` is a finite float (:func:`require_bin_size`),
-    ``modes`` and ``edges`` hold :class:`ModeRecord` and
-    :class:`SubsystemEdge` records, and repeated mode indices or edges, edge
-    ends in missing modes and edges at pinned modular-position nodes are
-    refused.
+    ``modes`` and ``edges`` are iterables of :class:`ModeRecord` and
+    :class:`SubsystemEdge` records, kept as tuples, and repeated mode
+    indices or edges, edge ends in missing modes and edges at pinned
+    modular-position nodes are refused.  A mode index or node id looked up
+    is an int, not a bool or a float.
     """
 
     alpha: float
@@ -247,19 +248,22 @@ class SubsystemGraph(Record):
     ) -> None:
         alpha = require_bin_size(alpha)
         members_of = (("modes", modes, ModeRecord), ("edges", edges, SubsystemEdge))
+        stored = []
         for what, members, member_type in members_of:
             try:
-                types = set(map(type, members))
+                members = tuple(members)
             except TypeError:
                 raise DomainError(
                     f"graph {what} must be an iterable of {member_type.__name__} records, "
                     f"got {members!r}"
                 ) from None
-            if not types <= {member_type}:
+            if not set(map(type, members)) <= {member_type}:
                 stray = next(m for m in members if type(m) is not member_type)
                 raise DomainError(
                     f"graph {what} must be {member_type.__name__} records, got {stray!r}"
                 )
+            stored.append(members)
+        modes, edges = stored
         mode_index = {record.index: record for record in modes}
         if len(mode_index) != len(modes):
             raise DomainError("duplicate mode indices")
@@ -284,12 +288,16 @@ class SubsystemGraph(Record):
         set_field(self, "_mode_index", mode_index)
 
     def node_by_id(self, node_id: int) -> Node:
+        if type(node_id) is not int:
+            raise DomainError(f"node id must be an int, got {node_id!r}")
         record = self._mode_index.get(node_id // 3)
         if record is None:
             raise DomainError(f"no node with id {node_id}")
         return Node(*_node_fields(record)[node_id % 3])
 
     def mode_by_index(self, index: int) -> ModeRecord:
+        if type(index) is not int:
+            raise DomainError(f"mode index must be an int, got {index!r}")
         record = self._mode_index.get(index)
         if record is None:
             raise DomainError(f"no mode with index {index}")
@@ -330,21 +338,15 @@ def build_cluster(
         for i, s in enumerate(node_types)
     )
     # One edge's tuned couplings as (kind offset on i, kind offset on j,
-    # multiplicity), less those at a GKP end's pinned modular node: one
-    # template per pair of end types, stamped onto each mode pair (i, j).
+    # multiplicity), stamped onto each mode pair (i, j) less those at a GKP
+    # end's pinned modular node.
     template = [(kind_a.offset, kind_b.offset, units) for kind_a, kind_b, units in TUNED_COUPLINGS]
-    templates = {
-        (gkp_i, gkp_j): [
-            c for c in template if not (gkp_i and c[0] == _MODULAR or gkp_j and c[1] == _MODULAR)
-        ]
-        for gkp_i in (False, True)
-        for gkp_j in (False, True)
-    }
     gkp = [record.cv_type.is_gkp for record in modes]
     stamped = sorted(
         (3 * i + ka, 3 * j + kb, multiplicity)
         for i, j in topology.edges
-        for ka, kb, multiplicity in templates[gkp[i], gkp[j]]
+        for ka, kb, multiplicity in template
+        if not (gkp[i] and ka == _MODULAR or gkp[j] and kb == _MODULAR)
     )
     return SubsystemGraph(alpha=alpha, modes=modes, edges=tuple(starmap(SubsystemEdge, stamped)))
 

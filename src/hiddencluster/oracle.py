@@ -77,6 +77,8 @@ class GridSpec(Record):
 
 
 def _require_mode(mode: int, n_modes: int) -> None:
+    if type(mode) is not int:
+        raise DomainError(f"mode must be an int, got {mode!r}")
     if not 0 <= mode < n_modes:
         raise DomainError(f"mode {mode} out of range for {n_modes} modes")
 
@@ -307,10 +309,9 @@ def _multiply_factors(
     Each factor's table holds only its modes' ``supports``.  The factors are
     contracted below full size first (:func:`_merge_small_factors`), and what
     is left is multiplied straight into the view ``tensor[supports]`` of a
-    zeroed tensor (an empty one when every support is full), the later ones
-    in place: no sub-tensor is built and no amplitude outside the support is
-    computed, so those are all ``+0.0``, where a product with a zero entry
-    could be ``-0.0``.
+    zeroed tensor, the later ones in place: no sub-tensor is built and no
+    amplitude outside the support is computed, so those are all ``+0.0``,
+    where a product with a zero entry could be ``-0.0``.
 
     The result is proven finite from the tables' largest moduli, and only
     when that bound fails is the tensor scanned.  Every computed amplitude,
@@ -334,8 +335,7 @@ def _multiply_factors(
             _spread(table, modes, range(n_modes))
             for modes, table in _merge_small_factors(n_modes, factors)
         ]
-        full = all(support == slice(None) for support in supports)
-        tensor = (np.empty if full else np.zeros)((dim,) * n_modes, dtype=complex)
+        tensor = np.zeros((dim,) * n_modes, dtype=complex)
         view = tensor[tuple(supports)]
         if len(shaped) == 1:
             view[...] = shaped[0]

@@ -11,6 +11,10 @@ records have now, written out edge by edge, so each pair refuses the same
 arguments with the same messages.  ``WireRun``'s copy has the record's
 ``record`` property.  ``DiscretizedState``'s copy compares its amplitudes
 with ``np.array_equal`` and is unhashable, as the record is.
+``SubsystemGraph`` stored ``modes`` and ``edges`` as given; its copy stores
+them as tuples, as the record does.  ``Single`` is the one copy of no
+package record: a one-field dataclass, against which a one-field record is
+checked.
 """
 
 from __future__ import annotations
@@ -162,11 +166,12 @@ class SubsystemGraph:
         ):
             name = member_type.__name__
             try:
-                iter(members)
+                members = tuple(members)
             except TypeError:
                 raise DomainError(
                     f"graph {what} must be an iterable of {name} records, got {members!r}"
                 ) from None
+            object.__setattr__(self, what, members)
             for member in members:
                 if not isinstance(member, member_type):
                     raise DomainError(f"graph {what} must be {name} records, got {member!r}")
@@ -249,3 +254,8 @@ class DiscretizedState:
             raise DomainError(
                 f"amplitude vector has length {self.amplitudes.shape}, expected ({expected},)"
             )
+
+
+@dataclass(frozen=True)
+class Single:
+    value: object

@@ -232,6 +232,59 @@ class TestInvariants:
             SubsystemEdge(a=1, b=1, multiplicity=1)
 
 
+def hybrid_chain():
+    return build_cluster(chain_topology(3), [momentum(), gkp_plus(), momentum()], DEFAULT_ALPHA)
+
+
+class TestMembersAndLookups:
+    """A graph keeps its modes and edges as tuples whatever iterable it is
+    given, and looks modes and nodes up by int only."""
+
+    @pytest.mark.parametrize("form", [list, iter, lambda members: (m for m in members)],
+                             ids=["list", "iterator", "generator"])
+    def test_members_are_stored_as_tuples(self, form):
+        graph = hybrid_chain()
+        built = SubsystemGraph(graph.alpha, form(graph.modes), form(graph.edges))
+        assert type(built.modes) is tuple and type(built.edges) is tuple
+        assert built == graph and hash(built) == hash(graph)
+        assert to_json(built) == to_json(graph)
+
+    @pytest.mark.parametrize("members", [None, 5, 1.5], ids=repr)
+    def test_members_that_are_not_iterable_are_refused(self, members):
+        graph = hybrid_chain()
+        with pytest.raises(DomainError) as info:
+            SubsystemGraph(graph.alpha, members, graph.edges)
+        assert str(info.value) == (
+            f"graph modes must be an iterable of ModeRecord records, got {members!r}"
+        )
+        with pytest.raises(DomainError) as info:
+            SubsystemGraph(graph.alpha, graph.modes, members)
+        assert str(info.value) == (
+            f"graph edges must be an iterable of SubsystemEdge records, got {members!r}"
+        )
+
+    @pytest.mark.parametrize("index", [1.0, True, "0", None], ids=repr)
+    def test_mode_index_must_be_an_int(self, index):
+        with pytest.raises(DomainError) as info:
+            hybrid_chain().mode_by_index(index)
+        assert str(info.value) == f"mode index must be an int, got {index!r}"
+
+    @pytest.mark.parametrize("node_id", [4.0, True, "4", None], ids=repr)
+    def test_node_id_must_be_an_int(self, node_id):
+        with pytest.raises(DomainError) as info:
+            hybrid_chain().node_by_id(node_id)
+        assert str(info.value) == f"node id must be an int, got {node_id!r}"
+
+    def test_a_missing_int_is_named(self):
+        graph = hybrid_chain()
+        with pytest.raises(DomainError) as info:
+            graph.mode_by_index(3)
+        assert str(info.value) == "no mode with index 3"
+        with pytest.raises(DomainError) as info:
+            graph.node_by_id(9)
+        assert str(info.value) == "no node with id 9"
+
+
 class TestRendering:
     def test_single_momentum_mode(self):
         graph = build_cluster(np.zeros((1, 1)), [momentum()], DEFAULT_ALPHA)

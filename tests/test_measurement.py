@@ -103,6 +103,13 @@ class TestMeasureP0:
         with pytest.raises(UnsupportedMeasurement):
             measure_p0(graph, 0)
 
+    @pytest.mark.parametrize("mode", [1.0, True, "1"], ids=repr)
+    def test_mode_must_be_an_int(self, mode):
+        graph = build_cluster(chain_adjacency(2), [gkp_plus(), gkp_plus()], ALPHA)
+        with pytest.raises(DomainError) as info:
+            measure_p0(graph, mode)
+        assert str(info.value) == f"mode index must be an int, got {mode!r}"
+
     def test_high_degree_rejected(self):
         star = np.zeros((4, 4))
         star[0, 1:] = star[1:, 0] = 1.0

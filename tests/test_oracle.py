@@ -304,8 +304,11 @@ class TestCoupledProduct:
             (0, "short", 1, "gauge_u", 1.0),
             (0, "position", 1, "gauge_u", math.inf),
             (2, "position", 0, "gauge_u", math.nan),
+            (1.0, "position", 2, "gauge_u", 1.0),
+            (0, "position", True, "gauge_u", 1.0),
         ],
-        ids=["same-mode", "negative-mode", "mode-past-end", "wrong-length", "inf", "nan"],
+        ids=["same-mode", "negative-mode", "mode-past-end", "wrong-length", "inf", "nan",
+             "float-mode", "bool-mode"],
     )
     def test_rejects_bad_couplings(self, bad):
         vectors = random_vectors(KERNEL_GRID, 3, 4)
@@ -633,6 +636,13 @@ class TestProjection:
         off = sum(rho[j, j].real for j in range(grid.n) if j != grid.zero_u_index)
         assert off < 1e-20
 
+    @pytest.mark.parametrize("mode", [False, True, 1.0, "0"], ids=repr)
+    def test_mode_must_be_an_int(self, mode):
+        state = random_state(GridSpec(n=2, alpha=ALPHA), 2, seed=4)
+        with pytest.raises(DomainError) as info:
+            project_p0(state, mode)
+        assert str(info.value) == f"mode must be an int, got {mode!r}"
+
 
 class TestReducedDensity:
     def test_full_trace_is_one(self):
@@ -681,6 +691,13 @@ class TestReducedDensity:
             reduced_density(state, [])
         with pytest.raises(DomainError):
             reduced_density(state, [(0, L), (0, L)])
+
+    @pytest.mark.parametrize("mode", [0.0, True, "0"], ids=repr)
+    def test_mode_must_be_an_int(self, mode):
+        state = random_state(GridSpec(n=2, alpha=ALPHA), 2, seed=7)
+        with pytest.raises(DomainError) as info:
+            reduced_density(state, [(1, M), (mode, L)])
+        assert str(info.value) == f"mode must be an int, got {mode!r}"
 
 
 class TestFidelity:
@@ -999,6 +1016,9 @@ class TestOneLayout:
             "mode 3 out of range for 2 modes",
         ),
         ("connected_correlators", ([((0, L), (1, M)), ((1, U), (2, L))],), "mode 2 out of range"),
+        ("reduced_density", ([(1.0, L)],), "mode must be an int, got 1.0"),
+        ("coupling_strength", ((0, L), (True, M)), "mode must be an int, got True"),
+        ("connected_correlators", ([((0, L), (1.0, M))],), "mode must be an int, got 1.0"),
     ]
 
     @pytest.mark.parametrize("name, args, message", ERRORS)

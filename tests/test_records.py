@@ -40,6 +40,12 @@ FRAME = measurement.LogicalFrame(2, (0.6 + 0j, -0.8j))
 RECORD = measurement.MeasurementRecord(1, 0, 2, FRAME)
 GRID = oracle.GridSpec(2, 1.5)
 
+
+# a one-field record; no module of the package declares one
+class Single(Record):
+    value: object
+
+
 # (record, its reference copy, positional args, different args, the required
 # prefix of the args when later fields have defaults, else None)
 CASES = {
@@ -283,14 +289,14 @@ class TestRecordsMatchTheirDataclasses:
             case _:
                 pytest.fail("edge did not match")
 
-    def test_a_record_needs_two_fields(self):
-        # one field would make the attrgetter behind _values return a bare value
-        with pytest.raises(TypeError) as info:
-
-            class Single(Record):
-                a: int
-
-        assert str(info.value) == "a record needs at least two fields, Single has ('a',)"
+    def test_a_one_field_record_matches_its_dataclass(self):
+        # its field tuple holds one value, not the bare value
+        record, reference = Single(1.5), ref.Single(1.5)
+        assert repr(record) == repr(reference) == "Single(value=1.5)"
+        assert hash(record) == hash(reference)
+        assert record == Single(1.5) and not record != Single(1.5)
+        assert record != Single((1.5,)) and ref.Single(1.5) != ref.Single((1.5,))
+        assert record.__eq__(reference) is NotImplemented
 
     def test_a_class_attribute_is_no_default(self):
         # the generated constructor takes every field, whatever the class body assigns
