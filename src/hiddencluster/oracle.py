@@ -395,19 +395,18 @@ def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, fl
 
     Returns the unnormalized state on the remaining modes together with its
     norm, the outcome weight; callers normalize when they need a state.
+    The contraction is one matrix-vector product, the C-ordered amplitudes
+    with this mode's axis last times the bra, so each amplitude is one row's
+    dot product, which no BLAS thread count changes.  The last mode's
+    matrix is a view; any other mode costs one state-sized copy.
     """
     _require_mode(mode, state.n_modes)
     dim = state.grid.dim
     bra = np.full(dim, 1.0 / math.sqrt(dim))
-    # (modes before, this mode, modes after) is a view, so no axis is moved
-    # or copied.  On the last mode a stacked product would sum in another
-    # order; one matrix-vector product keeps it bit-identical to
-    # ``np.tensordot``, as the first mode is.
-    tensor = state.amplitudes.reshape(dim**mode, dim, -1)
-    if tensor.shape[2] == 1:
-        contracted = tensor[:, :, 0] @ bra
-    else:
-        contracted = bra @ tensor
+    # the first mode's reshape alone is a Fortran-ordered view, whose product
+    # BLAS sums column by column, in an order the thread count sets
+    tensor = np.swapaxes(state.amplitudes.reshape(dim**mode, dim, -1), 1, 2)
+    contracted = np.ascontiguousarray(tensor.reshape(-1, dim)) @ bra
     projected = DiscretizedState(state.grid, state.n_modes - 1, contracted.reshape(-1))
     return projected, projected.norm()
 
