@@ -395,18 +395,18 @@ def project_p0(state: DiscretizedState, mode: int) -> tuple[DiscretizedState, fl
 
     Returns the unnormalized state on the remaining modes together with its
     norm, the outcome weight; callers normalize when they need a state.
-    The contraction is one matrix-vector product, the C-ordered amplitudes
-    with this mode's axis last times the bra, so each amplitude is one row's
-    dot product, which no BLAS thread count changes.  The last mode's
-    matrix is a view; any other mode costs one state-sized copy.
+    The contraction is one matrix-vector product: the amplitudes as a
+    ``(rest, dim)`` matrix with this mode's axis last, times the bra.  A
+    middle mode costs one state-sized copy.  Each amplitude is one row's dot
+    product, which no BLAS thread count changes, except on the first mode:
+    its matrix is a column-major view, summed by columns as ``np.tensordot``
+    sums that axis, in an order the thread count sets.
     """
     _require_mode(mode, state.n_modes)
     dim = state.grid.dim
     bra = np.full(dim, 1.0 / math.sqrt(dim))
-    # the first mode's reshape alone is a Fortran-ordered view, whose product
-    # BLAS sums column by column, in an order the thread count sets
     tensor = np.swapaxes(state.amplitudes.reshape(dim**mode, dim, -1), 1, 2)
-    contracted = np.ascontiguousarray(tensor.reshape(-1, dim)) @ bra
+    contracted = tensor.reshape(-1, dim) @ bra
     projected = DiscretizedState(state.grid, state.n_modes - 1, contracted.reshape(-1))
     return projected, projected.norm()
 
